@@ -32,7 +32,7 @@ from ..placement import (ActuatorSet, dct_grid_box, dct_nodes_interval,
                          genericity_monte_carlo, greedy_placement,
                          sampling_matrix, uniform_candidates)
 from ..plasmonic import (PlasmonicConfig, calibrate_k0, invert_actuation,
-                         realized_remainder, run_pipeline)
+                         realize_profile, unit_heat_inputs)
 from ..restriction import restriction_gap_report
 from ..spectral import (DomainSpec, ModeTable, SpectralField, enumerate_modes,
                         eval_modes, phi1, phi2)
@@ -338,16 +338,32 @@ class TrackResult:
     manifest: RunManifest | None = None
 
 
+def _unit_responses(times, phi):
+    """Unit heat inputs of one run's particle configs, by contrast scale.
+
+    Built on first use and then shared: one march for the whole run, or
+    one per contrast scale when the coupling depends on it.
+    """
+    built = {}
+
+    def of(pconf):
+        key = pconf.delta if pconf.perturb_interaction else None
+        if key not in built:
+            built[key] = unit_heat_inputs(pconf, times, phi)
+        return built[key]
+
+    return of
+
+
 def _actuation_at_delta(config, actuators, times, phi, beta, u_des, w,
-                        delta):
+                        delta, units_of):
     """Calibrate, invert and realize the projected command at one delta."""
     pconf = build_plasmonic(config, actuators, delta)
-    amap = calibrate_k0(pconf, times, phi)
+    units = units_of(pconf)
+    amap = calibrate_k0(pconf, times, phi, units)
     p_coeffs, residual = invert_actuation(amap, beta)
-    intensities = phi[:, None] * p_coeffs[None, :]
-    g_real = run_pipeline(pconf, times, intensities)
+    g_real, rem_norm = realize_profile(pconf, times, phi, units, p_coeffs)
     mismatch = _series_l2(w, g_real - u_des)
-    _, rem_norm = realized_remainder(pconf, times, intensities)
     return {
         "pconf": pconf, "amap": amap, "p": p_coeffs,
         "inversion_residual": residual, "g_real": g_real,
@@ -411,9 +427,11 @@ def run_track(config: ExperimentConfig, out_dir: str | None = None,
         err_proj = _vdual_curve(table, y_proj - y_ideal)
         budget_proj = c_cert * deco.orth
 
+    units_of = _unit_responses(times, phi)
+
     def realize(delta):
         act = _actuation_at_delta(config, actuators, times, phi, deco.beta,
-                                  u_des, w, delta)
+                                  u_des, w, delta, units_of)
         y_phys = march_piecewise_linear(table, actuators, y0, act["g_real"],
                                         ctl.dt)
         curves = {
@@ -483,7 +501,7 @@ def run_track(config: ExperimentConfig, out_dir: str | None = None,
         assertions["tail_bound"] = (tail.satisfied, tail.bound - tail.tail_vdual)
 
     with _stage("convergence"):
-        gap = _doubled_truncation_gap(config, setup, headline_row)
+        gap = _doubled_truncation_gap(config, setup, headline_row, units_of)
         assertions["convergence"] = (gap <= tol.convergence, gap)
 
     result = TrackResult(
@@ -511,8 +529,12 @@ def run_track(config: ExperimentConfig, out_dir: str | None = None,
 
 
 def _doubled_truncation_gap(config: ExperimentConfig, setup: LoopSetup,
-                            base_row: BudgetRow) -> float:
-    """Repeat the headline metrics at twice the truncation; return the move."""
+                            base_row: BudgetRow, units_of) -> float:
+    """Repeat the headline metrics at twice the truncation; return the move.
+
+    The time grid and profile do not change with the truncation, so the
+    run's unit heat inputs (``units_of``) are reused.
+    """
     ctl = config.control
     domain = setup.domain
     table2 = enumerate_modes(domain, 2 * config.modes.count)
@@ -533,7 +555,8 @@ def _doubled_truncation_gap(config: ExperimentConfig, setup: LoopSetup,
     deco2 = project_onto_profile(times, record2.inputs, phi)
     u_des2 = phi[:, None] * deco2.beta[None, :]
     act2 = _actuation_at_delta(config, setup.actuators, times, phi,
-                               deco2.beta, u_des2, w, config.track.delta)
+                               deco2.beta, u_des2, w, config.track.delta,
+                               units_of)
     y_ideal2 = march_piecewise_linear(table2, setup.actuators, y0,
                                       record2.inputs, ctl.dt)
     y_proj2 = march_piecewise_linear(table2, setup.actuators, y0, u_des2,
@@ -962,11 +985,12 @@ def run_sweep(config: ExperimentConfig, out_dir: str | None = None):
             w = _trapezoid_weights(record.times)
             deco = project_onto_profile(record.times, record.inputs, phi)
             u_des = phi[:, None] * deco.beta[None, :]
+        units_of = _unit_responses(record.times, phi)
         for value in values:
             try:
                 act = _actuation_at_delta(config, setup.actuators,
                                           record.times, phi, deco.beta,
-                                          u_des, w, value)
+                                          u_des, w, value, units_of)
                 metrics.append(act["remainder"])
                 statuses.append("ok")
             except HeattrackError as exc:

@@ -5,11 +5,23 @@ amplitudes couple through free-space heat propagation between the particle
 centers, which yields a Volterra system in time.  Calibration compresses
 the full pipeline into one matrix acting on illumination coefficients, and
 the remainder quantifies everything the compression drops.
+
+The pipeline is linear, so one batched march of the M unit forcings
+``profile * e_j`` (``unit_heat_inputs``, giving ``g[t, i, j]``) serves
+every consumer that drives the particles with one temporal profile:
+
+- calibration: ``k0 = K_unit @ D_eff``, with ``K_unit`` the profile
+  coefficients of ``g``, and the probe of column l is ``g @ D_eff[:, l]``;
+- realization: ``g_real = g @ (D_eff p)``;
+- remainder: ``g @ ((D_eff - D) p)``, formed directly rather than as the
+  difference of two nearly equal pipeline outputs.
+
+Only the seeded dictionary depends on the contrast scale ``delta``; the
+unit response does too only when ``perturb_interaction`` is set.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,11 +40,13 @@ __all__ = [
     "forcing_from_intensities",
     "heat_inputs_from_sigma",
     "run_pipeline",
+    "unit_heat_inputs",
     "resonance_gain",
     "calibrate_k0",
     "invert_actuation",
     "nnls_active_set",
     "realized_remainder",
+    "realize_profile",
 ]
 
 _EXP_FLOOR = -700.0  # exp underflows to an exact 0 below this
@@ -77,14 +91,40 @@ def kernel_time_derivative(x, t: float, y, tau: float, kappa: float) -> float:
     d, r2 = _pair_geometry(x, y)
     if r2 == 0.0:
         raise ValueError("kernel time derivative requires separated points")
-    s = t - tau
-    if s <= 0.0:
-        return 0.0
-    expo = -r2 / (4.0 * kappa * s)
-    if expo < _EXP_FLOOR:
-        return 0.0
-    phi = (4.0 * np.pi * kappa * s) ** (-0.5 * d) * np.exp(expo)
-    return phi * (-0.5 * d / s + r2 / (4.0 * kappa * s * s))
+    return float(_kernel_derivative(r2, d, kappa, t - tau))
+
+
+def _kernel_derivative(r2, d: int, kappa: float, s):
+    """Array form of ``kernel_time_derivative``; ``r2`` and ``s`` broadcast.
+
+    Lags ``s <= 0`` and lags whose exponent falls below ``_EXP_FLOOR``
+    give an exact zero.
+    """
+    s = np.asarray(s, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        expo = -r2 / (4.0 * kappa * s)
+        phi = (4.0 * np.pi * kappa * s) ** (-0.5 * d) * np.exp(expo)
+        value = phi * (-0.5 * d / s + r2 / (4.0 * kappa * s * s))
+    return np.where((s > 0.0) & (expo >= _EXP_FLOOR), value, 0.0)
+
+
+def _kernel_table(centers: np.ndarray, kappa: float, dt: float,
+                  q_steps: int) -> np.ndarray:
+    """``kern[s, i, j]``: kernel derivative between centers i, j at lag s*dt.
+
+    The diagonal (a particle's own center) is excluded from the memory and
+    set to zero; the lag-0 slice is zero by construction, which is what
+    makes every step of the march explicit.
+    """
+    m, d = centers.shape
+    r2 = np.sum((centers[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+    if np.any(r2[~np.eye(m, dtype=bool)] == 0.0):
+        raise ValueError("kernel time derivative requires separated points")
+    lags = (np.arange(q_steps + 1) * dt)[:, None, None]
+    kern = _kernel_derivative(r2[None], d, kappa, lags)
+    kern[:, np.arange(m), np.arange(m)] = 0.0
+    assert not np.any(kern[0]), "the memory kernel must vanish at lag 0"
+    return kern
 
 
 @dataclass(frozen=True)
@@ -181,8 +221,47 @@ def _effective_coupling(config: PlasmonicConfig) -> np.ndarray:
 @dataclass
 class VolterraSolution:
     times: np.ndarray
-    sigma: np.ndarray    # (Q + 1, M) amplitudes
-    forcing: np.ndarray  # (Q + 1, M) right-hand side samples
+    sigma: np.ndarray    # (Q + 1, M) or (Q + 1, M, R) amplitudes
+    forcing: np.ndarray  # right-hand side samples, shaped like sigma
+
+
+def _grid_step(times: np.ndarray) -> float:
+    if times.shape[0] < 2:
+        raise ValueError("at least two time samples are required")
+    dt = times[1] - times[0]
+    if dt <= 0 or np.max(np.abs(np.diff(times) - dt)) > 1e-12 * max(dt, 1.0):
+        raise ValueError("time samples must form a uniform increasing grid")
+    return float(dt)
+
+
+def _memory_table(centers, coupling, kappa: float, dt: float,
+                  q_steps: int) -> np.ndarray:
+    """Coupling-weighted kernel table; the coupling diagonal is ignored."""
+    weights = np.asarray(coupling, dtype=float).copy()
+    np.fill_diagonal(weights, 0.0)
+    return weights[None] * _kernel_table(centers, kappa, dt, q_steps)
+
+
+def _lag_reversed(table: np.ndarray) -> np.ndarray:
+    """``flat[i, k * m + j] = table[Q - k, i, j]`` for a (Q + 1, m, m) table."""
+    lags, m, _ = table.shape
+    return np.ascontiguousarray(table[::-1].transpose(1, 0, 2)).reshape(
+        m, lags * m)
+
+
+def _history(flat: np.ndarray, amplitudes: np.ndarray, q: int) -> np.ndarray:
+    """Trapezoid memory sum ``sum_{s<q} w_s table[q - s] @ sigma[s]``.
+
+    ``flat`` is the lag-reversed table (``_lag_reversed``) and
+    ``amplitudes`` holds ``sigma[0..q-1]`` stacked as ((Q + 1) * m, R)
+    rows.  The weights are 1/2 at s = 0 and 1 after it; ``table[0]`` is
+    zero, so the s = q end of the rule does not enter.
+    """
+    m = flat.shape[0]
+    end = flat.shape[1] - m
+    start = end - q * m
+    return (flat[:, start:end] @ amplitudes[:q * m]
+            - 0.5 * flat[:, start:start + m] @ amplitudes[:m])
 
 
 def volterra_solve(centers, coupling, kappa: float, times,
@@ -191,67 +270,80 @@ def volterra_solve(centers, coupling, kappa: float, times,
 
     The memory integral of each pair uses the time derivative of the
     free-space kernel between the two centers; the rule is second order
-    for smooth forcing.  Because that kernel vanishes on the diagonal in
-    time, the per-step square system is well conditioned, but it is still
-    solved rather than assumed trivial.
+    for smooth forcing.  That kernel vanishes at lag zero, so every step
+    is explicit: the new amplitudes are the forcing minus the history sum,
+    which is one matrix product per step over the lag-reversed table.
+
+    ``forcing`` is ``(Q + 1, M)``, or ``(Q + 1, M, R)`` to march R
+    right-hand sides at once; ``sigma`` has the same shape.
     """
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     m = centers.shape[0]
-    coupling = np.asarray(coupling, dtype=float)
     times = np.asarray(times, dtype=float)
     forcing = np.asarray(forcing, dtype=float)
+    dt = _grid_step(times)
     q_steps = times.shape[0] - 1
-    if q_steps < 1:
-        raise ValueError("at least two time samples are required")
-    dt = times[1] - times[0]
-    if dt <= 0 or np.max(np.abs(np.diff(times) - dt)) > 1e-12 * max(dt, 1.0):
-        raise ValueError("time samples must form a uniform increasing grid")
-    if forcing.shape != (q_steps + 1, m):
+    if forcing.ndim not in (2, 3) or forcing.shape[:2] != (q_steps + 1, m):
         raise ValueError("forcing must be sampled on the grid, per particle")
 
-    # kern[s, i, j] = d/dt kernel(center_i, s*dt; center_j, 0), kern[0] = 0.
-    kern = np.zeros((q_steps + 1, m, m))
-    for i in range(m):
-        for j in range(m):
-            if i == j:
-                continue
-            for s in range(1, q_steps + 1):
-                kern[s, i, j] = kernel_time_derivative(
-                    centers[i], s * dt, centers[j], 0.0, kappa)
-    weights = coupling.copy()
-    np.fill_diagonal(weights, 0.0)
-
-    sigma = np.zeros((q_steps + 1, m))
-    sigma[0] = forcing[0]
-    step_matrix = np.eye(m) + 0.5 * dt * weights * kern[0]
+    flat = _lag_reversed(_memory_table(centers, coupling, kappa, dt, q_steps))
+    rhs = forcing.reshape(q_steps + 1, m, -1)
+    # C order whatever the forcing's layout, so ``stacked`` is a view.
+    sigma = np.empty(rhs.shape)
+    stacked = sigma.reshape((q_steps + 1) * m, -1)
+    sigma[0] = rhs[0]
     for q in range(1, q_steps + 1):
-        w = np.ones(q)
-        w[0] = 0.5
-        hist = np.einsum("sij,sj->ij", kern[q:0:-1], sigma[:q] * w[:, None])
-        rhs = forcing[q] - dt * np.sum(weights * hist, axis=1)
-        sigma[q] = np.linalg.solve(step_matrix, rhs)
-    return VolterraSolution(times.copy(), sigma, forcing.copy())
+        sigma[q] = rhs[q] - dt * _history(flat, stacked, q)
+    return VolterraSolution(times.copy(), sigma.reshape(forcing.shape),
+                            forcing.copy())
 
 
 def forcing_from_intensities(config: PlasmonicConfig,
                              intensities: np.ndarray) -> np.ndarray:
     """Per-particle forcing samples from illumination intensity samples."""
+    return _dictionary_forcing(config, intensities,
+                               effective_dictionary(config))
+
+
+def _dictionary_forcing(config: PlasmonicConfig, intensities,
+                        dictionary: np.ndarray) -> np.ndarray:
     intensities = np.asarray(intensities, dtype=float)
     if intensities.ndim != 2 or intensities.shape[1] != config.n_intensities:
         raise ValueError("intensities must have shape (samples, P)")
-    return intensities @ effective_dictionary(config).T
+    return intensities @ dictionary.T
 
 
 def heat_inputs_from_sigma(config: PlasmonicConfig,
                            solution: VolterraSolution) -> np.ndarray:
     """Heat inputs G_i = (alpha_i / c_m) * sigma_i, sampled on the grid."""
-    return solution.sigma * (config.contrasts / config.c_m)[None, :]
+    sigma = solution.sigma
+    scale = config.contrasts / config.c_m
+    return sigma * scale.reshape((-1,) + (1,) * (sigma.ndim - 2))
 
 
 def run_pipeline(config: PlasmonicConfig, times,
                  intensities: np.ndarray) -> np.ndarray:
     """Intensities -> forcing -> amplitudes -> heat inputs, on one grid."""
     forcing = forcing_from_intensities(config, intensities)
+    sol = volterra_solve(config.centers, _effective_coupling(config),
+                         config.kappa, times, forcing)
+    return heat_inputs_from_sigma(config, sol)
+
+
+def unit_heat_inputs(config: PlasmonicConfig, times,
+                     profile: np.ndarray) -> np.ndarray:
+    """Heat inputs under the unit forcings ``profile * e_j``, one march.
+
+    Returns ``g[t, i, j]``, the heat input of particle i when only
+    particle j is forced, with the profile.  It does not involve the
+    dictionary, so it depends on ``delta`` only through the coupling, that
+    is only when ``perturb_interaction`` is set.
+    """
+    times = np.asarray(times, dtype=float)
+    profile = np.asarray(profile, dtype=float)
+    if profile.shape != times.shape:
+        raise ValueError("profile must be sampled on the time grid")
+    forcing = profile[:, None, None] * np.eye(config.count)[None]
     sol = volterra_solve(config.centers, _effective_coupling(config),
                          config.kappa, times, forcing)
     return heat_inputs_from_sigma(config, sol)
@@ -297,9 +389,15 @@ class ActuationMap:
     times: np.ndarray
 
 
-def calibrate_k0(config: PlasmonicConfig, times,
-                 profile: np.ndarray) -> ActuationMap:
-    """Probe every dictionary column and project outputs on the profile."""
+def calibrate_k0(config: PlasmonicConfig, times, profile: np.ndarray,
+                 units: np.ndarray | None = None) -> ActuationMap:
+    """Probe every dictionary column and project outputs on the profile.
+
+    The probes are superposed from the unit heat inputs ``units`` (built
+    here when not given): the output of column l is ``g @ D_eff[:, l]``,
+    so ``k0 = K_unit @ D_eff`` with ``K_unit`` the profile coefficients
+    of ``g``.
+    """
     times = np.asarray(times, dtype=float)
     profile = np.asarray(profile, dtype=float)
     if profile.shape != times.shape:
@@ -307,19 +405,16 @@ def calibrate_k0(config: PlasmonicConfig, times,
     denom = _l2_inner(times, profile, profile)
     if denom <= 0.0:
         raise ValueError("profile must be nonzero")
-    m, p = config.count, config.n_intensities
-    k0 = np.empty((m, p))
-    residuals = np.empty(p)
-    for col in range(p):
-        intensities = np.zeros((times.shape[0], p))
-        intensities[:, col] = profile
-        outputs = run_pipeline(config, times, intensities)
-        res2 = 0.0
-        for i in range(m):
-            k0[i, col] = _l2_inner(times, outputs[:, i], profile) / denom
-            tail = outputs[:, i] - k0[i, col] * profile
-            res2 += _l2_inner(times, tail, tail)
-        residuals[col] = np.sqrt(max(res2, 0.0))
+    if units is None:
+        units = unit_heat_inputs(config, times, profile)
+    d_eff = effective_dictionary(config)
+    k_unit = np.trapezoid(units * profile[:, None, None], times,
+                          axis=0) / denom
+    k0 = k_unit @ d_eff
+    tails = units @ d_eff - k0[None] * profile[:, None, None]
+    residuals = np.sqrt(np.sum(np.trapezoid(tails * tails, times, axis=0),
+                               axis=0))
+    m = config.count
     s = np.linalg.svd(k0, compute_uv=False)
     sigma_min = float(s[m - 1]) if len(s) >= m else 0.0
     if sigma_min <= 1e-12 * max(float(s[0]), 1.0):
@@ -402,18 +497,81 @@ def invert_actuation(amap: ActuationMap, u_des: np.ndarray,
     return p, residual
 
 
+def _coupling_forcing(config: PlasmonicConfig, times: np.ndarray,
+                      intensities: np.ndarray) -> np.ndarray:
+    """Forcing whose effective-coupling march is the coupling remainder.
+
+    With ``sigma`` the leading amplitudes (base coupling and dictionary),
+    the effective-coupling amplitudes of the same forcing exceed them by
+    the effective-coupling march of
+    ``h[q] = -dt * sum_{s<q} w_s (W_eff - W)[q-s] sigma[s]``, the
+    trapezoid history of the coupling perturbation; this returns h.
+    """
+    leading = volterra_solve(
+        config.centers, config.coupling, config.kappa, times,
+        _dictionary_forcing(config, intensities, config.dictionary)).sigma
+    dt = _grid_step(times)
+    q_steps = times.shape[0] - 1
+    flat = _lag_reversed(_memory_table(
+        config.centers, _effective_coupling(config) - config.coupling,
+        config.kappa, dt, q_steps))
+    stacked = leading.reshape(-1, 1)
+    h = np.zeros_like(leading)
+    for q in range(1, q_steps + 1):
+        h[q] = -dt * _history(flat, stacked, q)[:, 0]
+    return h
+
+
+def _series_norm(times: np.ndarray, series: np.ndarray) -> float:
+    norm2 = sum(_l2_inner(times, series[:, i], series[:, i])
+                for i in range(series.shape[1]))
+    return float(np.sqrt(max(norm2, 0.0)))
+
+
 def realized_remainder(config: PlasmonicConfig, times,
                        intensities: np.ndarray):
     """Pipeline output minus its leading (delta = 0) model prediction.
 
+    Formed directly, as one effective-coupling march of the forcing
+    ``I (D_eff - D)^T``, never as the difference of two nearly equal
+    pipeline outputs.  With ``perturb_interaction`` set, the forcing also
+    carries the coupling term (``_coupling_forcing``).  At ``delta = 0``
+    the forcing, hence the remainder, is exactly zero.
+
     Returns ``(rho, norm)`` where rho is the per-particle time series of
     the mismatch and norm is its aggregate L2 size over all particles.
     """
-    full = run_pipeline(config, times, intensities)
-    leading = run_pipeline(dataclasses.replace(config, delta=0.0), times,
-                           intensities)
-    rho = full - leading
     times = np.asarray(times, dtype=float)
-    norm2 = sum(_l2_inner(times, rho[:, i], rho[:, i])
-                for i in range(rho.shape[1]))
-    return rho, float(np.sqrt(max(norm2, 0.0)))
+    intensities = np.asarray(intensities, dtype=float)
+    gap = effective_dictionary(config) - config.dictionary
+    forcing = _dictionary_forcing(config, intensities, gap)
+    if config.perturb_interaction:
+        forcing = forcing + _coupling_forcing(config, times, intensities)
+    sol = volterra_solve(config.centers, _effective_coupling(config),
+                         config.kappa, times, forcing)
+    rho = heat_inputs_from_sigma(config, sol)
+    return rho, _series_norm(times, rho)
+
+
+def realize_profile(config: PlasmonicConfig, times, profile: np.ndarray,
+                    units: np.ndarray, coeffs: np.ndarray):
+    """Heat inputs and remainder of the intensities ``profile * coeffs``.
+
+    Superposed from the unit heat inputs ``units`` of this config:
+    ``g_real = g @ (D_eff p)`` and the remainder ``g @ ((D_eff - D) p)``.
+    With ``perturb_interaction`` set the remainder also has a coupling
+    term, so it comes from ``realized_remainder`` instead.
+
+    Returns ``(g_real, norm)`` with norm the remainder's aggregate L2 size.
+    """
+    times = np.asarray(times, dtype=float)
+    coeffs = np.asarray(coeffs, dtype=float)
+    d_eff = effective_dictionary(config)
+    g_real = units @ (d_eff @ coeffs)
+    if config.perturb_interaction:
+        intensities = np.asarray(profile, dtype=float)[:, None] * coeffs[None]
+        _, norm = realized_remainder(config, times, intensities)
+    else:
+        norm = _series_norm(
+            times, units @ ((d_eff - config.dictionary) @ coeffs))
+    return g_real, norm

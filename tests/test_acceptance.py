@@ -12,8 +12,8 @@ import time
 
 import numpy as np
 import pytest
-from numpy.polynomial.legendre import leggauss
 
+import heattrack
 from heattrack.control import (
     assemble_bias_matrix,
     assemble_closed_loop,
@@ -30,10 +30,12 @@ from heattrack.placement import (
     pseudo_inverse,
     sampling_matrix,
 )
-from heattrack.plasmonic import kernel_time_derivative, volterra_solve
+from heattrack.plasmonic import volterra_solve
 from heattrack.restriction import restriction_gap_report
 from heattrack.rng import PURPOSE_TEST, stream
 from heattrack.spectral import DomainSpec, enumerate_modes, eval_modes
+
+import manufactured as mms
 
 
 def _criterion(num, label, ok, detail):
@@ -190,49 +192,18 @@ def test_criterion_06_constrained_quotient_grows_at_the_mesh_rate():
                f"elapsed={elapsed:.2f}s")
 
 
-MMS_CENTERS = np.array([[0.3], [0.7]])
-MMS_BETA = 0.5
-MMS_T = 0.5
-
-
-def _mms_sigma(t):
-    s = np.asarray(t, dtype=float) / MMS_T
-    return np.stack([np.cos(np.pi * s) + 0.5 * s,
-                     np.exp(-s) * (1.0 + 2.0 * s)], axis=-1)
-
-
-def _mms_forcing(times):
-    nodes, weights = leggauss(40)
-    forcing = _mms_sigma(times).copy()
-    for q, t in enumerate(times):
-        if t == 0.0:
-            continue
-        for i, j in ((0, 1), (1, 0)):
-            total = 0.0
-            edges = np.linspace(0.0, t, 9)
-            for a, b in zip(edges[:-1], edges[1:]):
-                taus = 0.5 * (b - a) * (nodes + 1) + a
-                w = 0.5 * (b - a) * weights
-                kern = np.array([
-                    kernel_time_derivative(MMS_CENTERS[i], t, MMS_CENTERS[j],
-                                           tau, 1.0) for tau in taus])
-                total += float(np.sum(w * kern * _mms_sigma(taus)[:, j]))
-            forcing[q, i] += MMS_BETA * total
-    return forcing
-
-
 def test_criterion_07_memory_march_attains_second_order():
-    coupling = MMS_BETA * (np.ones((2, 2)) - np.eye(2))
+    coupling = mms.BETA * (np.ones((2, 2)) - np.eye(2))
     errs = []
     for q in (64, 128, 256):
-        times = np.linspace(0.0, MMS_T, q + 1)
-        sol = volterra_solve(MMS_CENTERS, coupling, 1.0, times,
-                             _mms_forcing(times))
-        diff = sol.sigma - _mms_sigma(times)
-        errs.append(float(np.sqrt(np.sum(diff ** 2) * (MMS_T / q))))
+        times = np.linspace(0.0, mms.HORIZON, q + 1)
+        sol = volterra_solve(mms.CENTERS, coupling, mms.KAPPA, times,
+                             mms.forcing(times))
+        diff = sol.sigma - mms.sigma(times)
+        errs.append(float(np.sqrt(np.sum(diff ** 2) * (mms.HORIZON / q))))
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
 
-    times = np.linspace(0.0, MMS_T, 65)
+    times = np.linspace(0.0, mms.HORIZON, 65)
     forcing = (np.sin(2 * np.pi * times) + 1.5)[:, None]
     single = volterra_solve(np.array([[0.4]]), np.zeros((1, 1)), 1.0, times,
                             forcing)
@@ -324,13 +295,17 @@ def test_criterion_11_wall_influence_fades_with_the_horizon():
 
 def test_criterion_12_identical_runs_produce_identical_bytes(tmp_path):
     files = ("trajectory.csv", "budget.csv", "summary.csv", "manifest.txt")
+    # the child runs the package this test imported, installed or not
+    package_root = os.path.dirname(os.path.dirname(heattrack.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
     payloads = []
     for name in ("one", "two"):
         out = tmp_path / name
         proc = subprocess.run(
             [sys.executable, "-m", "heattrack.harness.cli", "track",
              "--config", "default", "--seed", "7", "--out", str(out)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         payloads.append({f: (out / f).read_bytes() for f in files})
     same = [f for f in files if payloads[0][f] == payloads[1][f]]

@@ -7,6 +7,7 @@ import pytest
 import yaml
 from numpy.testing import assert_allclose
 
+from heattrack import plasmonic
 from heattrack.errors import (
     ConfigError,
     DegenerateNodesError,
@@ -287,6 +288,71 @@ def test_track_writes_deterministic_outputs(tmp_path):
     manifest = payloads[0]["manifest.txt"].decode()
     assert manifest.startswith(f"tool={TOOL_ID}\ncommand=track\n")
     assert "status=ok" in manifest
+
+
+@pytest.mark.parametrize("run", [
+    lambda: exp.run_track(load_config("default")),
+    lambda: exp.run_sweep(_config(sweep={"kind": "delta",
+                                         "values": [0.2, 0.1, 0.05]})),
+], ids=["track", "sweep-delta"])
+def test_particles_are_marched_once_per_run(monkeypatch, run):
+    """Calibration, realization and remainder at every contrast scale (and
+    at the doubled truncation) share one batched amplitude march."""
+    calls = {"volterra_solve": 0, "kernel_time_derivative": 0}
+    for name in calls:
+        original = getattr(plasmonic, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(plasmonic, name, counting)
+    run()
+    assert calls == {"volterra_solve": 1, "kernel_time_derivative": 0}
+
+
+def _trapezoid_l2(times, series):
+    return float(np.sqrt(np.sum(np.trapezoid(series ** 2, times, axis=0))))
+
+
+def test_track_with_perturbed_interaction_matches_the_difference_path(
+        monkeypatch):
+    config = _config(plasmonic={"perturb_interaction": True})
+    built = []
+    original = exp.unit_heat_inputs
+
+    def recording(pconf, *args):
+        built.append(pconf.delta)
+        return original(pconf, *args)
+
+    monkeypatch.setattr(exp, "unit_heat_inputs", recording)
+    result = exp.run_track(config)
+    # the coupling depends on delta, so each contrast scale has its own
+    # unit response; the doubled truncation reuses the headline one
+    assert sorted(built) == sorted(set(config.track.deltas))
+
+    # reference path: one pipeline probe per dictionary column, and the
+    # remainder as the difference of the full and leading pipelines
+    times = result.times
+    phi = profile_samples(config.track.profile, times, config.control.horizon)
+    denom = np.trapezoid(phi * phi, times)
+    for row in result.budget_rows:
+        pconf = exp.build_plasmonic(config, result.setup.actuators, row.delta)
+        probes = [plasmonic.run_pipeline(pconf, times,
+                                         phi[:, None] * np.eye(4)[col])
+                  for col in range(4)]
+        k0 = np.stack([np.trapezoid(out * phi[:, None], times, axis=0)
+                       for out in probes], axis=1) / denom
+        coeffs = np.linalg.solve(k0, result.decomposition.beta)
+        intensities = phi[:, None] * coeffs[None, :]
+        full = plasmonic.run_pipeline(pconf, times, intensities)
+        leading = plasmonic.run_pipeline(
+            exp.build_plasmonic(config, result.setup.actuators, 0.0), times,
+            intensities)
+        assert row.mismatch == pytest.approx(
+            _trapezoid_l2(times, full - result.u_des), rel=1e-12)
+        assert row.remainder == pytest.approx(
+            _trapezoid_l2(times, full - leading), rel=1e-12)
 
 
 def test_simulate_driver_reports_the_decay(tmp_path):

@@ -1,11 +1,16 @@
 """Kernel values, the amplitude march, calibration and nonnegative solves."""
 
+import dataclasses
+
+import mpmath
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given, settings, strategies as st
 from numpy.polynomial.legendre import leggauss
 from numpy.testing import assert_allclose
 
+from heattrack import plasmonic
 from heattrack.errors import NonConvergenceError, RankDeficiencyError
 from heattrack.plasmonic import (
     PlasmonicConfig,
@@ -16,12 +21,16 @@ from heattrack.plasmonic import (
     invert_actuation,
     kernel_time_derivative,
     nnls_active_set,
+    realize_profile,
     realized_remainder,
     resonance_gain,
     run_pipeline,
+    unit_heat_inputs,
     volterra_solve,
 )
 from heattrack.rng import PURPOSE_TEST, stream
+
+import manufactured as mms
 
 KAPPA = 1.0
 
@@ -95,6 +104,89 @@ def test_zero_coupling_decouples_every_particle():
     assert_allclose(sol.sigma, forcing, atol=1e-14)
 
 
+def test_batched_forcing_matches_single_column_marches():
+    times = np.linspace(0.0, 0.5, 65)
+    centers = np.array([[0.2], [0.5], [0.8]])
+    coupling = 0.5 * (np.ones((3, 3)) - np.eye(3))
+    forcing = stream(7, PURPOSE_TEST, 5).standard_normal((65, 3, 4))
+    batch = volterra_solve(centers, coupling, KAPPA, times, forcing)
+    assert batch.sigma.shape == forcing.shape
+    for r in range(4):
+        single = volterra_solve(centers, coupling, KAPPA, times,
+                                forcing[:, :, r])
+        assert_allclose(batch.sigma[:, :, r], single.sigma, rtol=0,
+                        atol=1e-14 * np.max(np.abs(single.sigma)))
+    with pytest.raises(ValueError):
+        volterra_solve(centers, coupling, KAPPA, times, forcing[:, :2])
+
+
+def test_march_ignores_the_memory_layout_of_the_forcing():
+    times = np.linspace(0.0, 0.5, 65)
+    centers = np.array([[0.2], [0.5], [0.8]])
+    coupling = 0.5 * (np.ones((3, 3)) - np.eye(3))
+    forcing = stream(7, PURPOSE_TEST, 7).standard_normal((65, 3, 2))
+    want = volterra_solve(centers, coupling, KAPPA, times, forcing).sigma
+    fortran = np.asfortranarray(forcing)
+    assert not fortran.flags.c_contiguous
+    got = volterra_solve(centers, coupling, KAPPA, times, fortran).sigma
+    assert np.array_equal(got, want)
+    columns = np.array([forcing[:, :, 0].T, forcing[:, :, 1].T]).T
+    assert not columns.flags.c_contiguous
+    got = volterra_solve(centers, coupling, KAPPA, times, columns).sigma
+    assert np.array_equal(got, want)
+
+
+def test_march_rejects_coincident_centers():
+    times = np.linspace(0.0, 0.5, 9)
+    centers = np.array([[0.2], [0.5], [0.2]])
+    with pytest.raises(ValueError, match="separated"):
+        volterra_solve(centers, np.ones((3, 3)), KAPPA, times,
+                       np.ones((9, 3)))
+
+
+@pytest.mark.parametrize("centers, dt", [
+    (np.array([[0.3], [0.7]]), 1e-5),
+    (np.array([[0.3, 0.1, 0.0], [0.7, 0.2, 0.1], [0.1, 0.9, 0.4]]), 2e-5),
+])
+def test_kernel_table_matches_the_scalar_kernel(centers, dt):
+    """Same values as the scalar kernel, cut-off and zero lag included."""
+    q_steps = 400
+    table = plasmonic._kernel_table(centers, KAPPA, dt, q_steps)
+    m = centers.shape[0]
+    scalar = np.zeros_like(table)
+    for i in range(m):
+        for j in range(m):
+            if i != j:
+                scalar[:, i, j] = [kernel_time_derivative(
+                    centers[i], s * dt, centers[j], 0.0, KAPPA)
+                    for s in range(q_steps + 1)]
+    assert not np.any(table[0])
+    # the exp floor cuts the first lags of every pair, and only those
+    cut = scalar == 0.0
+    assert np.array_equal(table == 0.0, cut)
+    assert np.all(cut[1, ~np.eye(m, dtype=bool)])
+    assert not np.all(cut[-1, ~np.eye(m, dtype=bool)])
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(table - scalar) <= 4 * eps * np.abs(scalar))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2 ** 16), st.floats(-4.0, 4.0), st.floats(-4.0, 4.0),
+       st.integers(1, 48))
+def test_march_is_linear_in_the_forcing(seed, a, b, q_steps):
+    times = np.linspace(0.0, 0.3, q_steps + 1)
+    centers = np.array([[0.2], [0.45], [0.8]])
+    coupling = 0.5 * (np.ones((3, 3)) - np.eye(3))
+    f1, f2 = stream(seed, PURPOSE_TEST, 6).standard_normal(
+        (2, q_steps + 1, 3))
+    combined = volterra_solve(centers, coupling, KAPPA, times,
+                              a * f1 + b * f2).sigma
+    parts = (a * volterra_solve(centers, coupling, KAPPA, times, f1).sigma
+             + b * volterra_solve(centers, coupling, KAPPA, times, f2).sigma)
+    scale = (abs(a) + abs(b)) * max(np.max(np.abs(f1)), np.max(np.abs(f2)))
+    assert_allclose(combined, parts, rtol=0, atol=1e-13 * max(scale, 1.0))
+
+
 def test_volterra_grid_validation():
     with pytest.raises(ValueError):
         volterra_solve(np.array([[0.4]]), np.zeros((1, 1)), KAPPA,
@@ -105,61 +197,46 @@ def test_volterra_grid_validation():
                        np.zeros((3, 1)))
 
 
-# manufactured solution: amplitudes with generic endpoint behaviour so the
-# trapezoid memory rule shows its true second order
-MMS_CENTERS = np.array([[0.3], [0.7]])
-MMS_BETA = 0.5
-MMS_T = 0.5
+def test_manufactured_forcing_oracle_matches_a_40_digit_reference():
+    """The oracle's spot values against 40-digit adaptive quadrature.
 
+    The composite Gauss-Legendre oracle is accurate to about 5e-12
+    relative at these samples, so 1e-10 still catches a wrong oracle.
+    """
+    times = np.linspace(0.0, mms.HORIZON, 65)
+    forcing = mms.forcing(times)
+    with mpmath.workdps(40):
+        t = mpmath.mpf(float(times[32]))
+        horizon = mpmath.mpf(mms.HORIZON)
+        r2 = (mpmath.mpf(float(mms.CENTERS[1, 0]))
+              - mpmath.mpf(float(mms.CENTERS[0, 0]))) ** 2
 
-def _mms_sigma(t):
-    t = np.asarray(t, dtype=float)
-    s = t / MMS_T
-    return np.stack([np.cos(np.pi * s) + 0.5 * s,
-                     np.exp(-s) * (1.0 + 2.0 * s)], axis=-1)
+        def sigma(tau):
+            s = tau / horizon
+            return (mpmath.cos(mpmath.pi * s) + s / 2,
+                    mpmath.exp(-s) * (1 + 2 * s))
 
+        def kernel_derivative(s):
+            phi = mpmath.exp(-r2 / (4 * s)) / mpmath.sqrt(4 * mpmath.pi * s)
+            return phi * (-1 / (2 * s) + r2 / (4 * s * s))
 
-def _mms_memory(i, j, t, order=40, panels=8):
-    if t == 0.0:
-        return 0.0
-    nodes, weights = leggauss(order)
-    total = 0.0
-    edges = np.linspace(0.0, t, panels + 1)
-    for a, b in zip(edges[:-1], edges[1:]):
-        taus = 0.5 * (b - a) * (nodes + 1) + a
-        w = 0.5 * (b - a) * weights
-        kern = np.array([
-            kernel_time_derivative(MMS_CENTERS[i], t, MMS_CENTERS[j], tau,
-                                   KAPPA) for tau in taus])
-        total += float(np.sum(w * kern * _mms_sigma(taus)[:, j]))
-    return total
-
-
-def _mms_forcing(times):
-    forcing = _mms_sigma(times).copy()
-    for q, t in enumerate(times):
-        forcing[q, 0] += MMS_BETA * _mms_memory(0, 1, t)
-        forcing[q, 1] += MMS_BETA * _mms_memory(1, 0, t)
-    return forcing
-
-
-def test_manufactured_forcing_oracle_is_stable():
-    # frozen spot values guard the oracle itself against silent drift
-    times = np.linspace(0.0, MMS_T, 65)
-    forcing = _mms_forcing(times)
-    assert forcing[32, 0].hex() == "0x1.1806c9dff5ce4p-1"
-    assert forcing[32, 1].hex() == "0x1.456074a63d132p+0"
+        for i in (0, 1):
+            memory = mpmath.quad(
+                lambda tau: kernel_derivative(t - tau) * sigma(tau)[1 - i],
+                [0, t])
+            want = float(sigma(t)[i] + mpmath.mpf(mms.BETA) * memory)
+            assert_allclose(forcing[32, i], want, rtol=1e-10)
 
 
 def test_volterra_march_is_second_order():
-    coupling = MMS_BETA * (np.ones((2, 2)) - np.eye(2))
+    coupling = mms.BETA * (np.ones((2, 2)) - np.eye(2))
     errs = []
     for q in (64, 128, 256):
-        times = np.linspace(0.0, MMS_T, q + 1)
-        sol = volterra_solve(MMS_CENTERS, coupling, KAPPA, times,
-                             _mms_forcing(times))
-        diff = sol.sigma - _mms_sigma(times)
-        errs.append(float(np.sqrt(np.sum(diff ** 2) * (MMS_T / q))))
+        times = np.linspace(0.0, mms.HORIZON, q + 1)
+        sol = volterra_solve(mms.CENTERS, coupling, mms.KAPPA, times,
+                             mms.forcing(times))
+        diff = sol.sigma - mms.sigma(times)
+        errs.append(float(np.sqrt(np.sum(diff ** 2) * (mms.HORIZON / q))))
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     assert np.all(orders >= 1.8)
 
@@ -197,6 +274,50 @@ def test_pipeline_is_linear_in_the_intensities():
     parts = (2.0 * run_pipeline(config, times, p1)
              - 0.5 * run_pipeline(config, times, p2))
     assert_allclose(out, parts, atol=1e-12)
+
+
+@pytest.mark.parametrize("perturb", [False, True])
+def test_direct_remainder_matches_the_difference_of_pipelines(perturb):
+    config = _config(coupling=0.5 * (np.ones((2, 2)) - np.eye(2)),
+                     perturb_interaction=perturb)
+    times = np.linspace(0.0, 0.4, 81)
+    intensities = np.stack([np.sin(np.pi * times / 0.4) ** 2,
+                            0.5 * np.cos(np.pi * times / 0.4) + 0.5], axis=1)
+    rho, norm = realized_remainder(config, times, intensities)
+    full = run_pipeline(config, times, intensities)
+    leading = run_pipeline(dataclasses.replace(config, delta=0.0), times,
+                           intensities)
+    # the difference carries roundoff of the outputs, not of the remainder
+    tol = 64 * np.finfo(float).eps * np.max(np.abs(full))
+    assert np.max(np.abs(rho - (full - leading))) <= tol
+    assert norm > 1e-3
+    if perturb:   # the coupling term is really there
+        plain = dataclasses.replace(config, perturb_interaction=False)
+        rho_plain, _ = realized_remainder(plain, times, intensities)
+        assert np.max(np.abs(rho - rho_plain)) > 1e3 * tol
+    rho0, norm0 = realized_remainder(dataclasses.replace(config, delta=0.0),
+                                     times, intensities)
+    assert norm0 == 0.0
+    assert not np.any(rho0)
+
+
+@pytest.mark.parametrize("perturb", [False, True])
+def test_profile_realization_superposes_the_unit_inputs(perturb):
+    config = _config(coupling=0.5 * (np.ones((2, 2)) - np.eye(2)),
+                     dictionary=np.array([[1.0, 0.3, 0.2], [0.0, 1.0, 0.5]]),
+                     perturb_interaction=perturb)
+    times = np.linspace(0.0, 0.4, 81)
+    profile = np.sin(np.pi * times / 0.4) ** 2
+    coeffs = np.array([0.7, -0.4, 0.25])
+    units = unit_heat_inputs(config, times, profile)
+    assert units.shape == (81, 2, 2)
+    g_real, norm = realize_profile(config, times, profile, units, coeffs)
+    intensities = profile[:, None] * coeffs[None, :]
+    full = run_pipeline(config, times, intensities)
+    assert_allclose(g_real, full, rtol=0,
+                    atol=1e-14 * np.max(np.abs(full)))
+    _, want_norm = realized_remainder(config, times, intensities)
+    assert norm == pytest.approx(want_norm, rel=1e-13)
 
 
 def test_heat_inputs_scale_by_contrast_over_heat_capacity():
@@ -288,6 +409,29 @@ def test_calibration_without_interaction_recovers_the_dictionary():
     assert_allclose(amap.k0, expected, atol=1e-12)
     assert_allclose(amap.residuals, np.zeros(2), atol=1e-12)
     assert amap.sigma_min > 0.0
+
+
+def test_calibration_equals_the_per_column_probes():
+    """k0 and residuals match P pipeline runs, one per dictionary column."""
+    config = _config(coupling=0.5 * (np.ones((2, 2)) - np.eye(2)),
+                     contrasts=np.array([2.0, 1.0]), c_m=4.0,
+                     dictionary=np.array([[1.0, 0.3, 0.2], [0.0, 1.0, 0.5]]))
+    times = np.linspace(0.0, 0.4, 81)
+    profile = np.sin(np.pi * times / 0.4) ** 2
+    amap = calibrate_k0(config, times, profile)
+    denom = np.trapezoid(profile * profile, times)
+    for col in range(3):
+        intensities = np.zeros((81, 3))
+        intensities[:, col] = profile
+        outputs = run_pipeline(config, times, intensities)
+        k0 = np.trapezoid(outputs * profile[:, None], times, axis=0) / denom
+        tail = outputs - k0[None, :] * profile[:, None]
+        residual = np.sqrt(np.sum(np.trapezoid(tail * tail, times, axis=0)))
+        assert_allclose(amap.k0[:, col], k0, rtol=1e-13)
+        assert amap.residuals[col] == pytest.approx(residual, rel=1e-13)
+    units = unit_heat_inputs(config, times, profile)
+    again = calibrate_k0(config, times, profile, units)
+    assert np.array_equal(again.k0, amap.k0)
 
 
 def test_calibration_with_interaction_leaves_residual_mass():
