@@ -13,8 +13,8 @@ from .errors import (ConfigError, DegenerateNodesError, HeattrackError,
                      NonConvergenceError, RankDeficiencyError,
                      ResolutionError, SingularSystemError, StageError)
 from .spectral import (DomainSpec, ModeTable, SpectralField, enumerate_modes,
-                       eval_modes, heat_step_forced, heat_step_forced_linear,
-                       project_function, resolvent_apply, semigroup_apply)
+                       eval_modes, march_forced, project_function,
+                       resolvent_apply, semigroup_apply)
 from .placement import (ActuatorSet, SamplingMatrices, dct_grid_box,
                         dct_nodes_interval, genericity_monte_carlo,
                         greedy_placement, min_norm_feedforward,

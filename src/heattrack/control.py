@@ -17,7 +17,7 @@ import scipy.linalg
 from .errors import (InsufficientSignalError, NonConvergenceError,
                      SingularSystemError)
 from .placement import SamplingMatrices, min_norm_feedforward
-from .spectral import SpectralField, eval_modes, heat_step_forced
+from .spectral import SpectralField, eval_modes, march_forced
 
 __all__ = [
     "ClosedLoopSystem",
@@ -501,25 +501,19 @@ def contraction_diagnostics(system: ClosedLoopSystem) -> ContractionDiagnostics:
 
 def cross_integrator_check(system: ClosedLoopSystem, z0: SpectralField,
                            steps: int = 100, dt: float = 1e-6) -> float:
-    """Replay recorded inputs through the open-loop stepper.
+    """Replay recorded inputs through the open-loop marcher.
 
     The closed-loop trajectory is reconstructed in absolute coordinates by
-    forcing the exact Duhamel stepper with the recorded per-step inputs.
+    the exact Duhamel march of the recorded inputs, each held over its step.
     Both integrators agree to the input sampling error, which this check
     returns as the maximum H-norm deviation over the horizon.
     """
     record = simulate_closed_loop(system, z0, steps * dt, dt)
-    y = SpectralField(system.table,
-                      system.reference.coeffs + z0.coeffs)
-    actuators = system.matrices.actuators
-    worst = 0.0
-    for i in range(steps):
-        y = heat_step_forced(y, actuators, record.inputs[i], dt)
-        z_ref = record.states[i + 1]
-        dev = float(np.linalg.norm(
-            y.coeffs - (system.reference.coeffs + z_ref)))
-        worst = max(worst, dev)
-    return worst
+    ref = system.reference.coeffs
+    replay = march_forced(system.table, system.matrices.actuators.points,
+                          ref + z0.coeffs, record.inputs, dt, "constant")
+    dev = np.linalg.norm(replay[1:] - (ref + record.states[1:]), axis=1)
+    return float(np.max(dev))
 
 
 def doubling_gain_search(matrices: SamplingMatrices, target_mu: float,

@@ -9,6 +9,7 @@ seed applied) is what run manifests hash.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -43,6 +44,22 @@ def _take(block: dict, name: str, allowed: dict) -> dict:
 def _require(value, name: str, key: str):
     if value is None:
         raise ConfigError(f"block '{name}' requires key '{key}'")
+    return value
+
+
+def _flag(value, name: str) -> bool:
+    """A YAML boolean; strings such as "no" are rejected, not coerced."""
+    if not isinstance(value, bool):
+        raise ConfigError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
+def _finite(value, name: str) -> float | None:
+    if value is None:
+        return None
+    value = float(value)
+    if not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
     return value
 
 
@@ -140,13 +157,19 @@ class ControlBlock:
         initial = vals["initial"]
         if initial is not None:
             initial = tuple(float(x) for x in initial)
-        horizon, dt = float(vals["horizon"]), float(vals["dt"])
-        if horizon <= 0 or dt <= 0:
+        horizon = _finite(vals["horizon"], "control.horizon")
+        dt = _finite(vals["dt"], "control.dt")
+        if not (horizon > 0 and dt > 0):
             raise ConfigError("control.horizon and control.dt must be positive")
+        steps = int(round(horizon / dt))
+        if steps < 1 or abs(steps * dt - horizon) > 1e-9 * max(1.0, horizon):
+            raise ConfigError(f"control.dt={dt:g} does not divide "
+                              f"control.horizon={horizon:g} (1e-9 relative)")
         return ControlBlock(
-            None if vals["gain"] is None else float(vals["gain"]),
-            None if vals["target_rate"] is None else float(vals["target_rate"]),
-            horizon, dt, reference, bool(vals["fixed_point"]), initial)
+            _finite(vals["gain"], "control.gain"),
+            _finite(vals["target_rate"], "control.target_rate"),
+            horizon, dt, reference,
+            _flag(vals["fixed_point"], "control.fixed_point"), initial)
 
 
 @dataclass(frozen=True)
@@ -194,7 +217,7 @@ class PlasmonicBlock:
             float(vals["c_m"]),
             None if vals["kappa"] is None else float(vals["kappa"]),
             contrasts, float(vals["coupling_scale"]), dictionary,
-            bool(vals["perturb_interaction"]))
+            _flag(vals["perturb_interaction"], "plasmonic.perturb_interaction"))
 
 
 @dataclass(frozen=True)
@@ -319,6 +342,8 @@ class ExperimentConfig:
         if seed is None:
             raise ConfigError("a seed is required (config key or --seed)")
         seed = int(seed)
+        if seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {seed}")
         blocks = {}
         for name, parser in _BLOCK_PARSERS.items():
             raw = data.get(name)

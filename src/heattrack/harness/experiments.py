@@ -12,6 +12,7 @@ tracking errors against certified budgets.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import os
 from contextlib import contextmanager
@@ -35,7 +36,7 @@ from ..plasmonic import (PlasmonicConfig, calibrate_k0, invert_actuation,
                          realize_profile, unit_heat_inputs)
 from ..restriction import restriction_gap_report
 from ..spectral import (DomainSpec, ModeTable, SpectralField, enumerate_modes,
-                        eval_modes, phi1, phi2)
+                        eval_modes, march_forced)
 from .config import ExperimentConfig, profile_samples
 from .manifest import RunManifest, write_csv
 
@@ -49,7 +50,6 @@ __all__ = [
     "build_loop",
     "build_actuators",
     "build_plasmonic",
-    "march_piecewise_linear",
     "project_onto_profile",
     "certified_input_constant",
     "run_track",
@@ -211,32 +211,6 @@ def _trapezoid_weights(times: np.ndarray) -> np.ndarray:
 
 def _series_l2(w: np.ndarray, series: np.ndarray) -> float:
     return float(np.sqrt(np.sum(w * np.sum(series ** 2, axis=1))))
-
-
-def march_piecewise_linear(table: ModeTable, actuators: ActuatorSet,
-                           y0: np.ndarray, inputs: np.ndarray,
-                           dt: float) -> np.ndarray:
-    """Exact Duhamel march for inputs read as piecewise linear in time.
-
-    Equivalent to chaining the one-step forced integrator, with the
-    actuator sampling matrix hoisted out of the loop.  Returns the
-    coefficient trajectory with shape (samples, K).
-    """
-    lam = table.eigenvalues
-    e_mat = eval_modes(table, actuators.points).T  # (K, M)
-    decay = np.exp(-lam * dt)
-    f1 = phi1(lam, dt)
-    f2 = phi2(lam, dt)
-    inputs = np.asarray(inputs, dtype=float)
-    states = np.empty((inputs.shape[0], table.size))
-    c = np.asarray(y0, dtype=float).copy()
-    states[0] = c
-    for q in range(inputs.shape[0] - 1):
-        b0 = e_mat @ inputs[q]
-        b1 = e_mat @ inputs[q + 1]
-        c = c * decay + b0 * f1 + (b1 - b0) * f2
-        states[q + 1] = c
-    return states
 
 
 @dataclass(frozen=True)
@@ -420,9 +394,10 @@ def run_track(config: ExperimentConfig, out_dir: str | None = None,
                                     deco.pythagoras_gap)
 
     with _stage("replay"):
-        y_ideal = march_piecewise_linear(table, actuators, y0, u_ideal,
-                                         ctl.dt)
-        y_proj = march_piecewise_linear(table, actuators, y0, u_des, ctl.dt)
+        replay = functools.partial(march_forced, table, actuators.points, y0,
+                                   dt=ctl.dt, hold="linear")
+        y_ideal = replay(u_ideal)
+        y_proj = replay(u_des)
         c_cert = certified_input_constant(table, actuators, ctl.horizon)
         err_proj = _vdual_curve(table, y_proj - y_ideal)
         budget_proj = c_cert * deco.orth
@@ -432,8 +407,7 @@ def run_track(config: ExperimentConfig, out_dir: str | None = None,
     def realize(delta):
         act = _actuation_at_delta(config, actuators, times, phi, deco.beta,
                                   u_des, w, delta, units_of)
-        y_phys = march_piecewise_linear(table, actuators, y0, act["g_real"],
-                                        ctl.dt)
+        y_phys = replay(act["g_real"])
         curves = {
             "real": _vdual_curve(table, y_phys - y_proj),
             "total": _vdual_curve(table, y_phys - y_ideal),
@@ -557,12 +531,11 @@ def _doubled_truncation_gap(config: ExperimentConfig, setup: LoopSetup,
     act2 = _actuation_at_delta(config, setup.actuators, times, phi,
                                deco2.beta, u_des2, w, config.track.delta,
                                units_of)
-    y_ideal2 = march_piecewise_linear(table2, setup.actuators, y0,
-                                      record2.inputs, ctl.dt)
-    y_proj2 = march_piecewise_linear(table2, setup.actuators, y0, u_des2,
-                                     ctl.dt)
-    y_phys2 = march_piecewise_linear(table2, setup.actuators, y0,
-                                     act2["g_real"], ctl.dt)
+    replay = functools.partial(march_forced, table2, setup.actuators.points,
+                               y0, dt=ctl.dt, hold="linear")
+    y_ideal2 = replay(record2.inputs)
+    y_proj2 = replay(u_des2)
+    y_phys2 = replay(act2["g_real"])
     proj_sup2 = float(np.max(_vdual_curve(table2, y_proj2 - y_ideal2)))
     real_sup2 = float(np.max(_vdual_curve(table2, y_phys2 - y_proj2)))
     total_sup2 = float(np.max(_vdual_curve(table2, y_phys2 - y_ideal2)))

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientDataError, ResolutionError
-from .spectral import (DomainSpec, SpectralField, as_points, enumerate_modes,
-                       eval_modes, heat_step_forced_linear)
+from .spectral import (DomainSpec, as_points, enumerate_modes, eval_modes,
+                       march_forced)
 
 __all__ = [
     "ProbeSet",
@@ -213,7 +213,7 @@ def neumann_solution_probe(domain: DomainSpec, sources, times, inputs, probes,
                            check_tol: float = 1e-6) -> np.ndarray:
     """Truncated cosine-expansion field of point sources at probes.
 
-    Marches the exact stepper for piecewise-linear inputs up to ``t`` and
+    Runs the exact forced march for piecewise-linear inputs up to ``t`` and
     synthesizes pointwise values.  With ``check`` enabled the run repeats
     at twice the truncation; a change above ``check_tol`` raises a
     resolution error naming the observed change.
@@ -228,11 +228,9 @@ def neumann_solution_probe(domain: DomainSpec, sources, times, inputs, probes,
 
     def synthesize(k: int) -> np.ndarray:
         table = enumerate_modes(domain, k)
-        z = SpectralField(table)
-        for step in range(idx):
-            z = heat_step_forced_linear(z, src, inputs[step], inputs[step + 1],
-                                        dt)
-        return eval_modes(table, probes) @ z.coeffs
+        z = march_forced(table, src, np.zeros(k), inputs[:idx + 1], dt,
+                         "linear")[-1]
+        return eval_modes(table, probes) @ z
 
     values = synthesize(n_modes)
     if check:

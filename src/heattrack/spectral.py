@@ -21,14 +21,15 @@ __all__ = [
     "project_function",
     "resolvent_apply",
     "semigroup_apply",
-    "heat_step_forced",
-    "heat_step_forced_linear",
+    "march_forced",
     "phi1",
     "phi2",
     "gauss_legendre_grid",
 ]
 
 _NORM_KINDS = ("H", "Vdual", "graph")
+# Doublings of enumerate_modes' candidate cube (side x16) before it gives up.
+_MAX_DOUBLINGS = 4
 
 
 @dataclass(frozen=True)
@@ -57,10 +58,10 @@ class DomainSpec:
         if len(lengths) != expected:
             raise ValueError(
                 f"{self.kind} needs {expected} length(s), got {len(lengths)}")
-        if any(L <= 0 for L in lengths):
-            raise ValueError("side lengths must be positive")
-        if self.kappa <= 0:
-            raise ValueError("kappa must be positive")
+        if not all(L > 0 and math.isfinite(L) for L in lengths):
+            raise ValueError("side lengths must be positive and finite")
+        if not (self.kappa > 0 and math.isfinite(self.kappa)):
+            raise ValueError("kappa must be positive and finite")
         object.__setattr__(self, "lengths", lengths)
         object.__setattr__(self, "kappa", float(self.kappa))
 
@@ -151,14 +152,15 @@ def enumerate_modes(domain: DomainSpec, count: int) -> ModeTable:
 
     Candidate multi-indices are enumerated on a growing cube until the
     cube provably contains the ``count`` smallest eigenvalues, then sorted
-    by (eigenvalue, reversed multi-index).
+    by (eigenvalue, reversed multi-index).  Raises ``ValueError`` if
+    ``_MAX_DOUBLINGS`` doublings of the cube do not bracket them.
     """
     if not isinstance(count, (int, np.integer)) or count < 1:
         raise ValueError("mode count must be a positive integer")
     d = domain.dim
     lengths = np.asarray(domain.lengths)
     side = count if d == 1 else int(math.ceil(count ** (1.0 / d))) + 2
-    while True:
+    for _ in range(_MAX_DOUBLINGS + 1):
         axes = [np.arange(side + 1)] * d
         grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
         lam = domain.kappa * np.sum((grid * np.pi / lengths) ** 2, axis=1)
@@ -170,6 +172,8 @@ def enumerate_modes(domain: DomainSpec, count: int) -> ModeTable:
             chosen = np.asarray(order[:count])
             return ModeTable.from_indices(domain, grid[chosen])
         side *= 2
+    raise ValueError(f"{_MAX_DOUBLINGS} doublings of the candidate cube do "
+                     f"not bracket the {count} smallest modes")
 
 
 def eval_modes(table: ModeTable, points) -> np.ndarray:
@@ -311,39 +315,42 @@ def phi2(lam: np.ndarray, dt: float) -> np.ndarray:
     return np.where(small, series, exact)
 
 
-def _forcing_coefficients(table: ModeTable, actuators, u: np.ndarray) -> np.ndarray:
-    points = getattr(actuators, "points", actuators)
-    u = np.asarray(u, dtype=float)
-    sampled = eval_modes(table, points)  # (M, K)
-    if u.shape != (sampled.shape[0],):
-        raise ValueError("one input amplitude per actuator is required")
-    return sampled.T @ u
+def march_forced(table: ModeTable, points, y0, inputs, dt: float,
+                 hold: str) -> np.ndarray:
+    """Exact Duhamel march of the heat flow forced at point actuators.
 
-
-def heat_step_forced(z: SpectralField, actuators, u, dt: float) -> SpectralField:
-    """Advance the forced heat flow by one step of length dt.
-
-    The input held constant over the step: each coefficient obeys
-    ``a' = -lam*a + b`` with ``b_k = sum_j u_j * phi_k(x_j)``, integrated
-    exactly, so the only error against the continuous model is the
-    piecewise-constant sampling of the input.
+    Mode k obeys ``a' = -lam_k*a + sum_j u_j(t) * phi_k(x_j)``, integrated
+    exactly for input samples ``inputs`` (Q+1, M) that are interpolated
+    linearly (``hold="linear"``) or held over each step (``"constant"``;
+    the last sample is unused).  Returns the (Q+1, K) trajectory from y0.
     """
-    if dt <= 0:
+    if hold not in ("linear", "constant"):
+        raise ValueError(f"hold must be 'linear' or 'constant', got {hold!r}")
+    if not dt > 0:
         raise ValueError("dt must be positive")
-    lam = z.table.eigenvalues
-    b = _forcing_coefficients(z.table, actuators, u)
-    coeffs = z.coeffs * np.exp(-lam * dt) + b * phi1(lam, dt)
-    return SpectralField(z.table, coeffs)
-
-
-def heat_step_forced_linear(z: SpectralField, actuators, u_start, u_end,
-                            dt: float) -> SpectralField:
-    """One exact step with the input interpolated linearly across the step."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    lam = z.table.eigenvalues
-    b0 = _forcing_coefficients(z.table, actuators, u_start)
-    b1 = _forcing_coefficients(z.table, actuators, u_end)
-    coeffs = (z.coeffs * np.exp(-lam * dt)
-              + b0 * phi1(lam, dt) + (b1 - b0) * phi2(lam, dt))
-    return SpectralField(z.table, coeffs)
+    sampled = eval_modes(table, points)  # (M, K)
+    inputs = np.asarray(inputs, dtype=float)
+    if (inputs.ndim != 2 or inputs.shape[0] < 1
+            or inputs.shape[1] != sampled.shape[0]):
+        raise ValueError(f"inputs need shape (samples, {sampled.shape[0]}), "
+                         f"one column per actuator; got {inputs.shape}")
+    y0 = np.asarray(y0, dtype=float)
+    if y0.shape != (table.size,):
+        raise ValueError("initial coefficients must match the table size")
+    lam = table.eigenvalues
+    b = inputs @ sampled  # (Q+1, K) modal forcing at each sample
+    # The state is c[q] = sum_{j<=q} d**(q-j) * x[j] for the step increments
+    # x[q] below, with x[0] = y0; a doubling prefix scan sums it in place.
+    x = np.empty_like(b)
+    x[0] = y0
+    x[1:] = b[:-1] * phi1(lam, dt)
+    if hold == "linear":
+        x[1:] += (b[1:] - b[:-1]) * phi2(lam, dt)
+    d = np.exp(-lam * dt)  # decay over s steps
+    s = 1
+    while s < x.shape[0]:
+        # The product is a new array, so every row reads pre-pass values.
+        x[s:] += d * x[:-s]
+        d = d * d
+        s *= 2
+    return x

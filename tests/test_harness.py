@@ -1,13 +1,17 @@
 """Config validation, experiment drivers, manifests and the CLI."""
 
 import hashlib
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import yaml
 from numpy.testing import assert_allclose
 
-from heattrack import plasmonic
+import heattrack
+from heattrack import plasmonic, spectral
 from heattrack.errors import (
     ConfigError,
     DegenerateNodesError,
@@ -26,15 +30,10 @@ from heattrack.harness.manifest import (
     format_value,
     write_csv,
 )
-from heattrack.placement import ActuatorSet, dct_nodes_interval
 from heattrack.rng import PURPOSE_TEST, stream
-from heattrack.spectral import (
-    DomainSpec,
-    SpectralField,
-    enumerate_modes,
-    eval_modes,
-    heat_step_forced_linear,
-)
+from heattrack.spectral import march_forced
+
+from stepping import step_march
 
 BASE = {
     "seed": 7,
@@ -76,7 +75,8 @@ def test_default_config_loads_by_name():
     assert config.modes.count == 32
     assert config.control.gain == 8.0
     assert config.restriction is not None
-    assert len(config.digest) == 64
+    assert config.digest == (
+        "d3a7a6e9c460a1896eb0327b34602bbfb20f3bd66b60d73aacddcd59e0acdc42")
 
 
 def test_unknown_top_level_block_is_rejected():
@@ -142,6 +142,21 @@ def test_profile_samples_shape_and_names():
         profile_samples("square", times, 0.4)
 
 
+@pytest.mark.parametrize("block,key", [("control", "fixed_point"),
+                                       ("plasmonic", "perturb_interaction")])
+def test_flags_accept_only_yaml_booleans(block, key):
+    for value in (True, False):
+        data = _mapping()
+        data[block] = dict(data.get(block, {}), **{key: value})
+        parsed = getattr(ExperimentConfig.from_mapping(data), block)
+        assert getattr(parsed, key) is value
+    for value in ("no", "yes", "false", 1, 0, None):
+        data = _mapping()
+        data[block] = dict(data.get(block, {}), **{key: value})
+        with pytest.raises(ConfigError, match=f"{block}.{key}"):
+            ExperimentConfig.from_mapping(data)
+
+
 def test_load_config_failure_modes(tmp_path):
     with pytest.raises(ConfigError, match="cannot read"):
         load_config(str(tmp_path / "absent.yaml"))
@@ -178,20 +193,21 @@ def test_projection_recovers_a_planted_split():
     assert np.max(np.abs(resid.T @ (w * phi))) < 1e-14
 
 
-def test_march_agrees_with_the_one_step_integrator(unit_interval):
-    table = enumerate_modes(unit_interval, 8)
-    actuators = ActuatorSet(unit_interval, dct_nodes_interval(2, 1.0))
-    rng = stream(7, PURPOSE_TEST, 301)
-    y0 = rng.standard_normal(8)
-    inputs = rng.standard_normal((6, 2))
-    dt = 0.01
-    states = exp.march_piecewise_linear(table, actuators, y0, inputs, dt)
-    z = SpectralField(table, y0.copy())
-    assert_allclose(states[0], y0, rtol=0, atol=0)
-    for q in range(5):
-        z = heat_step_forced_linear(z, actuators.points, inputs[q],
-                                    inputs[q + 1], dt)
-        assert_allclose(states[q + 1], z.coeffs, atol=1e-14)
+def test_march_agrees_with_the_one_step_integrator(track_result):
+    """The tracking run's projection-error curve, rebuilt from the step loop."""
+    config = track_result.config
+    table = track_result.setup.table
+    points = track_result.setup.actuators.points
+    assert config.control.initial is None
+    y0 = np.zeros(table.size)
+    dt = config.control.dt
+    y_ideal = step_march(table, points, y0, track_result.u_ideal, dt,
+                         "linear")
+    y_proj = step_march(table, points, y0, track_result.u_des, dt, "linear")
+    want = np.linalg.norm((y_proj - y_ideal) / (1.0 + table.eigenvalues),
+                          axis=1)
+    assert_allclose(track_result.err_proj, want, rtol=0,
+                    atol=1e-13 * np.max(want))
 
 
 def test_certified_constant_bounds_every_response(table32, dct4):
@@ -205,8 +221,8 @@ def test_certified_constant_bounds_every_response(table32, dct4):
     for trial in range(10):
         rng = stream(7, PURPOSE_TEST, 310 + trial)
         inputs = rng.standard_normal((51, 4))
-        states = exp.march_piecewise_linear(table32, dct4, np.zeros(32),
-                                            inputs, dt)
+        states = march_forced(table32, dct4.points, np.zeros(32), inputs,
+                              dt, "linear")
         sup = float(np.max(np.linalg.norm(states * vd[None, :], axis=1)))
         l2 = float(np.sqrt(np.sum(w * np.sum(inputs ** 2, axis=1))))
         assert sup <= c_cert * l2 * (1.0 + 1e-12)
@@ -309,6 +325,23 @@ def test_particles_are_marched_once_per_run(monkeypatch, run):
         monkeypatch.setattr(plasmonic, name, counting)
     run()
     assert calls == {"volterra_solve": 1, "kernel_time_derivative": 0}
+
+
+def test_track_samples_the_modes_once_per_march(monkeypatch):
+    """Every open-loop replay evaluates the modes once, not once per step."""
+    calls = []
+    original = spectral.eval_modes
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("heattrack")
+                and getattr(module, "eval_modes", None) is original):
+            monkeypatch.setattr(module, "eval_modes", counting)
+    exp.run_track(load_config("default"))
+    assert 0 < len(calls) <= 25
 
 
 def _trapezoid_l2(times, series):
@@ -552,6 +585,45 @@ def test_cli_rejects_bad_configs(tmp_path, capsys):
     path = _write_yaml(tmp_path / "box.yaml", boxy)
     assert cli.main(["simulate", "--config", path]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("block,key,value", [
+    ("control", "dt", 0.003),
+    ("control", "horizon", float("nan")),
+    ("control", "horizon", float("inf")),
+    ("control", "dt", float("nan")),
+    ("control", "gain", float("inf")),
+    ("control", "gain", float("nan")),
+    ("control", "target_rate", float("inf")),
+    ("control", "fixed_point", "no"),
+    ("plasmonic", "perturb_interaction", "yes"),
+    (None, "seed", -3),
+], ids=lambda v: str(v))
+def test_cli_rejects_malformed_values_as_config_errors(tmp_path, capsys,
+                                                       block, key, value):
+    data = _mapping()
+    if block is None:
+        data[key] = value
+    else:
+        data[block] = dict(data.get(block, {}), **{key: value})
+    path = _write_yaml(tmp_path / "bad.yaml", data)
+    assert cli.main(["simulate", "--config", path, "--check"]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_cli_nan_diffusivity_exits_promptly(tmp_path):
+    data = _mapping(domain={"kind": "interval", "lengths": [1.0],
+                            "kappa": float("nan")})
+    path = _write_yaml(tmp_path / "nan.yaml", data)
+    package_root = os.path.dirname(os.path.dirname(heattrack.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "heattrack.harness.cli", "simulate",
+         "--config", path, "--check"],
+        capture_output=True, text=True, env=env, timeout=30)
+    assert proc.returncode == 2, proc.stderr
+    assert "kappa" in proc.stderr
 
 
 def test_cli_reports_run_failures(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Mode enumeration, norms, projection and the exact forced stepper."""
+"""Mode enumeration, norms, projection and the exact forced march."""
 
 import numpy as np
 import pytest
@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import solve_ivp
 
+from heattrack import spectral
+from heattrack.rng import PURPOSE_TEST, stream
 from heattrack.spectral import (
     DomainSpec,
     ModeTable,
@@ -14,14 +16,15 @@ from heattrack.spectral import (
     enumerate_modes,
     eval_modes,
     gauss_legendre_grid,
-    heat_step_forced,
-    heat_step_forced_linear,
+    march_forced,
     phi1,
     phi2,
     project_function,
     resolvent_apply,
     semigroup_apply,
 )
+
+from stepping import step_march
 
 
 # ---------------------------------------------------------------------------
@@ -78,6 +81,23 @@ def test_mode_table_size_and_matches(table32):
 def test_enumerate_modes_rejects_bad_count(unit_interval):
     with pytest.raises(ValueError):
         enumerate_modes(unit_interval, 0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+def test_domain_rejects_nonpositive_or_nonfinite_sizes(bad):
+    with pytest.raises(ValueError, match="kappa"):
+        DomainSpec.interval(1.0, kappa=bad)
+    with pytest.raises(ValueError, match="lengths"):
+        DomainSpec.box((1.0, bad, 1.0))
+
+
+def test_enumeration_gives_up_after_its_doubling_cap(monkeypatch):
+    # an elongated box needs two doublings of the starting cube
+    domain = DomainSpec.box((1.0, 0.1, 0.1))
+    assert enumerate_modes(domain, 32).size == 32
+    monkeypatch.setattr(spectral, "_MAX_DOUBLINGS", 1)
+    with pytest.raises(ValueError, match="1 doublings"):
+        enumerate_modes(domain, 32)
 
 
 # ---------------------------------------------------------------------------
@@ -226,8 +246,11 @@ def test_forced_step_matches_ode_oracle(unit_interval):
     z0 = np.arange(1.0, 9.0) / 10.0
     sol = solve_ivp(lambda s, y: -lam * y + b, (0.0, 0.05), z0,
                     rtol=1e-12, atol=1e-14)
-    stepped = heat_step_forced(SpectralField(table, z0), actuators, u, 0.05)
-    assert_allclose(stepped.coeffs, sol.y[:, -1], atol=1e-12)
+    # the constant hold never reads the last sample
+    inputs = np.stack([u, [9.0, 9.0]])
+    stepped = march_forced(table, actuators, z0, inputs, 0.05, "constant")
+    assert_allclose(stepped[0], z0, rtol=0, atol=0)
+    assert_allclose(stepped[1], sol.y[:, -1], atol=1e-12)
 
 
 def test_linear_input_step_matches_ode_oracle(unit_interval):
@@ -241,17 +264,71 @@ def test_linear_input_step_matches_ode_oracle(unit_interval):
     z0 = np.arange(1.0, 9.0) / 10.0
     sol = solve_ivp(lambda s, y: -lam * y + b0 + (b1 - b0) * (s / 0.05),
                     (0.0, 0.05), z0, rtol=1e-12, atol=1e-14)
-    stepped = heat_step_forced_linear(SpectralField(table, z0), actuators,
-                                      u0, u1, 0.05)
-    assert_allclose(stepped.coeffs, sol.y[:, -1], atol=1e-12)
+    stepped = march_forced(table, actuators, z0, np.stack([u0, u1]), 0.05,
+                           "linear")
+    assert_allclose(stepped[1], sol.y[:, -1], atol=1e-12)
 
 
 def test_zero_input_step_is_the_semigroup(table32):
     rng = np.random.default_rng(3)
     z = SpectralField(table32, rng.standard_normal(32))
-    stepped = heat_step_forced(z, np.array([[0.5]]), np.array([0.0]), 0.02)
-    assert_allclose(stepped.coeffs, semigroup_apply(z, 0.02).coeffs,
-                    rtol=1e-14)
+    for hold in ("linear", "constant"):
+        stepped = march_forced(table32, np.array([[0.5]]), z.coeffs,
+                               np.zeros((6, 1)), 0.02, hold)
+        # exp(-lam*t) carries ~ulp(lam*t) relative error, and lam*t reaches
+        # about 950 on the last step of the stiffest mode
+        for q in range(6):
+            assert_allclose(stepped[q], semigroup_apply(z, 0.02 * q).coeffs,
+                            rtol=1e-12)
+
+
+_MARCH_CASES = {
+    "interval-8": (DomainSpec.interval(1.0), 8, [[0.3], [0.8]]),
+    "interval-32": (DomainSpec.interval(1.0), 32,
+                    [[0.125], [0.375], [0.625], [0.875]]),
+    "box3-128": (DomainSpec.box((1.0, 0.8, 0.6)), 128,
+                 [[0.5, 0.4, 0.3], [0.2, 0.7, 0.1]]),
+}
+
+
+@pytest.mark.parametrize("hold", ["linear", "constant"])
+@pytest.mark.parametrize("samples", [2, 6, 501, 4001])
+@pytest.mark.parametrize("case", sorted(_MARCH_CASES))
+def test_march_matches_the_step_loop(case, samples, hold):
+    domain, count, points = _MARCH_CASES[case]
+    table = enumerate_modes(domain, count)
+    points = np.asarray(points)
+    rng = stream(7, PURPOSE_TEST, 400 + samples)
+    y0 = rng.standard_normal(count)
+    inputs = rng.standard_normal((samples, points.shape[0]))
+    dt = 0.5 / (samples - 1)
+    want = step_march(table, points, y0, inputs, dt, hold)
+    got = march_forced(table, points, y0, inputs, dt, hold)
+    assert got.shape == want.shape
+    column_max = np.max(np.abs(want), axis=0)
+    assert np.all(np.abs(got - want) <= 1e-13 * column_max)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 16), st.floats(-4.0, 4.0), st.floats(-4.0, 4.0),
+       st.integers(1, 70), st.sampled_from(["linear", "constant"]))
+def test_march_is_linear_in_the_state_and_the_inputs(seed, a, b, samples,
+                                                     hold):
+    table = enumerate_modes(DomainSpec.interval(1.0), 16)
+    points = np.array([[0.2], [0.45], [0.8]])
+    rng = stream(seed, PURPOSE_TEST, 8)
+    y1, y2 = rng.standard_normal((2, 16))
+    u1, u2 = rng.standard_normal((2, samples, 3))
+    dt = 0.01
+
+    def march(y0, inputs):
+        return march_forced(table, points, y0, inputs, dt, hold)
+
+    one, two = march(y1, u1), march(y2, u2)
+    combined = march(a * y1 + b * y2, a * u1 + b * u2)
+    scale = (abs(a) + abs(b)) * max(np.max(np.abs(one)),
+                                    np.max(np.abs(two)), 1.0)
+    assert_allclose(combined, a * one + b * two, rtol=0, atol=1e-13 * scale)
 
 
 def test_semigroup_is_a_flow(table32):
@@ -273,8 +350,17 @@ def test_resolvent_divides_by_one_plus_eigenvalue(table32):
 
 
 def test_step_rejects_bad_arguments(table32):
-    z = SpectralField(table32)
-    with pytest.raises(ValueError):
-        heat_step_forced(z, np.array([[0.5]]), np.array([1.0]), 0.0)
-    with pytest.raises(ValueError):
-        heat_step_forced(z, np.array([[0.5]]), np.array([1.0, 2.0]), 0.01)
+    points = np.array([[0.5]])
+    y0 = np.zeros(32)
+    for dt in (0.0, -0.01, np.nan):
+        with pytest.raises(ValueError, match="dt"):
+            march_forced(table32, points, y0, np.ones((3, 1)), dt, "linear")
+    with pytest.raises(ValueError, match="one column per actuator"):
+        march_forced(table32, points, y0, np.ones((3, 2)), 0.01, "constant")
+    with pytest.raises(ValueError, match="one column per actuator"):
+        march_forced(table32, points, y0, np.ones(3), 0.01, "linear")
+    with pytest.raises(ValueError, match="table size"):
+        march_forced(table32, points, np.zeros(31), np.ones((3, 1)), 0.01,
+                     "linear")
+    with pytest.raises(ValueError, match="hold"):
+        march_forced(table32, points, y0, np.ones((3, 1)), 0.01, "cubic")
