@@ -31,6 +31,7 @@ __all__ = [
     "embed_low_modes",
     "assemble_closed_loop",
     "equilibrium",
+    "time_grid",
     "simulate_closed_loop",
     "decay_rate_fit",
     "assemble_bias_matrix",
@@ -189,6 +190,16 @@ def _step_operators(a_cl: np.ndarray, forcing: np.ndarray, dt: float):
     return propagator, affine
 
 
+def time_grid(horizon: float, dt: float) -> np.ndarray:
+    """Sample times 0, dt, ..., horizon; ValueError unless dt divides it."""
+    if not (dt > 0 and horizon > 0):
+        raise ValueError("horizon and dt must be positive")
+    steps = int(round(horizon / dt))
+    if steps < 1 or abs(steps * dt - horizon) > 1e-9 * max(1.0, horizon):
+        raise ValueError("horizon must be an integer number of steps")
+    return np.arange(steps + 1) * dt
+
+
 def simulate_closed_loop(system: ClosedLoopSystem, z0: SpectralField,
                          horizon: float, dt: float) -> TrajectoryRecord:
     """March the closed loop on a uniform grid with exact step propagators.
@@ -197,18 +208,14 @@ def simulate_closed_loop(system: ClosedLoopSystem, z0: SpectralField,
     multiply plus the constant affine increment, so the discretization is
     exact for the assembled linear dynamics at the grid times.
     """
-    if dt <= 0 or horizon <= 0:
-        raise ValueError("horizon and dt must be positive")
+    times = time_grid(horizon, dt)
     if not z0.table.matches(system.table):
         raise ValueError("initial state uses a different mode table")
-    steps = int(round(horizon / dt))
-    if steps < 1 or abs(steps * dt - horizon) > 1e-9 * max(1.0, horizon):
-        raise ValueError("horizon must be an integer number of steps")
     k = system.table.size
     propagator, affine = _step_operators(system.a_cl, system.forcing, dt)
-    states = np.empty((steps + 1, k))
+    states = np.empty((times.shape[0], k))
     states[0] = z0.coeffs
-    for i in range(steps):
+    for i in range(times.shape[0] - 1):
         states[i + 1] = propagator @ states[i] + affine
 
     try:
@@ -220,7 +227,6 @@ def simulate_closed_loop(system: ClosedLoopSystem, z0: SpectralField,
     norms_h = np.linalg.norm(offset, axis=1)
     norms_vdual = np.linalg.norm(offset / (1.0 + lam)[None, :], axis=1)
     inputs = system.u_ff[None, :] - system.gain * (states @ system.matrices.d_matrix.T)
-    times = np.arange(steps + 1) * dt
     return TrajectoryRecord(times, states, inputs, norms_h, norms_vdual,
                             z_inf, system)
 

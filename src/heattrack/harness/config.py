@@ -16,6 +16,7 @@ from importlib import resources
 import numpy as np
 import yaml
 
+from ..control import time_grid
 from ..errors import ConfigError
 from ..spectral import DomainSpec
 
@@ -159,12 +160,10 @@ class ControlBlock:
             initial = tuple(float(x) for x in initial)
         horizon = _finite(vals["horizon"], "control.horizon")
         dt = _finite(vals["dt"], "control.dt")
-        if not (horizon > 0 and dt > 0):
-            raise ConfigError("control.horizon and control.dt must be positive")
-        steps = int(round(horizon / dt))
-        if steps < 1 or abs(steps * dt - horizon) > 1e-9 * max(1.0, horizon):
-            raise ConfigError(f"control.dt={dt:g} does not divide "
-                              f"control.horizon={horizon:g} (1e-9 relative)")
+        try:
+            time_grid(horizon, dt)
+        except ValueError as exc:
+            raise ConfigError(f"control (dt={dt:g}): {exc}") from None
         return ControlBlock(
             _finite(vals["gain"], "control.gain"),
             _finite(vals["target_rate"], "control.target_rate"),

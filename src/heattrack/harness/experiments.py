@@ -25,7 +25,7 @@ from ..control import (ClosedLoopSystem, assemble_bias_matrix,
                        assemble_closed_loop, contraction_diagnostics,
                        cross_integrator_check, decay_rate_fit,
                        fixed_point_reference, simulate_closed_loop,
-                       tail_mismatch_report)
+                       tail_mismatch_report, time_grid)
 from ..errors import (ConfigError, DegenerateNodesError, HeattrackError,
                       InsufficientDataError, InsufficientSignalError,
                       StageError)
@@ -726,8 +726,7 @@ def run_calibrate(config: ExperimentConfig, out_dir: str | None = None):
         actuators = build_actuators(config, domain, table)
     with _stage("calibrate"):
         ctl = config.control
-        steps = int(round(ctl.horizon / ctl.dt))
-        times = np.arange(steps + 1) * ctl.dt
+        times = time_grid(ctl.horizon, ctl.dt)
         phi = profile_samples(config.track.profile, times, ctl.horizon)
         pconf = build_plasmonic(config, actuators, config.track.delta)
         amap = calibrate_k0(pconf, times, phi)

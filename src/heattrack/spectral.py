@@ -28,8 +28,6 @@ __all__ = [
 ]
 
 _NORM_KINDS = ("H", "Vdual", "graph")
-# Doublings of enumerate_modes' candidate cube (side x16) before it gives up.
-_MAX_DOUBLINGS = 4
 
 
 @dataclass(frozen=True)
@@ -152,28 +150,27 @@ def enumerate_modes(domain: DomainSpec, count: int) -> ModeTable:
 
     Candidate multi-indices are enumerated on a growing cube until the
     cube provably contains the ``count`` smallest eigenvalues, then sorted
-    by (eigenvalue, reversed multi-index).  Raises ``ValueError`` if
-    ``_MAX_DOUBLINGS`` doublings of the cube do not bracket them.
+    by (eigenvalue, reversed multi-index).  A side of ``count`` always
+    does unless eigenvalues over- or underflow, which raises ValueError.
     """
     if not isinstance(count, (int, np.integer)) or count < 1:
         raise ValueError("mode count must be a positive integer")
     d = domain.dim
     lengths = np.asarray(domain.lengths)
     side = count if d == 1 else int(math.ceil(count ** (1.0 / d))) + 2
-    for _ in range(_MAX_DOUBLINGS + 1):
+    while True:
         axes = [np.arange(side + 1)] * d
         grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
         lam = domain.kappa * np.sum((grid * np.pi / lengths) ** 2, axis=1)
         # Smallest eigenvalue outside the cube: one axis at side+1, rest 0.
         frontier = domain.kappa * np.min(((side + 1) * np.pi / lengths) ** 2)
-        order = sorted(range(grid.shape[0]),
-                       key=lambda i: (lam[i], tuple(grid[i][::-1])))
+        # lexsort's last key leads: eigenvalue, then the reversed index
+        order = np.lexsort((*grid.T, lam))
         if grid.shape[0] >= count and lam[order[count - 1]] < frontier:
-            chosen = np.asarray(order[:count])
-            return ModeTable.from_indices(domain, grid[chosen])
+            return ModeTable.from_indices(domain, grid[order[:count]])
+        if side >= count:
+            raise ValueError(f"eigenvalues of {domain} overflow or underflow")
         side *= 2
-    raise ValueError(f"{_MAX_DOUBLINGS} doublings of the candidate cube do "
-                     f"not bracket the {count} smallest modes")
 
 
 def eval_modes(table: ModeTable, points) -> np.ndarray:

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from heattrack.control import (
     ClosedLoopSystem,
@@ -22,6 +22,7 @@ from heattrack.control import (
     observe_function,
     simulate_closed_loop,
     tail_mismatch_report,
+    time_grid,
 )
 from heattrack.errors import (
     InsufficientSignalError,
@@ -129,6 +130,17 @@ def test_simulation_grid_validation(matrices4, table32):
         simulate_closed_loop(system, z0, 1.0, -0.1)
     with pytest.raises(ValueError):
         simulate_closed_loop(system, z0, 1.0, 0.3)  # not a whole step count
+
+
+def test_time_grid_accepts_only_whole_step_counts():
+    assert_array_equal(time_grid(1.0, 0.002), np.arange(501) * 0.002)
+    assert_array_equal(time_grid(0.5, 0.5), [0.0, 0.5])
+    # 3 * 0.1 misses 0.3 by one ulp, within the 1e-9 tolerance
+    assert_array_equal(time_grid(0.3, 0.1), np.arange(4) * 0.1)
+    for horizon, dt in [(1.0, 0.003), (1.0, 0.0), (0.0, 0.1), (1.0, 2.0),
+                        (float("nan"), 0.1), (1.0, float("nan"))]:
+        with pytest.raises(ValueError):
+            time_grid(horizon, dt)
 
 
 def test_decay_fit_recovers_a_synthetic_rate(matrices4):

@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy.integrate import solve_ivp
 
-from heattrack import spectral
 from heattrack.rng import PURPOSE_TEST, stream
 from heattrack.spectral import (
     DomainSpec,
@@ -91,13 +90,32 @@ def test_domain_rejects_nonpositive_or_nonfinite_sizes(bad):
         DomainSpec.box((1.0, bad, 1.0))
 
 
-def test_enumeration_gives_up_after_its_doubling_cap(monkeypatch):
-    # an elongated box needs two doublings of the starting cube
-    domain = DomainSpec.box((1.0, 0.1, 0.1))
-    assert enumerate_modes(domain, 32).size == 32
-    monkeypatch.setattr(spectral, "_MAX_DOUBLINGS", 1)
-    with pytest.raises(ValueError, match="1 doublings"):
-        enumerate_modes(domain, 32)
+@pytest.mark.parametrize("lengths,count", [
+    ((1.0, 1.0, 1.0), 60), ((1.0, 0.8, 0.6), 128), ((1.0, 0.1, 0.1), 32),
+    ((1.0, 0.01, 0.01), 32), ((2.0, 1.0, 1.0), 100)])
+def test_enumeration_orders_by_eigenvalue_then_reversed_index(lengths, count):
+    # elongated boxes need two to four doublings of the starting cube
+    table = enumerate_modes(DomainSpec.box(lengths), count)
+    keys = [(lam, tuple(idx[::-1]))
+            for lam, idx in zip(table.eigenvalues, table.indices)]
+    assert keys == sorted(keys)
+    # nothing left out lies below the largest eigenvalue kept
+    side = int(np.max(table.indices)) + 2
+    grid = np.stack(np.meshgrid(*[np.arange(side)] * 3, indexing="ij"),
+                    axis=-1).reshape(-1, 3)
+    kept = {tuple(idx) for idx in table.indices}
+    rest = [idx for idx in grid if tuple(idx) not in kept]
+    lam_rest = np.sum((np.asarray(rest) * np.pi / np.asarray(lengths)) ** 2,
+                      axis=1)
+    assert np.min(lam_rest) >= table.eigenvalues[-1]
+
+
+@pytest.mark.parametrize("domain", [DomainSpec.interval(1e-160),
+                                    DomainSpec.box((1e-160,) * 3)])
+def test_enumeration_stops_when_eigenvalues_overflow(domain):
+    with np.errstate(over="ignore"), pytest.raises(ValueError,
+                                                   match="overflow"):
+        enumerate_modes(domain, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -275,9 +293,14 @@ def test_zero_input_step_is_the_semigroup(table32):
     for hold in ("linear", "constant"):
         stepped = march_forced(table32, np.array([[0.5]]), z.coeffs,
                                np.zeros((6, 1)), 0.02, hold)
-        # exp(-lam*t) carries ~ulp(lam*t) relative error, and lam*t reaches
-        # about 950 on the last step of the stiffest mode
-        for q in range(6):
+        # rows 0 and 1 are z and exp(-lam*dt)*z, formed as semigroup_apply
+        # forms them
+        for q in (0, 1):
+            assert_array_equal(stepped[q], semigroup_apply(z, 0.02 * q).coeffs)
+        # later rows are powers of exp(-lam*dt), not exp(-lam*q*dt): exp
+        # carries ~ulp(lam*t) relative error, and lam*t reaches about 950
+        # on the last step of the stiffest mode
+        for q in range(2, 6):
             assert_allclose(stepped[q], semigroup_apply(z, 0.02 * q).coeffs,
                             rtol=1e-12)
 
