@@ -27,8 +27,8 @@ from .control import (ClosedLoopSystem, assemble_bias_matrix,
                       tail_mismatch_report)
 from .plasmonic import (PlasmonicConfig, calibrate_k0, free_space_kernel,
                         invert_actuation, kernel_time_derivative,
-                        nnls_active_set, realized_remainder, resonance_gain,
-                        run_pipeline, volterra_solve)
+                        realized_remainder, resonance_gain, run_pipeline,
+                        volterra_solve)
 from .restriction import (ProbeSet, boundary_distance,
                           free_space_point_solution, images_point_solution,
                           neumann_solution_probe, restriction_gap_report)

@@ -17,7 +17,7 @@ import scipy.linalg
 from .errors import (InsufficientSignalError, NonConvergenceError,
                      SingularSystemError)
 from .placement import SamplingMatrices, min_norm_feedforward
-from .spectral import SpectralField, eval_modes, march_forced
+from .spectral import SpectralField, eval_modes, line_fit, march_forced
 
 __all__ = [
     "ClosedLoopSystem",
@@ -250,13 +250,9 @@ def decay_rate_fit(record: TrajectoryRecord, norm: str = "Vdual",
     if int(np.sum(mask)) < min_samples:
         raise InsufficientSignalError(
             f"only {int(np.sum(mask))} samples above {floor:g}")
-    t = record.times[mask]
-    y = np.log(values[mask])
-    design = np.stack([t, np.ones_like(t)], axis=1)
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    fitted = design @ coef
-    residual = float(np.sqrt(np.mean((y - fitted) ** 2)))
-    return float(-coef[0]), residual
+    slope, _, residual, _ = line_fit(record.times[mask],
+                                     np.log(values[mask]))
+    return -slope, residual
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ import argparse
 import sys
 
 from ..errors import ConfigError, HeattrackError, StageError
+from . import experiments as exp
 from .config import load_config
 from .manifest import format_value
 
@@ -37,33 +38,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _print_assertions(assertions: dict):
+def _report(assertions: dict, summary: str) -> int:
+    """Print the assertions and the summary line; return the exit code."""
     for name in sorted(assertions):
         ok, value = assertions[name]
         state = "pass" if ok else "FAIL"
         print(f"[{state}] {name} = {format_value(float(value))}")
+    print(summary)
+    return 0 if exp.check_assertions(assertions, strict=False) else 1
 
 
 def _dispatch(args) -> int:
-    from . import experiments as exp
-
     config = load_config(args.config, args.seed)
     out = None if args.check else args.out
     if args.command == "track":
         result = exp.run_track(config, out_dir=out, strict=False)
-        _print_assertions(result.assertions)
         head = result.headline
-        print(f"track: total_sup={head.total_sup:.6e} "
-              f"budget={head.budget_proj + head.budget_real:.6e} "
-              f"eta={head.eta:.6e}")
-        return 0 if all(ok for ok, _ in result.assertions.values()) else 1
+        return _report(result.assertions,
+                       f"track: total_sup={head.total_sup:.6e} "
+                       f"budget={head.budget_proj + head.budget_real:.6e} "
+                       f"eta={head.eta:.6e}")
     if args.command == "simulate":
         _, record, (mu_hat, residual), diag, assertions, _ = exp.run_simulate(
             config, out_dir=out, strict=False)
-        _print_assertions(assertions)
-        print(f"simulate: steps={record.times.shape[0] - 1} "
-              f"mu_hat={mu_hat:.6g} fit_residual={residual:.3e}")
-        return 0 if all(ok for ok, _ in assertions.values()) else 1
+        return _report(assertions,
+                       f"simulate: steps={record.times.shape[0] - 1} "
+                       f"mu_hat={mu_hat:.6g} fit_residual={residual:.3e}")
     if args.command == "place":
         actuators, matrices, report, _ = exp.run_place(config, out_dir=out)
         print(f"place: count={actuators.count} "
@@ -79,10 +79,9 @@ def _dispatch(args) -> int:
     if args.command == "restriction":
         report, assertions, _ = exp.run_restriction(config, out_dir=out,
                                                     strict=False)
-        _print_assertions(assertions)
-        print(f"restriction: rate={report.rate:.6g} "
-              f"r_squared={report.r_squared:.6f}")
-        return 0 if all(ok for ok, _ in assertions.values()) else 1
+        return _report(assertions,
+                       f"restriction: rate={report.rate:.6g} "
+                       f"r_squared={report.r_squared:.6f}")
     if args.command == "coercivity":
         report, _ = exp.run_coercivity(config, out_dir=out)
         print(f"coercivity: slope={report.slope:.6g} "

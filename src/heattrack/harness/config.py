@@ -55,13 +55,40 @@ def _flag(value, name: str) -> bool:
     return value
 
 
-def _finite(value, name: str) -> float | None:
-    if value is None:
+def _number(value, name: str, kind=float, finite: bool = False):
+    """``kind(value)``; a value it cannot convert is a config error, and
+    so is a non-finite one when ``finite`` is set.
+    """
+    try:
+        number = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{name} must be a number, got {value!r}") from None
+    if finite and not math.isfinite(number):
+        raise ConfigError(f"{name} must be finite, got {number!r}")
+    return number
+
+
+def _finite(value, name: str, optional: bool = False) -> float | None:
+    if value is None and optional:
         return None
-    value = float(value)
-    if not math.isfinite(value):
-        raise ConfigError(f"{name} must be finite, got {value!r}")
-    return value
+    return _number(value, name, finite=True)
+
+
+def _list(values, name: str):
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(f"{name} must be a list, got {values!r}")
+    return values
+
+
+def _numbers(values, name: str, kind=float, finite: bool = False) -> tuple:
+    return tuple(_number(v, name, kind, finite) for v in _list(values, name))
+
+
+def _rows(rows, name: str) -> tuple:
+    """One coordinate list per point; a bare number is a 1-D point."""
+    return tuple(_numbers(row if isinstance(row, (list, tuple)) else [row],
+                          name)
+                 for row in _list(rows, name))
 
 
 @dataclass(frozen=True)
@@ -74,12 +101,9 @@ class DomainBlock:
     def parse(block: dict) -> "DomainBlock":
         vals = _take(block, "domain",
                      {"kind": "interval", "lengths": [1.0], "kappa": 1.0})
-        lengths = vals["lengths"]
-        if not isinstance(lengths, (list, tuple)):
-            raise ConfigError("domain.lengths must be a list")
         return DomainBlock(str(vals["kind"]),
-                           tuple(float(x) for x in lengths),
-                           float(vals["kappa"]))
+                           _numbers(vals["lengths"], "domain.lengths"),
+                           _number(vals["kappa"], "domain.kappa"))
 
     def build(self) -> DomainSpec:
         try:
@@ -96,7 +120,8 @@ class ModesBlock:
     @staticmethod
     def parse(block: dict) -> "ModesBlock":
         vals = _take(block, "modes", {"count": 32, "controlled": 4})
-        count, controlled = int(vals["count"]), int(vals["controlled"])
+        count = _number(vals["count"], "modes.count", int)
+        controlled = _number(vals["controlled"], "modes.controlled", int)
         if count < 1 or controlled < 1 or controlled > count:
             raise ConfigError("modes.count and modes.controlled must satisfy "
                               "1 <= controlled <= count")
@@ -123,16 +148,17 @@ class ActuatorBlock:
             raise ConfigError(f"unknown actuator kind {kind!r}")
         points = vals["points"]
         if points is not None:
-            points = tuple(tuple(float(x) for x in np.atleast_1d(row))
-                           for row in points)
+            points = _rows(points, "actuators.points")
         counts = vals["counts"]
         if counts is not None:
-            counts = tuple(int(c) for c in counts)
-        return ActuatorBlock(kind,
-                             None if vals["count"] is None else int(vals["count"]),
-                             counts, points,
-                             int(vals["candidates_per_axis"]),
-                             None if vals["select"] is None else int(vals["select"]))
+            counts = _numbers(counts, "actuators.counts", int)
+        count, select = (None if vals[k] is None
+                         else _number(vals[k], f"actuators.{k}", int)
+                         for k in ("count", "select"))
+        return ActuatorBlock(kind, count, counts, points,
+                             _number(vals["candidates_per_axis"],
+                                     "actuators.candidates_per_axis", int),
+                             select)
 
 
 @dataclass(frozen=True)
@@ -153,11 +179,9 @@ class ControlBlock:
                       "initial": None})
         if vals["gain"] is None and vals["target_rate"] is None:
             raise ConfigError("control needs either gain or target_rate")
-        reference = vals["reference"]
-        reference = () if reference is None else tuple(float(x) for x in reference)
-        initial = vals["initial"]
-        if initial is not None:
-            initial = tuple(float(x) for x in initial)
+        reference, initial = (
+            None if vals[k] is None else _numbers(vals[k], f"control.{k}")
+            for k in ("reference", "initial"))
         horizon = _finite(vals["horizon"], "control.horizon")
         dt = _finite(vals["dt"], "control.dt")
         try:
@@ -165,9 +189,9 @@ class ControlBlock:
         except ValueError as exc:
             raise ConfigError(f"control (dt={dt:g}): {exc}") from None
         return ControlBlock(
-            _finite(vals["gain"], "control.gain"),
-            _finite(vals["target_rate"], "control.target_rate"),
-            horizon, dt, reference,
+            _finite(vals["gain"], "control.gain", optional=True),
+            _finite(vals["target_rate"], "control.target_rate", optional=True),
+            horizon, dt, reference or (),
             _flag(vals["fixed_point"], "control.fixed_point"), initial)
 
 
@@ -187,8 +211,9 @@ class TrackBlock:
         profile = str(vals["profile"])
         if profile not in PROFILE_NAMES:
             raise ConfigError(f"unknown profile {profile!r}")
-        return TrackBlock(float(vals["delta"]), float(vals["mu"]),
-                          tuple(float(d) for d in vals["deltas"]), profile)
+        deltas = _numbers(vals["deltas"], "track.deltas", finite=True)
+        return TrackBlock(_finite(vals["delta"], "track.delta"),
+                          _finite(vals["mu"], "track.mu"), deltas, profile)
 
 
 @dataclass(frozen=True)
@@ -208,14 +233,19 @@ class PlasmonicBlock:
                       "perturb_interaction": False})
         contrasts = vals["contrasts"]
         if contrasts != "ones":
-            contrasts = tuple(float(x) for x in contrasts)
+            contrasts = _numbers(contrasts, "plasmonic.contrasts",
+                                 finite=True)
         dictionary = vals["dictionary"]
         if dictionary != "identity":
-            dictionary = tuple(tuple(float(x) for x in row) for row in dictionary)
+            dictionary = tuple(
+                _numbers(row, "plasmonic.dictionary", finite=True)
+                for row in _list(dictionary, "plasmonic.dictionary"))
         return PlasmonicBlock(
-            float(vals["c_m"]),
-            None if vals["kappa"] is None else float(vals["kappa"]),
-            contrasts, float(vals["coupling_scale"]), dictionary,
+            _finite(vals["c_m"], "plasmonic.c_m"),
+            _finite(vals["kappa"], "plasmonic.kappa", optional=True),
+            contrasts,
+            _finite(vals["coupling_scale"], "plasmonic.coupling_scale"),
+            dictionary,
             _flag(vals["perturb_interaction"], "plasmonic.perturb_interaction"))
 
 
@@ -235,15 +265,16 @@ class RestrictionBlock:
                       "amplitudes": None, "samples": 48, "quad_order": 12})
         probes = _require(vals["probes"], "restriction", "probes")
         horizons = _require(vals["horizons"], "restriction", "horizons")
-        to_rows = lambda rows: tuple(
-            tuple(float(x) for x in np.atleast_1d(row)) for row in rows)
         sources = vals["sources"]
         amplitudes = vals["amplitudes"]
         return RestrictionBlock(
-            to_rows(probes), tuple(float(h) for h in horizons),
-            None if sources is None else to_rows(sources),
-            None if amplitudes is None else tuple(float(a) for a in amplitudes),
-            int(vals["samples"]), int(vals["quad_order"]))
+            _rows(probes, "restriction.probes"),
+            _numbers(horizons, "restriction.horizons"),
+            None if sources is None else _rows(sources, "restriction.sources"),
+            None if amplitudes is None
+            else _numbers(amplitudes, "restriction.amplitudes"),
+            _number(vals["samples"], "restriction.samples", int),
+            _number(vals["quad_order"], "restriction.quad_order", int))
 
 
 @dataclass(frozen=True)
@@ -255,10 +286,12 @@ class CoercivityBlock:
     def parse(block: dict) -> "CoercivityBlock":
         vals = _take(block, "coercivity",
                      {"cells": [8, 16, 32, 64], "modes_per_cell": 8})
-        cells = tuple(int(m) for m in vals["cells"])
+        cells = _numbers(vals["cells"], "coercivity.cells", int)
         if any(m < 1 for m in cells):
             raise ConfigError("coercivity.cells must be positive")
-        return CoercivityBlock(cells, int(vals["modes_per_cell"]))
+        return CoercivityBlock(cells, _number(vals["modes_per_cell"],
+                                              "coercivity.modes_per_cell",
+                                              int))
 
 
 @dataclass(frozen=True)
@@ -272,7 +305,8 @@ class SweepBlock:
         kind = str(_require(vals["kind"], "sweep", "kind"))
         if kind not in ("delta", "gain", "mesh"):
             raise ConfigError(f"unknown sweep kind {kind!r}")
-        values = tuple(float(v) for v in _require(vals["values"], "sweep", "values"))
+        values = _numbers(_require(vals["values"], "sweep", "values"),
+                          "sweep.values")
         if len(values) < 1:
             raise ConfigError("sweep.values must be nonempty")
         return SweepBlock(kind, values)
@@ -290,7 +324,7 @@ class TolerancesBlock:
         vals = _take(block, "tolerances",
                      {"cross_integrator": 1e-8, "convergence": 1e-6,
                       "low_mode": 1e-8, "resolution": 1e-6})
-        return TolerancesBlock(*(float(vals[k]) for k in
+        return TolerancesBlock(*(_finite(vals[k], f"tolerances.{k}") for k in
                                  ("cross_integrator", "convergence",
                                   "low_mode", "resolution")))
 
@@ -340,7 +374,7 @@ class ExperimentConfig:
             seed = seed_override
         if seed is None:
             raise ConfigError("a seed is required (config key or --seed)")
-        seed = int(seed)
+        seed = _number(seed, "seed", int)
         if seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {seed}")
         blocks = {}

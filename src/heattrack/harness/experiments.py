@@ -15,8 +15,9 @@ import dataclasses
 import functools
 import math
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -24,8 +25,8 @@ import scipy.linalg
 from ..control import (ClosedLoopSystem, assemble_bias_matrix,
                        assemble_closed_loop, contraction_diagnostics,
                        cross_integrator_check, decay_rate_fit,
-                       fixed_point_reference, simulate_closed_loop,
-                       tail_mismatch_report, time_grid)
+                       doubling_gain_search, fixed_point_reference,
+                       simulate_closed_loop, tail_mismatch_report, time_grid)
 from ..errors import (ConfigError, DegenerateNodesError, HeattrackError,
                       InsufficientDataError, InsufficientSignalError,
                       StageError)
@@ -36,8 +37,8 @@ from ..plasmonic import (PlasmonicConfig, calibrate_k0, invert_actuation,
                          realize_profile, unit_heat_inputs)
 from ..restriction import restriction_gap_report
 from ..spectral import (DomainSpec, ModeTable, SpectralField, enumerate_modes,
-                        eval_modes, march_forced)
-from .config import ExperimentConfig, profile_samples
+                        eval_modes, line_fit, march_forced)
+from .config import CoercivityBlock, ExperimentConfig, profile_samples
 from .manifest import RunManifest, write_csv
 
 __all__ = [
@@ -74,8 +75,55 @@ def _stage(name: str):
         raise StageError(name, exc) from exc
 
 
+def check_assertions(assertions: dict, strict: bool = True) -> bool:
+    """Whether every ``name -> (ok, value)`` assertion passed.
+
+    With ``strict`` a failure raises, naming the failed assertions.
+    """
+    failed = sorted(k for k, (ok, _) in assertions.items() if not ok)
+    if failed and strict:
+        raise StageError("assertions", AssertionError(f"failed: {failed}"))
+    return not failed
+
+
+def _emit(out_dir: str | None, command: str, config: ExperimentConfig,
+          tables: dict, summary: list, assertions: dict | None = None,
+          tolerances: bool = False) -> RunManifest | None:
+    """Write one run's tables and manifest; nothing when ``out_dir`` is None.
+
+    ``tables`` maps a file name to ``(header, rows)``; ``summary`` lists
+    ``(key, value)`` pairs for ``summary.csv``.  Rows may be a generator,
+    so they are only formed when written.
+    """
+    if out_dir is None:
+        return None
+    with _stage("outputs"):
+        os.makedirs(out_dir, exist_ok=True)
+        manifest = RunManifest(
+            command, config.digest, config.seed,
+            dataclasses.asdict(config.tolerances) if tolerances else {})
+        tables = {**tables, "summary.csv": (
+            ["key", "value"], [[k, float(v)] for k, v in summary])}
+        for name, (header, rows) in tables.items():
+            manifest.record_output(name, write_csv(
+                os.path.join(out_dir, name), header, rows))
+        for name, (ok, value) in (assertions or {}).items():
+            manifest.record_assertion(name, ok, value)
+        if not manifest.all_passed:
+            manifest.status = "assertion-failure"
+        manifest.write(out_dir)
+    return manifest
+
+
 # ---------------------------------------------------------------------------
 # builders
+
+
+def _layout(config: ExperimentConfig):
+    """Domain, mode table and actuator placement of one config."""
+    domain = config.domain.build()
+    table = enumerate_modes(domain, config.modes.count)
+    return domain, table, build_actuators(config, domain, table)
 
 
 def build_actuators(config: ExperimentConfig, domain: DomainSpec,
@@ -120,43 +168,31 @@ class LoopSetup:
     system: ClosedLoopSystem
 
 
-def _reference_vector(config: ExperimentConfig, n: int) -> np.ndarray:
-    vals = config.control.reference
+def _padded(config: ExperimentConfig, key: str, n: int) -> np.ndarray:
+    """``control.reference`` or ``control.initial``, zero-padded to n."""
+    vals = getattr(config.control, key) or ()
     if len(vals) > n:
-        raise ConfigError("control.reference is longer than modes.controlled")
-    ref = np.zeros(n)
-    ref[:len(vals)] = vals
-    return ref
-
-
-def _initial_coeffs(config: ExperimentConfig, k: int) -> np.ndarray:
-    vals = config.control.initial
-    if vals is None:
-        return np.zeros(k)
-    if len(vals) > k:
-        raise ConfigError("control.initial is longer than modes.count")
-    y0 = np.zeros(k)
-    y0[:len(vals)] = vals
-    return y0
+        raise ConfigError(f"control.{key} has {len(vals)} entries for "
+                          f"{n} modes")
+    out = np.zeros(n)
+    out[:len(vals)] = vals
+    return out
 
 
 def build_loop(config: ExperimentConfig) -> LoopSetup:
     """Resolve domain, modes, placement, gain and reference for one config."""
     with _stage("build"):
-        domain = config.domain.build()
-        table = enumerate_modes(domain, config.modes.count)
-        actuators = build_actuators(config, domain, table)
+        domain, table, actuators = _layout(config)
         matrices = sampling_matrix(actuators, table, config.modes.controlled)
     with _stage("gain"):
         gain_trace = None
         if config.control.gain is not None:
             gain = float(config.control.gain)
         else:
-            from ..control import doubling_gain_search
             _, gain, _, _, gain_trace = doubling_gain_search(
                 matrices, config.control.target_rate)
     with _stage("reference"):
-        a_target = _reference_vector(config, config.modes.controlled)
+        a_target = _padded(config, "reference", config.modes.controlled)
         bias = assemble_bias_matrix(matrices, gain)
         if config.control.fixed_point:
             fp = fixed_point_reference(bias, a_target,
@@ -169,6 +205,17 @@ def build_loop(config: ExperimentConfig) -> LoopSetup:
         system = assemble_closed_loop(matrices, gain, a_star)
     return LoopSetup(config, domain, table, actuators, matrices, gain,
                      gain_trace, a_target, bias, fp, a_star, system)
+
+
+def _run_loop(config: ExperimentConfig, system: ClosedLoopSystem):
+    """March the closed loop from the configured initial coefficients.
+
+    Returns the coefficients ``y0``, the initial error field and the record.
+    """
+    y0 = _padded(config, "initial", system.table.size)
+    z0 = SpectralField(system.table, y0 - system.reference.coeffs)
+    ctl = config.control
+    return y0, z0, simulate_closed_loop(system, z0, ctl.horizon, ctl.dt)
 
 
 def build_plasmonic(config: ExperimentConfig, actuators: ActuatorSet,
@@ -312,42 +359,83 @@ class TrackResult:
     manifest: RunManifest | None = None
 
 
-def _unit_responses(times, phi):
-    """Unit heat inputs of one run's particle configs, by contrast scale.
-
-    Built on first use and then shared: one march for the whole run, or
-    one per contrast scale when the coupling depends on it.
-    """
-    built = {}
-
-    def of(pconf):
-        key = pconf.delta if pconf.perturb_interaction else None
-        if key not in built:
-            built[key] = unit_heat_inputs(pconf, times, phi)
-        return built[key]
-
-    return of
-
-
-def _actuation_at_delta(config, actuators, times, phi, beta, u_des, w,
-                        delta, units_of):
-    """Calibrate, invert and realize the projected command at one delta."""
-    pconf = build_plasmonic(config, actuators, delta)
-    units = units_of(pconf)
-    amap = calibrate_k0(pconf, times, phi, units)
-    p_coeffs, residual = invert_actuation(amap, beta)
-    g_real, rem_norm = realize_profile(pconf, times, phi, units, p_coeffs)
-    mismatch = _series_l2(w, g_real - u_des)
-    return {
-        "pconf": pconf, "amap": amap, "p": p_coeffs,
-        "inversion_residual": residual, "g_real": g_real,
-        "mismatch": mismatch, "remainder": rem_norm,
-    }
-
-
 def _vdual_curve(table: ModeTable, diff: np.ndarray) -> np.ndarray:
     w = 1.0 / (1.0 + table.eigenvalues)
     return np.linalg.norm(diff * w[None, :], axis=1)
+
+
+class _Tracking(NamedTuple):
+    """Projection and replays of one closed-loop run, plus its realization."""
+
+    deco: ProfileDecomposition
+    u_des: np.ndarray
+    err_proj: np.ndarray    # resolvent-metric gap of the two replays
+    realize: Callable       # delta -> (actuation, {"real": .., "total": ..})
+
+
+def _project(config: ExperimentConfig, actuators: ActuatorSet, record,
+             units: dict, stage=_stage):
+    """Split recorded inputs on the command profile; realize the profile part.
+
+    Returns the decomposition, the profile component ``u_des`` and
+    ``actuate(delta)``, which calibrates, inverts and realizes ``u_des``
+    through the particles at one contrast scale.  ``units`` holds the
+    particles' unit heat inputs, built on first use: one batched march for
+    the run, or one per contrast scale when the coupling depends on it.
+    """
+    times = record.times
+    with stage("project"):
+        phi = profile_samples(config.track.profile, times,
+                              config.control.horizon)
+        deco = project_onto_profile(times, record.inputs, phi)
+        u_des = phi[:, None] * deco.beta[None, :]
+        if deco.projected_norm <= 0.0:
+            raise InsufficientSignalError(
+                "recorded inputs have no component on the command profile")
+    w = _trapezoid_weights(times)
+
+    def actuate(delta):
+        pconf = build_plasmonic(config, actuators, delta)
+        key = pconf.delta if pconf.perturb_interaction else None
+        if key not in units:
+            units[key] = unit_heat_inputs(pconf, times, phi)
+        amap = calibrate_k0(pconf, times, phi, units[key])
+        p, residual = invert_actuation(amap, deco.beta)
+        g_real, remainder = realize_profile(pconf, times, phi, units[key], p)
+        return {"amap": amap, "p": p, "inversion_residual": residual,
+                "g_real": g_real, "mismatch": _series_l2(w, g_real - u_des),
+                "remainder": remainder}
+
+    return deco, u_des, actuate
+
+
+def _track_core(config: ExperimentConfig, system: ClosedLoopSystem,
+                y0: np.ndarray, record, units: dict,
+                stage=_stage) -> _Tracking:
+    """Project a recorded closed-loop run on the command profile; replay it.
+
+    The recorded inputs and their profile component ``u_des`` are replayed
+    open loop from ``y0``.  ``realize(delta)`` actuates ``u_des`` (see
+    ``_project``), replays the result and returns the actuation with its
+    error curves against the projected (``real``) and the recorded
+    (``total``) replay.  Cores on the same time grid can share ``units``.
+    """
+    table, actuators = system.table, system.matrices.actuators
+    deco, u_des, actuate = _project(config, actuators, record, units, stage)
+    with stage("replay"):
+        replay = functools.partial(march_forced, table, actuators.points, y0,
+                                   dt=config.control.dt, hold="linear")
+        y_ideal = replay(record.inputs)
+        y_proj = replay(u_des)
+        err_proj = _vdual_curve(table, y_proj - y_ideal)
+
+    def realize(delta):
+        act = actuate(delta)
+        y_phys = replay(act["g_real"])
+        return act, {"real": _vdual_curve(table, y_phys - y_proj),
+                     "total": _vdual_curve(table, y_phys - y_ideal)}
+
+    return _Tracking(deco, u_des, err_proj, realize)
 
 
 def run_track(config: ExperimentConfig, out_dir: str | None = None,
@@ -362,88 +450,57 @@ def run_track(config: ExperimentConfig, out_dir: str | None = None,
     resolvent metric against certified input-to-state budgets.
     """
     setup = build_loop(config)
-    table, actuators, matrices = setup.table, setup.actuators, setup.matrices
-    system = setup.system
-    ctl = config.control
     tol = config.tolerances
     assertions: dict = {}
 
     with _stage("simulate"):
-        y0 = _initial_coeffs(config, table.size)
-        z0 = SpectralField(table, y0 - system.reference.coeffs)
-        record = simulate_closed_loop(system, z0, ctl.horizon, ctl.dt)
-        times = record.times
-        u_ideal = record.inputs
+        y0, z0, record = _run_loop(config, setup.system)
 
     with _stage("verify"):
         # Reduced-length consistency run: 100 steps, step size small enough
         # that the held-input sampling error stays below the tolerance.
-        cross = cross_integrator_check(system, z0, steps=100, dt=1e-7)
+        cross = cross_integrator_check(setup.system, z0, steps=100, dt=1e-7)
         assertions["cross_integrator"] = (cross <= tol.cross_integrator,
                                           cross)
 
-    with _stage("project"):
-        phi = profile_samples(config.track.profile, times, ctl.horizon)
-        w = _trapezoid_weights(times)
-        deco = project_onto_profile(times, u_ideal, phi)
-        u_des = phi[:, None] * deco.beta[None, :]
-        if deco.projected_norm <= 0.0:
-            raise InsufficientSignalError(
-                "recorded inputs have no component on the command profile")
-        assertions["pythagoras"] = (deco.pythagoras_gap <= 1e-10,
-                                    deco.pythagoras_gap)
-
-    with _stage("replay"):
-        replay = functools.partial(march_forced, table, actuators.points, y0,
-                                   dt=ctl.dt, hold="linear")
-        y_ideal = replay(u_ideal)
-        y_proj = replay(u_des)
-        c_cert = certified_input_constant(table, actuators, ctl.horizon)
-        err_proj = _vdual_curve(table, y_proj - y_ideal)
-        budget_proj = c_cert * deco.orth
-
-    units_of = _unit_responses(times, phi)
-
-    def realize(delta):
-        act = _actuation_at_delta(config, actuators, times, phi, deco.beta,
-                                  u_des, w, delta, units_of)
-        y_phys = replay(act["g_real"])
-        curves = {
-            "real": _vdual_curve(table, y_phys - y_proj),
-            "total": _vdual_curve(table, y_phys - y_ideal),
-        }
-        eta = act["remainder"] / deco.projected_norm
-        row = BudgetRow(
-            delta=float(delta), orth=deco.orth, mismatch=act["mismatch"],
-            remainder=act["remainder"], eta=eta,
-            proj_sup=float(np.max(err_proj)),
-            real_sup=float(np.max(curves["real"])),
-            total_sup=float(np.max(curves["total"])),
-            budget_proj=budget_proj,
-            budget_real=c_cert * act["mismatch"],
-            within_proj=bool(np.max(err_proj)
-                             <= budget_proj + 1e-12 * max(1.0, budget_proj)),
-            within_real=bool(np.max(curves["real"])
-                             <= c_cert * act["mismatch"]
-                             + 1e-12 * max(1.0, c_cert * act["mismatch"])),
-            within_total=bool(np.max(curves["total"])
-                              <= budget_proj + c_cert * act["mismatch"]
-                              + 1e-12),
-        )
-        return act, curves, row
+    units: dict = {}
+    core = _track_core(config, setup.system, y0, record, units)
+    deco = core.deco
+    assertions["pythagoras"] = (deco.pythagoras_gap <= 1e-10,
+                                deco.pythagoras_gap)
 
     with _stage("actuation"):
-        headline_act, headline_curves, headline_row = realize(
+        c_cert = certified_input_constant(setup.table, setup.actuators,
+                                          config.control.horizon)
+        proj_sup = float(np.max(core.err_proj))
+        budget_proj = c_cert * deco.orth
+
+        def measure(delta):
+            act, curves = core.realize(delta)
+            real_sup = float(np.max(curves["real"]))
+            total_sup = float(np.max(curves["total"]))
+            budget_real = c_cert * act["mismatch"]
+            row = BudgetRow(
+                delta=float(delta), orth=deco.orth, mismatch=act["mismatch"],
+                remainder=act["remainder"],
+                eta=act["remainder"] / deco.projected_norm,
+                proj_sup=proj_sup, real_sup=real_sup, total_sup=total_sup,
+                budget_proj=budget_proj, budget_real=budget_real,
+                within_proj=(proj_sup <= budget_proj
+                             + 1e-12 * max(1.0, budget_proj)),
+                within_real=(real_sup <= budget_real
+                             + 1e-12 * max(1.0, budget_real)),
+                within_total=total_sup <= budget_proj + budget_real + 1e-12)
+            return act, curves, row
+
+        headline_act, headline_curves, headline_row = measure(
             config.track.delta)
-        budget_rows = []
-        for delta in config.track.deltas:
-            if delta == config.track.delta:
-                budget_rows.append(headline_row)
-            else:
-                budget_rows.append(realize(delta)[2])
+        budget_rows = [headline_row if delta == config.track.delta
+                       else measure(delta)[2]
+                       for delta in config.track.deltas]
 
     with _stage("budget"):
-        for i, row in enumerate(budget_rows):
+        for row in budget_rows:
             tag = f"{row.delta:g}"
             assertions[f"budget_proj[{tag}]"] = (row.within_proj,
                                                  row.budget_proj - row.proj_sup)
@@ -457,61 +514,51 @@ def run_track(config: ExperimentConfig, out_dir: str | None = None,
         assertions["eta_monotone"] = (bool(np.all(eta_diffs >= -1e-12)),
                                       float(np.min(eta_diffs))
                                       if eta_diffs.size else 0.0)
-        positive = [(r.delta, r.remainder) for r in by_delta
-                    if r.remainder > 0.0]
+        positive = [r for r in by_delta if r.remainder > 0.0]
+        remainder_slope = float("nan")
         if len(positive) >= 2:
-            x = np.log([d for d, _ in positive])
-            y = np.log([r for _, r in positive])
-            design = np.stack([x, np.ones_like(x)], axis=1)
-            coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-            remainder_slope = float(coef[0])
-        else:
-            remainder_slope = float("nan")
+            remainder_slope = line_fit(np.log([r.delta for r in positive]),
+                                       np.log([r.remainder
+                                               for r in positive]))[0]
 
     with _stage("steady"):
-        tail = tail_mismatch_report(system, setup.bias, setup.a_target)
+        tail = tail_mismatch_report(setup.system, setup.bias, setup.a_target)
         assertions["low_mode"] = (tail.low_mode_mismatch_h <= tol.low_mode,
                                   tail.low_mode_mismatch_h)
         assertions["tail_bound"] = (tail.satisfied, tail.bound - tail.tail_vdual)
 
     with _stage("convergence"):
-        gap = _doubled_truncation_gap(config, setup, headline_row, units_of)
+        gap = _doubled_truncation_gap(config, setup, headline_row, units)
         assertions["convergence"] = (gap <= tol.convergence, gap)
 
     result = TrackResult(
-        config=config, setup=setup, record=record, times=times,
-        u_ideal=u_ideal, decomposition=deco, u_des=u_des, c_cert=c_cert,
-        amap_sigma_min=headline_act["amap"].sigma_min,
+        config=config, setup=setup, record=record, times=record.times,
+        u_ideal=record.inputs, decomposition=deco, u_des=core.u_des,
+        c_cert=c_cert, amap_sigma_min=headline_act["amap"].sigma_min,
         inversion_residual=headline_act["inversion_residual"],
         intensity_coeffs=headline_act["p"], g_real=headline_act["g_real"],
-        err_proj=err_proj, err_real=headline_curves["real"],
+        err_proj=core.err_proj, err_real=headline_curves["real"],
         err_total=headline_curves["total"], budget_rows=budget_rows,
         remainder_slope=remainder_slope, tail=tail, cross_deviation=cross,
         convergence_gap=gap, assertions=assertions, headline=headline_row)
-
-    if out_dir is not None and not check_only:
-        with _stage("outputs"):
-            result.manifest = _write_track_outputs(result, out_dir)
-            result.out_dir = out_dir
-
-    if strict:
-        failed = sorted(k for k, (ok, _) in assertions.items() if not ok)
-        if failed:
-            raise StageError("assertions",
-                             AssertionError(f"failed: {failed}"))
+    if not check_only:
+        result.manifest = _emit(out_dir, "track", config,
+                                *_track_artifacts(result), assertions,
+                                tolerances=True)
+        result.out_dir = out_dir
+    check_assertions(assertions, strict)
     return result
 
 
 def _doubled_truncation_gap(config: ExperimentConfig, setup: LoopSetup,
-                            base_row: BudgetRow, units_of) -> float:
+                            base_row: BudgetRow, units: dict) -> float:
     """Repeat the headline metrics at twice the truncation; return the move.
 
-    The time grid and profile do not change with the truncation, so the
-    run's unit heat inputs (``units_of``) are reused.
+    The run's placement, gain and unit heat inputs (``units``; the time
+    grid and profile do not change with the truncation) are reused, and
+    the tracking core runs once more at 2K modes.
     """
-    ctl = config.control
-    domain = setup.domain
-    table2 = enumerate_modes(domain, 2 * config.modes.count)
+    table2 = enumerate_modes(setup.domain, 2 * config.modes.count)
     matrices2 = sampling_matrix(setup.actuators, table2,
                                 config.modes.controlled)
     bias2 = assemble_bias_matrix(matrices2, setup.gain)
@@ -520,68 +567,40 @@ def _doubled_truncation_gap(config: ExperimentConfig, setup: LoopSetup,
     else:
         a_star2 = setup.a_target.copy()
     system2 = assemble_closed_loop(matrices2, setup.gain, a_star2)
-    y0 = _initial_coeffs(config, table2.size)
-    z0 = SpectralField(table2, y0 - system2.reference.coeffs)
-    record2 = simulate_closed_loop(system2, z0, ctl.horizon, ctl.dt)
-    times = record2.times
-    phi = profile_samples(config.track.profile, times, ctl.horizon)
-    w = _trapezoid_weights(times)
-    deco2 = project_onto_profile(times, record2.inputs, phi)
-    u_des2 = phi[:, None] * deco2.beta[None, :]
-    act2 = _actuation_at_delta(config, setup.actuators, times, phi,
-                               deco2.beta, u_des2, w, config.track.delta,
-                               units_of)
-    replay = functools.partial(march_forced, table2, setup.actuators.points,
-                               y0, dt=ctl.dt, hold="linear")
-    y_ideal2 = replay(record2.inputs)
-    y_proj2 = replay(u_des2)
-    y_phys2 = replay(act2["g_real"])
-    proj_sup2 = float(np.max(_vdual_curve(table2, y_proj2 - y_ideal2)))
-    real_sup2 = float(np.max(_vdual_curve(table2, y_phys2 - y_proj2)))
-    total_sup2 = float(np.max(_vdual_curve(table2, y_phys2 - y_ideal2)))
-    return max(abs(proj_sup2 - base_row.proj_sup),
-               abs(real_sup2 - base_row.real_sup),
-               abs(total_sup2 - base_row.total_sup))
+    y0, _, record2 = _run_loop(config, system2)
+    # The caller's "convergence" stage names any failure of this pass.
+    core2 = _track_core(config, system2, y0, record2, units,
+                        stage=lambda _name: nullcontext())
+    _, curves2 = core2.realize(config.track.delta)
+    return max(abs(float(np.max(core2.err_proj)) - base_row.proj_sup),
+               abs(float(np.max(curves2["real"])) - base_row.real_sup),
+               abs(float(np.max(curves2["total"])) - base_row.total_sup))
 
 
-def _tolerances_dict(config: ExperimentConfig) -> dict:
-    return dataclasses.asdict(config.tolerances)
-
-
-def _write_track_outputs(result: TrackResult, out_dir: str) -> RunManifest:
-    os.makedirs(out_dir, exist_ok=True)
-    config = result.config
+def _track_artifacts(result: TrackResult):
+    """The tracking run's tables and summary, as ``_emit`` takes them."""
     m = result.setup.actuators.count
     header = (["time"]
               + [f"u_ideal_{j + 1}" for j in range(m)]
               + [f"u_des_{j + 1}" for j in range(m)]
               + [f"g_real_{j + 1}" for j in range(m)]
               + ["err_proj", "err_real", "err_total"])
-    rows = []
-    for i, t in enumerate(result.times):
-        rows.append([float(t)]
-                    + [float(v) for v in result.u_ideal[i]]
-                    + [float(v) for v in result.u_des[i]]
-                    + [float(v) for v in result.g_real[i]]
-                    + [float(result.err_proj[i]), float(result.err_real[i]),
-                       float(result.err_total[i])])
-    manifest = RunManifest("track", config.digest, config.seed,
-                           _tolerances_dict(config))
-    manifest.record_output("trajectory.csv", write_csv(
-        os.path.join(out_dir, "trajectory.csv"), header, rows))
-
+    rows = ([float(t)]
+            + [float(v) for v in result.u_ideal[i]]
+            + [float(v) for v in result.u_des[i]]
+            + [float(v) for v in result.g_real[i]]
+            + [float(result.err_proj[i]), float(result.err_real[i]),
+               float(result.err_total[i])]
+            for i, t in enumerate(result.times))
     budget_header = ["delta", "orth", "mismatch", "remainder", "eta",
                      "proj_sup", "real_sup", "total_sup", "budget_proj",
                      "budget_real", "budget_total", "within_proj",
                      "within_real", "within_total"]
-    budget_rows = [[r.delta, r.orth, r.mismatch, r.remainder, r.eta,
+    budget_rows = ([r.delta, r.orth, r.mismatch, r.remainder, r.eta,
                     r.proj_sup, r.real_sup, r.total_sup, r.budget_proj,
                     r.budget_real, r.budget_proj + r.budget_real,
                     r.within_proj, r.within_real, r.within_total]
-                   for r in result.budget_rows]
-    manifest.record_output("budget.csv", write_csv(
-        os.path.join(out_dir, "budget.csv"), budget_header, budget_rows))
-
+                   for r in result.budget_rows)
     head = result.headline
     summary = [
         ("gain", result.setup.gain),
@@ -609,15 +628,8 @@ def _write_track_outputs(result: TrackResult, out_dir: str) -> RunManifest:
         ("cross_deviation", result.cross_deviation),
         ("convergence_gap", result.convergence_gap),
     ]
-    manifest.record_output("summary.csv", write_csv(
-        os.path.join(out_dir, "summary.csv"), ["key", "value"],
-        [[k, float(v)] for k, v in summary]))
-    for name, (ok, value) in result.assertions.items():
-        manifest.record_assertion(name, ok, value)
-    if not manifest.all_passed:
-        manifest.status = "assertion-failure"
-    manifest.write(out_dir)
-    return manifest
+    return ({"trajectory.csv": (header, rows),
+             "budget.csv": (budget_header, budget_rows)}, summary)
 
 
 # ---------------------------------------------------------------------------
@@ -628,12 +640,9 @@ def run_simulate(config: ExperimentConfig, out_dir: str | None = None,
                  strict: bool = True):
     """Close the loop, march it, fit the decay and run the verifications."""
     setup = build_loop(config)
-    ctl = config.control
     assertions: dict = {}
     with _stage("simulate"):
-        y0 = _initial_coeffs(config, setup.table.size)
-        z0 = SpectralField(setup.table, y0 - setup.system.reference.coeffs)
-        record = simulate_closed_loop(setup.system, z0, ctl.horizon, ctl.dt)
+        _, z0, record = _run_loop(config, setup.system)
     with _stage("verify"):
         cross = cross_integrator_check(setup.system, z0, steps=100, dt=1e-7)
         assertions["cross_integrator"] = (
@@ -643,41 +652,24 @@ def run_simulate(config: ExperimentConfig, out_dir: str | None = None,
         except InsufficientSignalError:
             mu_hat, residual = float("nan"), float("nan")
         diagnostics = contraction_diagnostics(setup.system)
-    manifest = None
-    if out_dir is not None:
-        with _stage("outputs"):
-            os.makedirs(out_dir, exist_ok=True)
-            manifest = RunManifest("simulate", config.digest, config.seed,
-                                   _tolerances_dict(config))
-            m = setup.actuators.count
-            header = (["time", "norm_h", "norm_vdual"]
-                      + [f"u_{j + 1}" for j in range(m)])
-            rows = [[float(record.times[i]), float(record.norms_h[i]),
-                     float(record.norms_vdual[i])]
-                    + [float(v) for v in record.inputs[i]]
-                    for i in range(record.times.shape[0])]
-            manifest.record_output("trajectory.csv", write_csv(
-                os.path.join(out_dir, "trajectory.csv"), header, rows))
-            summary = [("gain", setup.gain), ("mu_hat", mu_hat),
-                       ("fit_residual", residual),
-                       ("cross_deviation", cross),
-                       ("bias_norm", setup.bias.norm),
-                       ("bound_a", diagnostics.bound_a),
-                       ("bound_b", diagnostics.bound_b),
-                       ("bound_c", diagnostics.bound_c)]
-            manifest.record_output("summary.csv", write_csv(
-                os.path.join(out_dir, "summary.csv"), ["key", "value"],
-                [[k, float(v)] for k, v in summary]))
-            for name, (ok, value) in assertions.items():
-                manifest.record_assertion(name, ok, value)
-            if not manifest.all_passed:
-                manifest.status = "assertion-failure"
-            manifest.write(out_dir)
-    if strict:
-        failed = sorted(k for k, (ok, _) in assertions.items() if not ok)
-        if failed:
-            raise StageError("assertions",
-                             AssertionError(f"failed: {failed}"))
+    m = setup.actuators.count
+    header = (["time", "norm_h", "norm_vdual"]
+              + [f"u_{j + 1}" for j in range(m)])
+    rows = ([float(record.times[i]), float(record.norms_h[i]),
+             float(record.norms_vdual[i])]
+            + [float(v) for v in record.inputs[i]]
+            for i in range(record.times.shape[0]))
+    summary = [("gain", setup.gain), ("mu_hat", mu_hat),
+               ("fit_residual", residual),
+               ("cross_deviation", cross),
+               ("bias_norm", setup.bias.norm),
+               ("bound_a", diagnostics.bound_a),
+               ("bound_b", diagnostics.bound_b),
+               ("bound_c", diagnostics.bound_c)]
+    manifest = _emit(out_dir, "simulate", config,
+                     {"trajectory.csv": (header, rows)}, summary, assertions,
+                     tolerances=True)
+    check_assertions(assertions, strict)
     return setup, record, (mu_hat, residual), diagnostics, assertions, manifest
 
 
@@ -685,69 +677,45 @@ def run_place(config: ExperimentConfig, out_dir: str | None = None,
               trials: int = 200):
     """Report the configured placement and a genericity Monte-Carlo."""
     with _stage("build"):
-        domain = config.domain.build()
-        table = enumerate_modes(domain, config.modes.count)
-        actuators = build_actuators(config, domain, table)
+        domain, table, actuators = _layout(config)
         matrices = sampling_matrix(actuators, table, config.modes.controlled)
     with _stage("genericity"):
         count = min(config.modes.controlled, actuators.count)
         report = genericity_monte_carlo(domain, table, count, trials,
                                         config.seed)
-    manifest = None
-    if out_dir is not None:
-        with _stage("outputs"):
-            os.makedirs(out_dir, exist_ok=True)
-            manifest = RunManifest("place", config.digest, config.seed)
-            header = ["index"] + [f"x{ax + 1}" for ax in range(domain.dim)]
-            rows = [[j] + [float(v) for v in actuators.points[j]]
-                    for j in range(actuators.count)]
-            manifest.record_output("placement.csv", write_csv(
-                os.path.join(out_dir, "placement.csv"), header, rows))
-            summary = [("sigma_min", matrices.sigma_min),
-                       ("genericity_trials", float(report.trials)),
-                       ("genericity_failures", float(report.failures)),
-                       ("genericity_min_sigma", report.min_sigma)]
-            manifest.record_output("summary.csv", write_csv(
-                os.path.join(out_dir, "summary.csv"), ["key", "value"],
-                [[k, float(v)] for k, v in summary]))
-            manifest.record_assertion("genericity", report.failures == 0,
-                                      float(report.failures))
-            if not manifest.all_passed:
-                manifest.status = "assertion-failure"
-            manifest.write(out_dir)
+    header = ["index"] + [f"x{ax + 1}" for ax in range(domain.dim)]
+    rows = ([j] + [float(v) for v in actuators.points[j]]
+            for j in range(actuators.count))
+    summary = [("sigma_min", matrices.sigma_min),
+               ("genericity_trials", float(report.trials)),
+               ("genericity_failures", float(report.failures)),
+               ("genericity_min_sigma", report.min_sigma)]
+    manifest = _emit(out_dir, "place", config,
+                     {"placement.csv": (header, rows)}, summary,
+                     {"genericity": (report.failures == 0,
+                                     float(report.failures))})
     return actuators, matrices, report, manifest
 
 
 def run_calibrate(config: ExperimentConfig, out_dir: str | None = None):
     """Calibrate the particle pipeline against the command profile."""
     with _stage("build"):
-        domain = config.domain.build()
-        table = enumerate_modes(domain, config.modes.count)
-        actuators = build_actuators(config, domain, table)
+        _, _, actuators = _layout(config)
     with _stage("calibrate"):
         ctl = config.control
         times = time_grid(ctl.horizon, ctl.dt)
         phi = profile_samples(config.track.profile, times, ctl.horizon)
         pconf = build_plasmonic(config, actuators, config.track.delta)
         amap = calibrate_k0(pconf, times, phi)
-    manifest = None
-    if out_dir is not None:
-        with _stage("outputs"):
-            os.makedirs(out_dir, exist_ok=True)
-            manifest = RunManifest("calibrate", config.digest, config.seed)
-            header = ["row", "col", "k0"]
-            rows = [[i, l, float(amap.k0[i, l])]
-                    for i in range(amap.k0.shape[0])
-                    for l in range(amap.k0.shape[1])]
-            manifest.record_output("calibration.csv", write_csv(
-                os.path.join(out_dir, "calibration.csv"), header, rows))
-            summary = ([("sigma_min", amap.sigma_min)]
-                       + [(f"residual_{l + 1}", float(r))
-                          for l, r in enumerate(amap.residuals)])
-            manifest.record_output("summary.csv", write_csv(
-                os.path.join(out_dir, "summary.csv"), ["key", "value"],
-                [[k, float(v)] for k, v in summary]))
-            manifest.write(out_dir)
+    rows = ([i, l, float(amap.k0[i, l])]
+            for i in range(amap.k0.shape[0])
+            for l in range(amap.k0.shape[1]))
+    summary = ([("sigma_min", amap.sigma_min)]
+               + [(f"residual_{l + 1}", float(r))
+                  for l, r in enumerate(amap.residuals)])
+    manifest = _emit(out_dir, "calibrate", config,
+                     {"calibration.csv": (["row", "col", "k0"], rows)},
+                     summary)
     return amap, manifest
 
 
@@ -762,8 +730,7 @@ def run_restriction(config: ExperimentConfig, out_dir: str | None = None,
         if blk.sources is not None:
             sources = np.asarray(blk.sources, dtype=float)
         else:
-            table = enumerate_modes(domain, config.modes.count)
-            sources = build_actuators(config, domain, table).points
+            sources = _layout(config)[2].points
     with _stage("gaps"):
         report = restriction_gap_report(
             domain, sources, np.asarray(blk.probes, dtype=float),
@@ -773,33 +740,17 @@ def run_restriction(config: ExperimentConfig, out_dir: str | None = None,
         "gap_monotone": (report.monotone, float(report.rate)),
         "gap_fit": (report.r_squared >= 0.95, report.r_squared),
     }
-    manifest = None
-    if out_dir is not None:
-        with _stage("outputs"):
-            os.makedirs(out_dir, exist_ok=True)
-            manifest = RunManifest("restriction", config.digest, config.seed)
-            header = ["horizon", "dsq_over_horizon", "gap"]
-            rows = [[float(report.horizons[i]),
-                     float(report.dsq_over_horizon[i]), float(report.gaps[i])]
-                    for i in range(report.horizons.shape[0])]
-            manifest.record_output("restriction.csv", write_csv(
-                os.path.join(out_dir, "restriction.csv"), header, rows))
-            summary = [("margin", report.margin), ("rate", report.rate),
-                       ("amplitude", report.amplitude),
-                       ("r_squared", report.r_squared)]
-            manifest.record_output("summary.csv", write_csv(
-                os.path.join(out_dir, "summary.csv"), ["key", "value"],
-                [[k, float(v)] for k, v in summary]))
-            for name, (ok, value) in assertions.items():
-                manifest.record_assertion(name, ok, value)
-            if not manifest.all_passed:
-                manifest.status = "assertion-failure"
-            manifest.write(out_dir)
-    if strict:
-        failed = sorted(k for k, (ok, _) in assertions.items() if not ok)
-        if failed:
-            raise StageError("assertions",
-                             AssertionError(f"failed: {failed}"))
+    rows = ([float(report.horizons[i]), float(report.dsq_over_horizon[i]),
+             float(report.gaps[i])]
+            for i in range(report.horizons.shape[0]))
+    summary = [("margin", report.margin), ("rate", report.rate),
+               ("amplitude", report.amplitude),
+               ("r_squared", report.r_squared)]
+    manifest = _emit(out_dir, "restriction", config,
+                     {"restriction.csv": (
+                         ["horizon", "dsq_over_horizon", "gap"], rows)},
+                     summary, assertions)
+    check_assertions(assertions, strict)
     return report, assertions, manifest
 
 
@@ -874,44 +825,25 @@ def coercivity_profile(domain: DomainSpec, cells_list,
     constants = np.array([
         coercivity_constant(domain, c, modes_per_cell * c)
         for c in cells_list])
-    x = np.log(spacings)
-    y = np.log(constants)
-    design = np.stack([x, np.ones_like(x)], axis=1)
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    fitted = design @ coef
-    ss_res = float(np.sum((y - fitted) ** 2))
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
-    r_squared = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return CoercivityReport(cells_list, spacings, constants, float(coef[0]),
-                            r_squared)
+    slope, _, _, r_squared = line_fit(np.log(spacings), np.log(constants))
+    return CoercivityReport(cells_list, spacings, constants, slope, r_squared)
 
 
 def run_coercivity(config: ExperimentConfig, out_dir: str | None = None):
     """Mesh sweep of the constrained coercivity constant."""
-    from .config import CoercivityBlock
-
     blk = config.coercivity or CoercivityBlock.parse({})
     with _stage("build"):
         domain = config.domain.build()
     with _stage("sweep"):
         report = coercivity_profile(domain, blk.cells, blk.modes_per_cell)
-    manifest = None
-    if out_dir is not None:
-        with _stage("outputs"):
-            os.makedirs(out_dir, exist_ok=True)
-            manifest = RunManifest("coercivity", config.digest, config.seed)
-            header = ["cells", "spacing", "constant"]
-            rows = [[report.cells[i], float(report.spacings[i]),
-                     float(report.constants[i])]
-                    for i in range(len(report.cells))]
-            manifest.record_output("coercivity.csv", write_csv(
-                os.path.join(out_dir, "coercivity.csv"), header, rows))
-            summary = [("slope", report.slope),
-                       ("r_squared", report.r_squared)]
-            manifest.record_output("summary.csv", write_csv(
-                os.path.join(out_dir, "summary.csv"), ["key", "value"],
-                [[k, float(v)] for k, v in summary]))
-            manifest.write(out_dir)
+    rows = ([report.cells[i], float(report.spacings[i]),
+             float(report.constants[i])]
+            for i in range(len(report.cells)))
+    manifest = _emit(out_dir, "coercivity", config,
+                     {"coercivity.csv": (["cells", "spacing", "constant"],
+                                         rows)},
+                     [("slope", report.slope),
+                      ("r_squared", report.r_squared)])
     return report, manifest
 
 
@@ -945,37 +877,22 @@ def run_sweep(config: ExperimentConfig, out_dir: str | None = None):
 
     if kind == "delta":
         setup = build_loop(config)
-        ctl = config.control
         with _stage("simulate"):
-            y0 = _initial_coeffs(config, setup.table.size)
-            z0 = SpectralField(setup.table,
-                               y0 - setup.system.reference.coeffs)
-            record = simulate_closed_loop(setup.system, z0, ctl.horizon,
-                                          ctl.dt)
-            phi = profile_samples(config.track.profile, record.times,
-                                  ctl.horizon)
-            w = _trapezoid_weights(record.times)
-            deco = project_onto_profile(record.times, record.inputs, phi)
-            u_des = phi[:, None] * deco.beta[None, :]
-        units_of = _unit_responses(record.times, phi)
+            _, _, record = _run_loop(config, setup.system)
+        actuate = _project(config, setup.actuators, record, {})[2]
         for value in values:
             try:
-                act = _actuation_at_delta(config, setup.actuators,
-                                          record.times, phi, deco.beta,
-                                          u_des, w, value, units_of)
-                metrics.append(act["remainder"])
+                metrics.append(actuate(value)["remainder"])
                 statuses.append("ok")
             except HeattrackError as exc:
                 metrics.append(float("nan"))
                 statuses.append(type(exc).__name__)
     elif kind == "gain":
         with _stage("build"):
-            domain = config.domain.build()
-            table = enumerate_modes(domain, config.modes.count)
-            actuators = build_actuators(config, domain, table)
+            _, table, actuators = _layout(config)
             matrices = sampling_matrix(actuators, table,
                                        config.modes.controlled)
-            a_target = _reference_vector(config, config.modes.controlled)
+            a_target = _padded(config, "reference", config.modes.controlled)
         for value in values:
             try:
                 bias = assemble_bias_matrix(matrices, value)
@@ -988,8 +905,6 @@ def run_sweep(config: ExperimentConfig, out_dir: str | None = None):
                 metrics.append(float("nan"))
                 statuses.append(type(exc).__name__)
     else:  # mesh
-        from .config import CoercivityBlock
-
         blk = config.coercivity or CoercivityBlock.parse({})
         with _stage("build"):
             domain = config.domain.build()
@@ -1005,31 +920,15 @@ def run_sweep(config: ExperimentConfig, out_dir: str | None = None):
 
     good = [(v, m) for v, m, s in zip(values, metrics, statuses)
             if s == "ok" and m > 0.0]
-    if len(good) >= 3:
-        x = np.log([v for v, _ in good])
-        y = np.log([m for _, m in good])
-        design = np.stack([x, np.ones_like(x)], axis=1)
-        coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-        slope, fitted = float(coef[0]), True
-    else:
-        slope, fitted = float("nan"), False
+    slope, fitted = float("nan"), len(good) >= 3
+    if fitted:
+        slope = line_fit(np.log([v for v, _ in good]),
+                         np.log([m for _, m in good]))[0]
     result = SweepResult(kind, tuple(values), tuple(metrics),
                          tuple(statuses), slope, fitted)
-
-    manifest = None
-    if out_dir is not None:
-        with _stage("outputs"):
-            os.makedirs(out_dir, exist_ok=True)
-            manifest = RunManifest("sweep", config.digest, config.seed)
-            header = ["value", "metric", "status"]
-            rows = [[float(v), float(m), s]
-                    for v, m, s in zip(values, metrics, statuses)]
-            manifest.record_output("sweep.csv", write_csv(
-                os.path.join(out_dir, "sweep.csv"), header, rows))
-            summary = [("slope", result.slope),
-                       ("fitted", 1.0 if result.fitted else 0.0)]
-            manifest.record_output("summary.csv", write_csv(
-                os.path.join(out_dir, "summary.csv"), ["key", "value"],
-                [[k, float(v)] for k, v in summary]))
-            manifest.write(out_dir)
+    rows = ([float(v), float(m), s]
+            for v, m, s in zip(values, metrics, statuses))
+    manifest = _emit(out_dir, "sweep", config,
+                     {"sweep.csv": (["value", "metric", "status"], rows)},
+                     [("slope", slope), ("fitted", 1.0 if fitted else 0.0)])
     return result, manifest

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .errors import NonConvergenceError, RankDeficiencyError
+from .errors import RankDeficiencyError
 
 __all__ = [
     "PlasmonicConfig",
@@ -44,7 +44,6 @@ __all__ = [
     "resonance_gain",
     "calibrate_k0",
     "invert_actuation",
-    "nnls_active_set",
     "realized_remainder",
     "realize_profile",
 ]
@@ -424,70 +423,16 @@ def calibrate_k0(config: PlasmonicConfig, times, profile: np.ndarray,
                         profile.copy(), times.copy())
 
 
-def nnls_active_set(a: np.ndarray, b: np.ndarray, max_iter: int | None = None,
-                    tol: float | None = None):
-    """Nonnegative least squares by the classic active-set iteration.
-
-    Returns ``(x, residual_norm)`` with x >= 0 minimizing ``|a x - b|``.
-    At the solution the gradient is nonnegative on the active (zero)
-    coordinates, which is the first-order optimality the tests probe.
-    Exceeding the iteration cap raises, carrying the best iterate.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float).reshape(-1)
-    m, n = a.shape
-    if b.shape != (m,):
-        raise ValueError("right-hand side length must match the rows of a")
-    if max_iter is None:
-        max_iter = 3 * n + 30
-    if tol is None:
-        tol = 10 * max(m, n) * np.finfo(float).eps * np.linalg.norm(a, 2)
-
-    x = np.zeros(n)
-    passive = np.zeros(n, dtype=bool)
-    iterations = 0
-    while True:
-        grad = a.T @ (b - a @ x)
-        candidates = np.where(~passive)[0]
-        if candidates.size == 0 or np.max(grad[candidates]) <= tol:
-            return x, float(np.linalg.norm(a @ x - b))
-        iterations += 1
-        if iterations > max_iter:
-            raise NonConvergenceError(
-                "active-set iteration cap exceeded", best=x)
-        passive[candidates[np.argmax(grad[candidates])]] = True
-        while True:
-            s = np.zeros(n)
-            cols = np.where(passive)[0]
-            s[cols], *_ = np.linalg.lstsq(a[:, cols], b, rcond=None)
-            if np.all(s[cols] > 0.0):
-                x = s
-                break
-            # Step to the boundary of the feasible cone and drop a column.
-            blocking = cols[s[cols] <= 0.0]
-            alpha = np.min(x[blocking] / (x[blocking] - s[blocking]))
-            x = x + alpha * (s - x)
-            tiny = np.finfo(float).eps * max(1.0, float(np.max(np.abs(x))))
-            drop = passive & (x <= tiny)
-            x[drop] = 0.0
-            passive[drop] = False
-
-
 def invert_actuation(amap: ActuationMap, u_des: np.ndarray,
-                     nonnegative: bool = False,
                      consistency_tol: float = 1e-9):
     """Recover intensity coefficients realizing desired profile weights.
 
-    Signed mode returns the minimum-norm solution of ``k0 p = u_des`` and
-    verifies the reconstruction to ``consistency_tol``.  Nonnegative mode
-    solves the same system in the least-squares sense over p >= 0 and
-    returns the residual norm alongside the coefficients.
+    Returns the minimum-norm solution of ``k0 p = u_des`` and its residual
+    norm, after verifying the reconstruction to ``consistency_tol``.
     """
     u_des = np.asarray(u_des, dtype=float).reshape(-1)
     if u_des.shape[0] != amap.k0.shape[0]:
         raise ValueError("one desired weight per particle is required")
-    if nonnegative:
-        return nnls_active_set(amap.k0, u_des)
     p = amap.pinv @ u_des
     residual = float(np.linalg.norm(amap.k0 @ p - u_des))
     if residual > consistency_tol * max(1.0, float(np.linalg.norm(u_des))):

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InsufficientDataError, ResolutionError
 from .spectral import (DomainSpec, as_points, enumerate_modes, eval_modes,
-                       march_forced)
+                       line_fit, march_forced)
 
 __all__ = [
     "ProbeSet",
@@ -298,13 +298,7 @@ def restriction_gap_report(domain: DomainSpec, sources, probes, horizons,
     mask = gaps > 0.0
     if int(np.sum(mask)) < 3:
         raise InsufficientDataError("gap underflowed on too many horizons")
-    x = ratio[mask]
-    y = np.log(gaps[mask])
-    design = np.stack([x, np.ones_like(x)], axis=1)
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    fitted = design @ coef
-    ss_res = float(np.sum((y - fitted) ** 2))
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
-    r_squared = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return RestrictionReport(margin, horizons, ratio, gaps, float(-coef[0]),
-                             float(np.exp(coef[1])), r_squared, monotone)
+    slope, intercept, _, r_squared = line_fit(ratio[mask],
+                                              np.log(gaps[mask]))
+    return RestrictionReport(margin, horizons, ratio, gaps, -slope,
+                             float(np.exp(intercept)), r_squared, monotone)

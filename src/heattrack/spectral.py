@@ -22,6 +22,7 @@ __all__ = [
     "resolvent_apply",
     "semigroup_apply",
     "march_forced",
+    "line_fit",
     "phi1",
     "phi2",
     "gauss_legendre_grid",
@@ -351,3 +352,23 @@ def march_forced(table: ModeTable, points, y0, inputs, dt: float,
         d = d * d
         s *= 2
     return x
+
+
+def line_fit(x, y):
+    """Least-squares line ``y ~ slope * x + intercept``.
+
+    Returns ``(slope, intercept, rms, r_squared)``: the rms misfit of the
+    line and its coefficient of determination.  A constant ``y`` is fitted
+    exactly and gets r² = 1; its spread about the rounded mean is roundoff,
+    not variation a line could explain.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    design = np.stack([x, np.ones_like(x)], axis=1)
+    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+    resid = y - design @ coef
+    ss_res = float(np.sum(resid ** 2))
+    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
+    r_squared = 1.0 - ss_res / ss_tot if np.ptp(y) > 0 else 1.0
+    return (float(coef[0]), float(coef[1]),
+            float(np.sqrt(np.mean(resid ** 2))), r_squared)

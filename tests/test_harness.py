@@ -598,6 +598,13 @@ def test_cli_rejects_bad_configs(tmp_path, capsys):
     ("control", "fixed_point", "no"),
     ("plasmonic", "perturb_interaction", "yes"),
     (None, "seed", -3),
+    ("control", "dt", "abc"),
+    ("control", "horizon", None),
+    ("modes", "count", [1]),
+    ("plasmonic", "c_m", float("nan")),
+    ("plasmonic", "coupling_scale", float("inf")),
+    ("track", "delta", float("nan")),
+    ("tolerances", "cross_integrator", float("nan")),
 ], ids=lambda v: str(v))
 def test_cli_rejects_malformed_values_as_config_errors(tmp_path, capsys,
                                                        block, key, value):
@@ -609,6 +616,52 @@ def test_cli_rejects_malformed_values_as_config_errors(tmp_path, capsys,
     path = _write_yaml(tmp_path / "bad.yaml", data)
     assert cli.main(["simulate", "--config", path, "--check"]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_manifest_names_exactly_the_files_written(tmp_path, command):
+    data = _mapping(
+        restriction={"probes": [[0.5]], "sources": [[0.4], [0.6]],
+                     "horizons": [0.02, 0.01, 0.005, 0.0025]},
+        coercivity={"cells": [4, 8], "modes_per_cell": 4},
+        sweep={"kind": "gain", "values": [4.0, 8.0, 16.0]})
+    path = _write_yaml(tmp_path / "c.yaml", data)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", path, "--out", str(out)]) == 0
+    entries = {"output": {}, "tolerance": {}, "assertion": {}}
+    for line in (out / "manifest.txt").read_text().splitlines():
+        key, value = line.split("=", 1)
+        kind, _, name = key.partition(".")
+        if kind in entries:
+            entries[kind][name] = value
+    written = set(os.listdir(out)) - {"manifest.txt"}
+    assert set(entries["output"]) == written
+    for name in written:
+        digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
+        assert entries["output"][name] == digest
+    assert bool(entries["tolerance"]) == (command in ("track", "simulate"))
+    assert bool(entries["assertion"]) == (
+        command in ("track", "simulate", "place", "restriction"))
+
+
+def test_doubled_truncation_reuses_the_placement_and_the_gain(monkeypatch):
+    calls = {"greedy_placement": 0, "doubling_gain_search": 0}
+    for name in calls:
+        original = getattr(exp, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(exp, name, counting)
+    control = {k: v for k, v in BASE["control"].items() if k != "gain"}
+    config = _config(actuators={"kind": "greedy", "count": 4,
+                                "candidates_per_axis": 32},
+                     control=dict(control, target_rate=20.0))
+    result = exp.run_track(config, strict=False)
+    assert result.setup.gain_trace
+    assert np.isfinite(result.convergence_gap)
+    assert calls == {"greedy_placement": 1, "doubling_gain_search": 1}
 
 
 def test_cli_nan_diffusivity_exits_promptly(tmp_path):

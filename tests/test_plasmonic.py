@@ -1,17 +1,16 @@
-"""Kernel values, the amplitude march, calibration and nonnegative solves."""
+"""Kernel values, the amplitude march, calibration and signed inversion."""
 
 import dataclasses
 
 import mpmath
 import numpy as np
 import pytest
-import scipy.optimize
 from hypothesis import given, settings, strategies as st
 from numpy.polynomial.legendre import leggauss
 from numpy.testing import assert_allclose
 
 from heattrack import plasmonic
-from heattrack.errors import NonConvergenceError, RankDeficiencyError
+from heattrack.errors import RankDeficiencyError
 from heattrack.plasmonic import (
     PlasmonicConfig,
     calibrate_k0,
@@ -20,7 +19,6 @@ from heattrack.plasmonic import (
     heat_inputs_from_sigma,
     invert_actuation,
     kernel_time_derivative,
-    nnls_active_set,
     realize_profile,
     realized_remainder,
     resonance_gain,
@@ -453,74 +451,3 @@ def test_signed_inversion_consistency():
     assert_allclose(amap.k0 @ p, u_des, atol=1e-9)
     with pytest.raises(ValueError):
         invert_actuation(amap, np.ones(3))
-
-
-def test_nonnegative_inversion_route():
-    config = _config()
-    times = np.linspace(0.0, 0.4, 81)
-    profile = np.sin(np.pi * times / 0.4) ** 2
-    amap = calibrate_k0(config, times, profile)
-    p, residual = invert_actuation(amap, np.array([0.4, 0.2]),
-                                   nonnegative=True)
-    assert np.all(p >= 0.0)
-    ref, ref_res = scipy.optimize.nnls(amap.k0, np.array([0.4, 0.2]))
-    assert_allclose(p, ref, atol=1e-10)
-    assert residual == pytest.approx(ref_res, abs=1e-10)
-
-
-# ---------------------------------------------------------------------------
-# nonnegative least squares
-
-
-def test_nnls_matches_scipy_on_random_problems():
-    worst_x = worst_r = 0.0
-    for trial in range(30):
-        rng = stream(7, PURPOSE_TEST, 100 + trial)
-        a = rng.standard_normal((12, 7))
-        b = rng.standard_normal(12)
-        x_ours, r_ours = nnls_active_set(a, b)
-        x_ref, r_ref = scipy.optimize.nnls(a, b)
-        worst_x = max(worst_x, float(np.max(np.abs(x_ours - x_ref))))
-        worst_r = max(worst_r, abs(r_ours - r_ref))
-    assert worst_x < 1e-8
-    assert worst_r < 1e-10
-
-
-def test_nnls_first_order_optimality():
-    """Gradient must vanish on active coordinates and push out elsewhere."""
-    rng = stream(7, PURPOSE_TEST, 200)
-    a = rng.standard_normal((15, 8))
-    b = rng.standard_normal(15)
-    x, _ = nnls_active_set(a, b)
-    grad = a.T @ (a @ x - b)  # gradient of 0.5|ax-b|^2
-    scale = np.linalg.norm(a, 2) * np.linalg.norm(b)
-    for i in range(8):
-        if x[i] > 0:
-            assert abs(grad[i]) <= 1e-10 * scale
-        else:
-            assert grad[i] >= -1e-10 * scale
-    assert np.all(x >= 0.0)
-
-
-def test_nnls_exact_on_nonnegative_consistent_systems():
-    rng = stream(7, PURPOSE_TEST, 201)
-    a = np.abs(rng.standard_normal((10, 4))) + 0.1
-    x_true = np.array([0.5, 0.0, 2.0, 0.0])
-    x, residual = nnls_active_set(a, a @ x_true)
-    assert_allclose(x, x_true, atol=1e-10)
-    assert residual < 1e-10
-
-
-def test_nnls_iteration_cap_carries_the_best_iterate():
-    rng = stream(7, PURPOSE_TEST, 202)
-    a = rng.standard_normal((12, 6))
-    b = rng.standard_normal(12)
-    with pytest.raises(NonConvergenceError) as err:
-        nnls_active_set(a, b, max_iter=0)
-    assert err.value.best is not None
-    assert err.value.best.shape == (6,)
-
-
-def test_nnls_rejects_shape_mismatch():
-    with pytest.raises(ValueError):
-        nnls_active_set(np.ones((3, 2)), np.ones(4))

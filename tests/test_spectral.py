@@ -15,6 +15,7 @@ from heattrack.spectral import (
     enumerate_modes,
     eval_modes,
     gauss_legendre_grid,
+    line_fit,
     march_forced,
     phi1,
     phi2,
@@ -332,8 +333,12 @@ def test_march_matches_the_step_loop(case, samples, hold):
     assert np.all(np.abs(got - want) <= 1e-13 * column_max)
 
 
+# Subnormal coefficients are left out: their products underflow, so the
+# march of a*y1 + b*y2 is then off by about 6e-12 of the scale (seen at
+# b = 2.2e-313), while the smallest normal b stays within 1e-15 of it.
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, 2 ** 16), st.floats(-4.0, 4.0), st.floats(-4.0, 4.0),
+@given(st.integers(0, 2 ** 16), st.floats(-4.0, 4.0, allow_subnormal=False),
+       st.floats(-4.0, 4.0, allow_subnormal=False),
        st.integers(1, 70), st.sampled_from(["linear", "constant"]))
 def test_march_is_linear_in_the_state_and_the_inputs(seed, a, b, samples,
                                                      hold):
@@ -387,3 +392,28 @@ def test_step_rejects_bad_arguments(table32):
                      "linear")
     with pytest.raises(ValueError, match="hold"):
         march_forced(table32, points, y0, np.ones((3, 1)), 0.01, "cubic")
+
+
+# ---------------------------------------------------------------------------
+# line fit
+
+
+def test_line_fit_recovers_a_planted_line():
+    x = np.linspace(-2.0, 3.0, 11)
+    slope, intercept, rms, r_squared = line_fit(x, 1.75 * x - 0.4)
+    assert_allclose([slope, intercept], [1.75, -0.4], rtol=1e-12)
+    assert rms == pytest.approx(0.0, abs=1e-14)
+    assert r_squared == pytest.approx(1.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("value", [0.1, 0.3, -2.7, np.log(7.0)])
+@pytest.mark.parametrize("count", [3, 7, 13])
+def test_line_fit_of_a_constant_is_exact(value, count):
+    # np.mean of these samples is off by an ulp, so their spread about the
+    # mean is roundoff that no line explains
+    slope, intercept, rms, r_squared = line_fit(np.arange(count, dtype=float),
+                                                np.full(count, value))
+    assert slope == pytest.approx(0.0, abs=1e-15)
+    assert intercept == pytest.approx(value, rel=1e-14)
+    assert rms == pytest.approx(0.0, abs=1e-15)
+    assert r_squared == 1.0
