@@ -11,27 +11,23 @@ from . import rng
 from .errors import (ConfigError, DegenerateNodesError, HeattrackError,
                      InsufficientDataError, InsufficientSignalError,
                      NonConvergenceError, RankDeficiencyError,
-                     ResolutionError, SingularSystemError, StageError)
+                     SingularSystemError, StageError)
 from .spectral import (DomainSpec, ModeTable, SpectralField, enumerate_modes,
-                       eval_modes, march_forced, project_function,
-                       resolvent_apply, semigroup_apply)
+                       eval_modes, march_forced)
 from .placement import (ActuatorSet, SamplingMatrices, dct_grid_box,
                         dct_nodes_interval, genericity_monte_carlo,
                         greedy_placement, min_norm_feedforward,
-                        pseudo_inverse, sampling_matrix, uniform_candidates)
+                        sampling_matrix, uniform_candidates)
 from .control import (ClosedLoopSystem, assemble_bias_matrix,
                       assemble_closed_loop, contraction_diagnostics,
                       cross_integrator_check, decay_rate_fit,
                       doubling_gain_search, equilibrium,
-                      fixed_point_reference, observe, simulate_closed_loop,
+                      fixed_point_reference, simulate_closed_loop,
                       tail_mismatch_report)
-from .plasmonic import (PlasmonicConfig, calibrate_k0, free_space_kernel,
-                        invert_actuation, kernel_time_derivative,
-                        realized_remainder, resonance_gain, run_pipeline,
-                        volterra_solve)
-from .restriction import (ProbeSet, boundary_distance,
-                          free_space_point_solution, images_point_solution,
-                          neumann_solution_probe, restriction_gap_report)
+from .plasmonic import (PlasmonicConfig, calibrate_k0, invert_actuation,
+                        realized_remainder, volterra_solve)
+from .restriction import (boundary_distance, images_point_solution,
+                          restriction_gap_report)
 from .harness.config import ExperimentConfig, load_config, profile_samples
 from .harness.experiments import (coercivity_at_nodes, coercivity_constant,
                                   run_calibrate, run_coercivity, run_place,

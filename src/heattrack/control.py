@@ -26,9 +26,6 @@ __all__ = [
     "FixedPointResult",
     "TailReport",
     "ContractionDiagnostics",
-    "observe",
-    "observe_function",
-    "embed_low_modes",
     "assemble_closed_loop",
     "equilibrium",
     "time_grid",
@@ -41,41 +38,6 @@ __all__ = [
     "cross_integrator_check",
     "doubling_gain_search",
 ]
-
-
-def observe(z: SpectralField, matrices: SamplingMatrices) -> np.ndarray:
-    """Resolvent-smoothed point observation, one value per actuator."""
-    if not z.table.matches(matrices.table):
-        raise ValueError("field and sampling matrices use different tables")
-    return matrices.d_matrix @ z.coeffs
-
-
-def observe_function(f, matrices: SamplingMatrices, quad_order: int = 96):
-    """Observe a callable state; certify the truncation tail by doubling.
-
-    Returns ``(values, tail_gap)`` where ``tail_gap`` is the max absolute
-    change when the projection order doubles from K to 2K modes.
-    """
-    from .spectral import enumerate_modes, project_function
-
-    table = matrices.table
-    big = enumerate_modes(table.domain, 2 * table.size)
-    coeffs = project_function(f, big, quad_order).coeffs
-    sampled = eval_modes(big, matrices.actuators.points)
-    d_big = sampled / (1.0 + big.eigenvalues[None, :])
-    full = d_big @ coeffs
-    truncated = d_big[:, :table.size] @ coeffs[:table.size]
-    return full, float(np.max(np.abs(full - truncated)))
-
-
-def embed_low_modes(matrices: SamplingMatrices, a_low) -> SpectralField:
-    """Zero-pad N low-mode coefficients to a full-table field."""
-    a_low = np.asarray(a_low, dtype=float)
-    if a_low.shape != (matrices.n_modes,):
-        raise ValueError("expected one coefficient per controlled mode")
-    coeffs = np.zeros(matrices.table.size)
-    coeffs[:matrices.n_modes] = a_low
-    return SpectralField(matrices.table, coeffs)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,6 @@ __all__ = [
     "ConfigError",
     "RankDeficiencyError",
     "SingularSystemError",
-    "ResolutionError",
     "InsufficientSignalError",
     "InsufficientDataError",
     "DegenerateNodesError",
@@ -47,10 +46,6 @@ class SingularSystemError(HeattrackError, ValueError):
             message = f"{message} (condition estimate {condition:.6e})"
         super().__init__(message)
         self.condition = condition
-
-
-class ResolutionError(HeattrackError, ValueError):
-    """A truncation or grid is too coarse for the requested tolerance."""
 
 
 class InsufficientSignalError(HeattrackError, ValueError):

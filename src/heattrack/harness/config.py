@@ -58,11 +58,19 @@ def _flag(value, name: str) -> bool:
 def _number(value, name: str, kind=float, finite: bool = False):
     """``kind(value)``; a value it cannot convert is a config error, and
     so is a non-finite one when ``finite`` is set.
+
+    A boolean is not a number, and an integer key takes no fractional
+    number: ``int(32.7)`` would silently truncate it.  Numeric strings
+    convert, since YAML reads an unquoted ``1e-6`` as a string.
     """
+    if isinstance(value, bool):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
     try:
         number = kind(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{name} must be a number, got {value!r}") from None
+    if kind is int and isinstance(value, float) and number != value:
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
     if finite and not math.isfinite(number):
         raise ConfigError(f"{name} must be finite, got {number!r}")
     return number

@@ -179,6 +179,34 @@ def _padded(config: ExperimentConfig, key: str, n: int) -> np.ndarray:
     return out
 
 
+def _close_loop(config: ExperimentConfig, matrices, gain: float,
+                a_target: np.ndarray, picard: bool = False, stage=_stage):
+    """Bias matrix, reference pre-compensation and the closed loop.
+
+    With ``control.fixed_point`` the loop runs on the solution ``a_star``
+    of ``(I + T_N) a_star = a_target`` (tracing Picard when ``picard`` is
+    set and the bias is contractive), otherwise on ``a_target`` itself.
+    Returns ``(bias, fixed_point, a_star, system)``; ``fixed_point`` is
+    None without pre-compensation.
+    """
+    with stage("reference"):
+        bias = assemble_bias_matrix(matrices, gain)
+        fp = None
+        a_star = a_target.copy()
+        if config.control.fixed_point:
+            fp = fixed_point_reference(bias, a_target,
+                                       picard=picard and bias.norm < 1.0)
+            a_star = fp.a_star
+    with stage("assemble"):
+        system = assemble_closed_loop(matrices, gain, a_star)
+    return bias, fp, a_star, system
+
+
+def _no_stage(_name: str):
+    """Stage stand-in for passes whose failures the caller names."""
+    return nullcontext()
+
+
 def build_loop(config: ExperimentConfig) -> LoopSetup:
     """Resolve domain, modes, placement, gain and reference for one config."""
     with _stage("build"):
@@ -193,16 +221,8 @@ def build_loop(config: ExperimentConfig) -> LoopSetup:
                 matrices, config.control.target_rate)
     with _stage("reference"):
         a_target = _padded(config, "reference", config.modes.controlled)
-        bias = assemble_bias_matrix(matrices, gain)
-        if config.control.fixed_point:
-            fp = fixed_point_reference(bias, a_target,
-                                       picard=bool(bias.norm < 1.0))
-            a_star = fp.a_star
-        else:
-            fp = None
-            a_star = a_target.copy()
-    with _stage("assemble"):
-        system = assemble_closed_loop(matrices, gain, a_star)
+    bias, fp, a_star, system = _close_loop(config, matrices, gain, a_target,
+                                           picard=True)
     return LoopSetup(config, domain, table, actuators, matrices, gain,
                      gain_trace, a_target, bias, fp, a_star, system)
 
@@ -561,16 +581,11 @@ def _doubled_truncation_gap(config: ExperimentConfig, setup: LoopSetup,
     table2 = enumerate_modes(setup.domain, 2 * config.modes.count)
     matrices2 = sampling_matrix(setup.actuators, table2,
                                 config.modes.controlled)
-    bias2 = assemble_bias_matrix(matrices2, setup.gain)
-    if config.control.fixed_point:
-        a_star2 = fixed_point_reference(bias2, setup.a_target).a_star
-    else:
-        a_star2 = setup.a_target.copy()
-    system2 = assemble_closed_loop(matrices2, setup.gain, a_star2)
-    y0, _, record2 = _run_loop(config, system2)
     # The caller's "convergence" stage names any failure of this pass.
-    core2 = _track_core(config, system2, y0, record2, units,
-                        stage=lambda _name: nullcontext())
+    system2 = _close_loop(config, matrices2, setup.gain, setup.a_target,
+                          stage=_no_stage)[3]
+    y0, _, record2 = _run_loop(config, system2)
+    core2 = _track_core(config, system2, y0, record2, units, stage=_no_stage)
     _, curves2 = core2.realize(config.track.delta)
     return max(abs(float(np.max(core2.err_proj)) - base_row.proj_sup),
                abs(float(np.max(curves2["real"])) - base_row.real_sup),
@@ -895,9 +910,8 @@ def run_sweep(config: ExperimentConfig, out_dir: str | None = None):
             a_target = _padded(config, "reference", config.modes.controlled)
         for value in values:
             try:
-                bias = assemble_bias_matrix(matrices, value)
-                a_star = fixed_point_reference(bias, a_target).a_star
-                system = assemble_closed_loop(matrices, value, a_star)
+                bias, _, _, system = _close_loop(config, matrices, value,
+                                                 a_target, stage=_no_stage)
                 tail = tail_mismatch_report(system, bias, a_target)
                 metrics.append(tail.tail_vdual)
                 statuses.append("ok")

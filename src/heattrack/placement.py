@@ -25,7 +25,6 @@ __all__ = [
     "dct_grid_box",
     "uniform_candidates",
     "sampling_matrix",
-    "pseudo_inverse",
     "min_norm_feedforward",
     "greedy_placement",
     "genericity_monte_carlo",
@@ -95,7 +94,11 @@ def uniform_candidates(domain: DomainSpec, per_axis: int) -> np.ndarray:
 
 
 def _row_sigma_min(mat: np.ndarray) -> float:
-    """Smallest of the leading min(rows, cols) singular values, 0 if short."""
+    """The rows-th singular value, the distance to row-rank deficiency.
+
+    A matrix with fewer columns than rows cannot have full row rank and
+    gets 0.
+    """
     rows = mat.shape[0]
     if mat.shape[1] < rows:
         return 0.0
@@ -134,17 +137,6 @@ def sampling_matrix(actuators: ActuatorSet, table: ModeTable,
                             _row_sigma_min(phi))
 
 
-def pseudo_inverse(a: np.ndarray):
-    """Moore-Penrose inverse via SVD, plus the smallest singular value.
-
-    For a full-rank matrix the operator norm of the inverse is exactly
-    1/sigma_min, which callers use as a conditioning certificate.
-    """
-    a = np.asarray(a, dtype=float)
-    s = np.linalg.svd(a, compute_uv=False)
-    return np.linalg.pinv(a), float(s[-1])
-
-
 def min_norm_feedforward(y_ref, matrices: SamplingMatrices,
                          residual_tol: float = 1e-10) -> np.ndarray:
     """Smallest input vector whose stationary low modes match a reference.
@@ -179,9 +171,11 @@ def greedy_placement(candidates, table: ModeTable, n_modes: int,
                      count: int) -> ActuatorSet:
     """Pick ``count`` actuators from candidates by greedy sigma_min growth.
 
-    At each step the candidate that maximizes the smallest singular value
-    of the grown sampling matrix is added; ties go to the lowest candidate
-    index, so the selection is deterministic for a fixed candidate order.
+    At each step the candidate that maximizes the smallest of the
+    min(rows, cols) singular values of the grown sampling matrix is added,
+    so steps before the matrix has a column per controlled mode are ranked
+    too; ties go to the lowest candidate index, so the selection is
+    deterministic for a fixed candidate order.
     If the plain prefix of the candidate list happens to beat the greedy
     choice it is returned instead, so the result never loses to the naive
     placement on the same pool.
@@ -199,7 +193,7 @@ def greedy_placement(candidates, table: ModeTable, n_modes: int,
         best_idx, best_val = -1, -np.inf
         for c in free:
             trial = sampled[chosen + [c], :].T  # (N, m+1)
-            val = _row_sigma_min(trial)
+            val = np.linalg.svd(trial, compute_uv=False)[-1]
             if val > best_val:
                 best_idx, best_val = c, val
         chosen.append(best_idx)

@@ -28,83 +28,37 @@ import numpy as np
 
 from . import rng
 from .errors import RankDeficiencyError
+from .spectral import EXP_FLOOR, uniform_step
 
 __all__ = [
     "PlasmonicConfig",
     "VolterraSolution",
     "ActuationMap",
-    "free_space_kernel",
-    "kernel_time_derivative",
     "volterra_solve",
     "effective_dictionary",
-    "forcing_from_intensities",
     "heat_inputs_from_sigma",
-    "run_pipeline",
     "unit_heat_inputs",
-    "resonance_gain",
     "calibrate_k0",
     "invert_actuation",
     "realized_remainder",
     "realize_profile",
 ]
 
-_EXP_FLOOR = -700.0  # exp underflows to an exact 0 below this
-
-
-def _pair_geometry(x, y):
-    x = np.asarray(x, dtype=float).reshape(-1)
-    y = np.asarray(y, dtype=float).reshape(-1)
-    if x.shape != y.shape:
-        raise ValueError("points must share a dimension")
-    return x.shape[0], float(np.sum((x - y) ** 2))
-
-
-def free_space_kernel(x, t: float, y, tau: float, kappa: float) -> float:
-    """Whole-space heat kernel between two points and two times.
-
-    Value ``(4 pi kappa (t - tau))**(-d/2) * exp(-|x - y|^2 / (4 kappa
-    (t - tau)))`` for ``t > tau`` and zero otherwise; the dimension d is
-    taken from the points.
-    """
-    if kappa <= 0:
-        raise ValueError("kappa must be positive")
-    d, r2 = _pair_geometry(x, y)
-    s = t - tau
-    if s <= 0.0:
-        return 0.0
-    expo = -r2 / (4.0 * kappa * s)
-    if expo < _EXP_FLOOR:
-        return 0.0
-    return (4.0 * np.pi * kappa * s) ** (-0.5 * d) * np.exp(expo)
-
-
-def kernel_time_derivative(x, t: float, y, tau: float, kappa: float) -> float:
-    """Time derivative of the free-space kernel at separated points.
-
-    Equals ``Phi * (-d/(2 s) + r^2 / (4 kappa s^2))`` with ``s = t - tau``.
-    For separated points the value tends to zero as ``tau`` approaches
-    ``t``, and the function returns an exact zero for ``s <= 0``.
-    """
-    if kappa <= 0:
-        raise ValueError("kappa must be positive")
-    d, r2 = _pair_geometry(x, y)
-    if r2 == 0.0:
-        raise ValueError("kernel time derivative requires separated points")
-    return float(_kernel_derivative(r2, d, kappa, t - tau))
-
-
 def _kernel_derivative(r2, d: int, kappa: float, s):
-    """Array form of ``kernel_time_derivative``; ``r2`` and ``s`` broadcast.
+    """Time derivative of the free-space heat kernel at separated points.
 
-    Lags ``s <= 0`` and lags whose exponent falls below ``_EXP_FLOOR``
-    give an exact zero.
+    Equals ``Phi * (-d/(2 s) + r2 / (4 kappa s^2))``, with ``Phi`` the
+    d-dimensional kernel at squared distance ``r2`` and lag ``s``; ``r2``
+    and ``s`` broadcast.  Lags ``s <= 0`` and lags whose exponent falls
+    below ``-EXP_FLOOR`` give an exact zero, so the value tends to zero as
+    the lag closes.
     """
     s = np.asarray(s, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         expo = -r2 / (4.0 * kappa * s)
         phi = (4.0 * np.pi * kappa * s) ** (-0.5 * d) * np.exp(expo)
         value = phi * (-0.5 * d / s + r2 / (4.0 * kappa * s * s))
-    return np.where((s > 0.0) & (expo >= _EXP_FLOOR), value, 0.0)
+    return np.where((s > 0.0) & (expo >= -EXP_FLOOR), value, 0.0)
 
 
 def _kernel_table(centers: np.ndarray, kappa: float, dt: float,
@@ -224,15 +178,6 @@ class VolterraSolution:
     forcing: np.ndarray  # right-hand side samples, shaped like sigma
 
 
-def _grid_step(times: np.ndarray) -> float:
-    if times.shape[0] < 2:
-        raise ValueError("at least two time samples are required")
-    dt = times[1] - times[0]
-    if dt <= 0 or np.max(np.abs(np.diff(times) - dt)) > 1e-12 * max(dt, 1.0):
-        raise ValueError("time samples must form a uniform increasing grid")
-    return float(dt)
-
-
 def _memory_table(centers, coupling, kappa: float, dt: float,
                   q_steps: int) -> np.ndarray:
     """Coupling-weighted kernel table; the coupling diagonal is ignored."""
@@ -280,7 +225,7 @@ def volterra_solve(centers, coupling, kappa: float, times,
     m = centers.shape[0]
     times = np.asarray(times, dtype=float)
     forcing = np.asarray(forcing, dtype=float)
-    dt = _grid_step(times)
+    dt = uniform_step(times)
     q_steps = times.shape[0] - 1
     if forcing.ndim not in (2, 3) or forcing.shape[:2] != (q_steps + 1, m):
         raise ValueError("forcing must be sampled on the grid, per particle")
@@ -297,13 +242,6 @@ def volterra_solve(centers, coupling, kappa: float, times,
                             forcing.copy())
 
 
-def forcing_from_intensities(config: PlasmonicConfig,
-                             intensities: np.ndarray) -> np.ndarray:
-    """Per-particle forcing samples from illumination intensity samples."""
-    return _dictionary_forcing(config, intensities,
-                               effective_dictionary(config))
-
-
 def _dictionary_forcing(config: PlasmonicConfig, intensities,
                         dictionary: np.ndarray) -> np.ndarray:
     intensities = np.asarray(intensities, dtype=float)
@@ -318,15 +256,6 @@ def heat_inputs_from_sigma(config: PlasmonicConfig,
     sigma = solution.sigma
     scale = config.contrasts / config.c_m
     return sigma * scale.reshape((-1,) + (1,) * (sigma.ndim - 2))
-
-
-def run_pipeline(config: PlasmonicConfig, times,
-                 intensities: np.ndarray) -> np.ndarray:
-    """Intensities -> forcing -> amplitudes -> heat inputs, on one grid."""
-    forcing = forcing_from_intensities(config, intensities)
-    sol = volterra_solve(config.centers, _effective_coupling(config),
-                         config.kappa, times, forcing)
-    return heat_inputs_from_sigma(config, sol)
 
 
 def unit_heat_inputs(config: PlasmonicConfig, times,
@@ -346,25 +275,6 @@ def unit_heat_inputs(config: PlasmonicConfig, times,
     sol = volterra_solve(config.centers, _effective_coupling(config),
                          config.kappa, times, forcing)
     return heat_inputs_from_sigma(config, sol)
-
-
-def resonance_gain(delta: float, shape_exponent: float, im_eps: float,
-                   enhancement, intensity: float) -> np.ndarray:
-    """Per-particle gain ``im_eps * delta**(3 - 2h) * A_i * intensity``.
-
-    The scaling exponent 3 - 2h must stay positive-definite in the model
-    sense: shape exponents h >= 1.5 break the smallness regime and raise.
-    """
-    if not (0.0 < delta <= 1.0):
-        raise ValueError("delta must lie in (0, 1]")
-    if shape_exponent >= 1.5:
-        raise ValueError("shape exponent must be below 3/2 for the model")
-    if im_eps < 0 or intensity < 0:
-        raise ValueError("im_eps and intensity must be nonnegative")
-    enhancement = np.asarray(enhancement, dtype=float)
-    if np.any(enhancement < 0):
-        raise ValueError("enhancement factors must be nonnegative")
-    return im_eps * delta ** (3.0 - 2.0 * shape_exponent) * enhancement * intensity
 
 
 def _l2_inner(times: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
@@ -455,7 +365,7 @@ def _coupling_forcing(config: PlasmonicConfig, times: np.ndarray,
     leading = volterra_solve(
         config.centers, config.coupling, config.kappa, times,
         _dictionary_forcing(config, intensities, config.dictionary)).sigma
-    dt = _grid_step(times)
+    dt = uniform_step(times)
     q_steps = times.shape[0] - 1
     flat = _lag_reversed(_memory_table(
         config.centers, _effective_coupling(config) - config.coupling,

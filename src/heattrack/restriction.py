@@ -2,11 +2,10 @@
 
 Away from the boundary the two solutions differ only through boundary
 reflections, which decay like exp(-c d^2 / T) in the separation d and
-horizon T.  The insulated reference on a box is evaluated two ways: a
-truncated cosine expansion (cheap, resolution-checked) and an image sum
-(exponentially accurate, used where the gap itself is exponentially
-small).  The gap is always assembled from the reflected images directly,
-never as a difference of two nearly equal numbers.
+horizon T.  The insulated reference on a box is an image sum, which is
+exponentially accurate where the gap itself is exponentially small.  The
+gap is always assembled from the reflected images directly, never as a
+difference of two nearly equal numbers.
 """
 
 from __future__ import annotations
@@ -16,21 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientDataError, ResolutionError
-from .spectral import (DomainSpec, as_points, enumerate_modes, eval_modes,
-                       line_fit, march_forced)
+from .errors import InsufficientDataError
+from .spectral import EXP_FLOOR, DomainSpec, as_points, line_fit, uniform_step
 
 __all__ = [
-    "ProbeSet",
     "boundary_distance",
-    "free_space_point_solution",
-    "neumann_solution_probe",
     "images_point_solution",
     "restriction_gap_report",
     "RestrictionReport",
 ]
-
-_EXP_FLOOR = 700.0
 
 
 def boundary_distance(domain: DomainSpec, points) -> float:
@@ -40,41 +33,10 @@ def boundary_distance(domain: DomainSpec, points) -> float:
     return float(np.min(np.minimum(pts, lengths[None, :] - pts)))
 
 
-@dataclass(frozen=True)
-class ProbeSet:
-    """Observation points strictly inside the domain."""
-
-    domain: DomainSpec
-    points: np.ndarray
-
-    def __post_init__(self):
-        pts = as_points(self.points, self.domain.dim)
-        if pts.shape[0] == 0:
-            raise ValueError("at least one probe is required")
-        if boundary_distance(self.domain, pts) <= 0.0:
-            raise ValueError("probes must be strictly interior")
-        pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
-
-    @property
-    def margin(self) -> float:
-        return boundary_distance(self.domain, self.points)
-
-
-def _check_grid(times: np.ndarray) -> float:
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.shape[0] < 2 or times[0] != 0.0:
-        raise ValueError("times must be a 1-d grid starting at zero")
-    dt = times[1] - times[0]
-    if dt <= 0 or np.max(np.abs(np.diff(times) - dt)) > 1e-12 * max(dt, 1.0):
-        raise ValueError("times must be uniformly spaced and increasing")
-    return dt
-
-
 def _free_axis_kernel(dx: np.ndarray, s: np.ndarray, kappa: float) -> np.ndarray:
     expo = -(dx ** 2) / (4.0 * kappa * s)
     out = np.zeros(np.broadcast_shapes(dx.shape, s.shape))
-    ok = expo > -_EXP_FLOOR
+    ok = expo > -EXP_FLOOR
     pref = (4.0 * np.pi * kappa * s) ** -0.5
     np.multiply(pref, np.exp(np.where(ok, expo, 0.0)), out=out, where=ok)
     return out
@@ -84,7 +46,7 @@ def _reflected_axis_kernel(xi: float, eta: float, length: float,
                            s: np.ndarray, kappa: float) -> np.ndarray:
     """Sum of all non-principal 1-d Neumann images at elapsed times s."""
     s = np.asarray(s, dtype=float)
-    reach = math.sqrt(4.0 * kappa * float(np.max(s)) * _EXP_FLOOR)
+    reach = math.sqrt(4.0 * kappa * float(np.max(s)) * EXP_FLOOR)
     m_max = int(math.ceil((reach + 2.0 * length) / (2.0 * length))) + 1
     total = np.zeros_like(s)
     for m in range(-m_max, m_max + 1):
@@ -117,48 +79,16 @@ def _interp_inputs(times: np.ndarray, samples: np.ndarray,
 
 
 def _resolve_time(times: np.ndarray, t) -> int:
+    """Grid index of the evaluation time ``t`` (default: the last sample)."""
+    uniform_step(times)
+    if times[0] != 0.0:
+        raise ValueError("times must start at zero")
     if t is None:
         return times.shape[0] - 1
     idx = int(round(float(t) / (times[1] - times[0])))
     if idx < 1 or idx >= times.shape[0] or abs(times[idx] - t) > 1e-12 * max(1.0, t):
         raise ValueError("t must coincide with a positive grid time")
     return idx
-
-
-def free_space_point_solution(sources, times, inputs, probes, kappa: float,
-                              t=None, quad_order: int = 12) -> np.ndarray:
-    """Whole-space field of point sources, evaluated at interior probes.
-
-    ``inputs`` holds one column of samples per source on the uniform grid
-    ``times``; the potential integral is done panel by panel with Gauss
-    nodes, so the only discretization left is the piecewise-linear reading
-    of the samples.  Evaluation time defaults to the end of the grid.
-    """
-    src = np.atleast_2d(np.asarray(sources, dtype=float))
-    prb = np.atleast_2d(np.asarray(probes, dtype=float))
-    if src.shape[1] != prb.shape[1]:
-        raise ValueError("sources and probes must share a dimension")
-    times = np.asarray(times, dtype=float)
-    _check_grid(times)
-    inputs = np.asarray(inputs, dtype=float)
-    if inputs.shape != (times.shape[0], src.shape[0]):
-        raise ValueError("inputs must be sampled on the grid, one column per source")
-    diff = prb[:, None, :] - src[None, :, :]
-    if np.min(np.sum(diff ** 2, axis=2)) == 0.0:
-        raise ValueError("probes must not coincide with sources")
-    idx = _resolve_time(times, t)
-    taus, w = _gauss_panels(times, idx, quad_order)
-    u_tau = _interp_inputs(times, inputs, taus)
-    s = times[idx] - taus
-    values = np.zeros(prb.shape[0])
-    for p in range(prb.shape[0]):
-        for j in range(src.shape[0]):
-            kern = np.ones_like(s)
-            for ax in range(src.shape[1]):
-                kern = kern * _free_axis_kernel(
-                    np.asarray(prb[p, ax] - src[j, ax]), s, kappa)
-            values[p] += float(np.sum(w * kern * u_tau[:, j]))
-    return values
 
 
 def images_point_solution(domain: DomainSpec, sources, times, inputs, probes,
@@ -173,7 +103,6 @@ def images_point_solution(domain: DomainSpec, sources, times, inputs, probes,
     src = np.atleast_2d(np.asarray(sources, dtype=float))
     prb = np.atleast_2d(np.asarray(probes, dtype=float))
     times = np.asarray(times, dtype=float)
-    _check_grid(times)
     inputs = np.asarray(inputs, dtype=float)
     idx = _resolve_time(times, t)
     taus, w = _gauss_panels(times, idx, quad_order)
@@ -205,41 +134,6 @@ def images_point_solution(domain: DomainSpec, sources, times, inputs, probes,
                 for ax in range(dim):
                     kern = kern * (free[ax] + refl[ax])
             values[p] += float(np.sum(w * kern * u_tau[:, j]))
-    return values
-
-
-def neumann_solution_probe(domain: DomainSpec, sources, times, inputs, probes,
-                           n_modes: int, t=None, check: bool = True,
-                           check_tol: float = 1e-6) -> np.ndarray:
-    """Truncated cosine-expansion field of point sources at probes.
-
-    Runs the exact forced march for piecewise-linear inputs up to ``t`` and
-    synthesizes pointwise values.  With ``check`` enabled the run repeats
-    at twice the truncation; a change above ``check_tol`` raises a
-    resolution error naming the observed change.
-    """
-    src = np.atleast_2d(np.asarray(sources, dtype=float))
-    times = np.asarray(times, dtype=float)
-    dt = _check_grid(times)
-    inputs = np.asarray(inputs, dtype=float)
-    if inputs.shape != (times.shape[0], src.shape[0]):
-        raise ValueError("inputs must be sampled on the grid, one column per source")
-    idx = _resolve_time(times, t)
-
-    def synthesize(k: int) -> np.ndarray:
-        table = enumerate_modes(domain, k)
-        z = march_forced(table, src, np.zeros(k), inputs[:idx + 1], dt,
-                         "linear")[-1]
-        return eval_modes(table, probes) @ z
-
-    values = synthesize(n_modes)
-    if check:
-        refined = synthesize(2 * n_modes)
-        change = float(np.max(np.abs(refined - values)))
-        if change > check_tol:
-            raise ResolutionError(
-                f"doubling the truncation moved probe values by {change:.3e}"
-                f" (tolerance {check_tol:g}); increase n_modes")
     return values
 
 

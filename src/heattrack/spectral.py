@@ -18,17 +18,15 @@ __all__ = [
     "SpectralField",
     "enumerate_modes",
     "eval_modes",
-    "project_function",
-    "resolvent_apply",
-    "semigroup_apply",
+    "uniform_step",
     "march_forced",
     "line_fit",
     "phi1",
     "phi2",
-    "gauss_legendre_grid",
 ]
 
-_NORM_KINDS = ("H", "Vdual", "graph")
+# Heat kernels treat exp(x) as an exact 0 for exponents x below -EXP_FLOOR.
+EXP_FLOOR = 700.0
 
 
 @dataclass(frozen=True)
@@ -197,93 +195,16 @@ class SpectralField:
         if self.coeffs.shape != (self.table.size,):
             raise ValueError("coefficient vector length must match the table")
 
-    def _check(self, other: "SpectralField"):
-        if not self.table.matches(other.table):
-            raise ValueError("fields are defined against different mode tables")
 
-    def __add__(self, other):
-        self._check(other)
-        return SpectralField(self.table, self.coeffs + other.coeffs)
-
-    def __sub__(self, other):
-        self._check(other)
-        return SpectralField(self.table, self.coeffs - other.coeffs)
-
-    def __mul__(self, scalar):
-        return SpectralField(self.table, self.coeffs * float(scalar))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return SpectralField(self.table, -self.coeffs)
-
-    def evaluate(self, points) -> np.ndarray:
-        return eval_modes(self.table, points) @ self.coeffs
-
-    def norm(self, kind: str = "H") -> float:
-        if kind not in _NORM_KINDS:
-            raise ValueError(f"unknown norm kind {kind!r}; expected one of {_NORM_KINDS}")
-        lam = self.table.eigenvalues
-        if kind == "H":
-            w = self.coeffs
-        elif kind == "Vdual":
-            w = self.coeffs / (1.0 + lam)
-        else:
-            w = self.coeffs * (1.0 + lam)
-        return float(np.linalg.norm(w))
-
-    def copy(self) -> "SpectralField":
-        return SpectralField(self.table, self.coeffs)
-
-
-def gauss_legendre_grid(domain: DomainSpec, order: int):
-    """Tensor Gauss-Legendre nodes and weights covering the domain."""
-    if order < 1:
-        raise ValueError("quadrature order must be positive")
-    nodes_1d, weights_1d = np.polynomial.legendre.leggauss(order)
-    axes, weights = [], []
-    for L in domain.lengths:
-        axes.append(0.5 * L * (nodes_1d + 1.0))
-        weights.append(0.5 * L * weights_1d)
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    wgrids = np.meshgrid(*weights, indexing="ij")
-    w = np.ones(pts.shape[0])
-    for wg in wgrids:
-        w = w * wg.ravel()
-    return pts, w
-
-
-def project_function(f, table: ModeTable, quad_order: int = 64) -> SpectralField:
-    """L2-project a callable onto the span of the table.
-
-    Parameters
-    ----------
-    f : callable
-        Accepts a (P, dim) array of points and returns (P,) values.
-    table : ModeTable
-    quad_order : int
-        Gauss-Legendre order per axis; exact for smooth integrands once
-        the order comfortably exceeds the highest mode index.
-    """
-    pts, w = gauss_legendre_grid(table.domain, quad_order)
-    values = np.asarray(f(pts), dtype=float).reshape(-1)
-    if values.shape[0] != pts.shape[0]:
-        raise ValueError("integrand must return one value per point")
-    coeffs = eval_modes(table, pts).T @ (w * values)
-    return SpectralField(table, coeffs)
-
-
-def resolvent_apply(z: SpectralField) -> SpectralField:
-    """Apply (I - kappa*Laplace)^{-1}, i.e. divide mode k by 1 + lambda_k."""
-    return SpectralField(z.table, z.coeffs / (1.0 + z.table.eigenvalues))
-
-
-def semigroup_apply(z: SpectralField, t: float) -> SpectralField:
-    """Run the unforced heat flow for time t >= 0."""
-    if t < 0:
-        raise ValueError("time must be nonnegative")
-    return SpectralField(z.table, z.coeffs * np.exp(-z.table.eigenvalues * t))
+def uniform_step(times) -> float:
+    """Step of a uniform increasing time grid; ValueError for any other."""
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or times.shape[0] < 2:
+        raise ValueError("times must be a 1-d grid of at least two samples")
+    dt = times[1] - times[0]
+    if dt <= 0 or np.max(np.abs(np.diff(times) - dt)) > 1e-12 * max(dt, 1.0):
+        raise ValueError("time samples must form a uniform increasing grid")
+    return float(dt)
 
 
 def phi1(lam: np.ndarray, dt: float) -> np.ndarray:

@@ -1,0 +1,69 @@
+"""Scalar and unbatched references for the particle model.
+
+The free-space heat kernel and its time derivative at one pair of points
+and two times, and the intensities -> forcing -> amplitudes -> heat
+inputs pipeline marched once per call: the forms that the library's
+kernel table and batched unit-forcing march replace, kept here as their
+oracles.
+"""
+
+import numpy as np
+
+from heattrack import plasmonic
+from heattrack.spectral import EXP_FLOOR
+
+
+def _pair_geometry(x, y):
+    x = np.asarray(x, dtype=float).reshape(-1)
+    y = np.asarray(y, dtype=float).reshape(-1)
+    if x.shape != y.shape:
+        raise ValueError("points must share a dimension")
+    return x.shape[0], float(np.sum((x - y) ** 2))
+
+
+def free_space_kernel(x, t: float, y, tau: float, kappa: float) -> float:
+    """Whole-space heat kernel between two points and two times.
+
+    Value ``(4 pi kappa (t - tau))**(-d/2) * exp(-|x - y|^2 / (4 kappa
+    (t - tau)))`` for ``t > tau`` and zero otherwise; the dimension d is
+    taken from the points.
+    """
+    if kappa <= 0:
+        raise ValueError("kappa must be positive")
+    d, r2 = _pair_geometry(x, y)
+    s = t - tau
+    if s <= 0.0:
+        return 0.0
+    expo = -r2 / (4.0 * kappa * s)
+    if expo < -EXP_FLOOR:
+        return 0.0
+    return (4.0 * np.pi * kappa * s) ** (-0.5 * d) * np.exp(expo)
+
+
+def kernel_time_derivative(x, t: float, y, tau: float, kappa: float) -> float:
+    """Time derivative of the free-space kernel at separated points.
+
+    The library's kernel derivative at one pair of points and one lag
+    ``s = t - tau``; an exact zero for ``s <= 0``.
+    """
+    if kappa <= 0:
+        raise ValueError("kappa must be positive")
+    d, r2 = _pair_geometry(x, y)
+    if r2 == 0.0:
+        raise ValueError("kernel time derivative requires separated points")
+    return float(plasmonic._kernel_derivative(r2, d, kappa, t - tau))
+
+
+def forcing_from_intensities(config, intensities: np.ndarray) -> np.ndarray:
+    """Per-particle forcing samples from illumination intensity samples."""
+    return plasmonic._dictionary_forcing(
+        config, intensities, plasmonic.effective_dictionary(config))
+
+
+def run_pipeline(config, times, intensities: np.ndarray) -> np.ndarray:
+    """Intensities -> forcing -> amplitudes -> heat inputs, on one grid."""
+    forcing = forcing_from_intensities(config, intensities)
+    sol = plasmonic.volterra_solve(config.centers,
+                                   plasmonic._effective_coupling(config),
+                                   config.kappa, times, forcing)
+    return plasmonic.heat_inputs_from_sigma(config, sol)

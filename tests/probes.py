@@ -1,0 +1,88 @@
+"""Two independent routes to probe values of point-source heat fields.
+
+``heattrack.restriction.images_point_solution`` is checked against the
+whole-space field of the sources (its principal image alone, on the same
+panel quadrature) and against the truncated cosine expansion marched
+exactly by ``march_forced``, which checks its own truncation by doubling.
+"""
+
+import numpy as np
+
+from heattrack.restriction import (_free_axis_kernel, _gauss_panels,
+                                   _interp_inputs, _resolve_time)
+from heattrack.spectral import (enumerate_modes, eval_modes, march_forced,
+                                uniform_step)
+
+
+class ResolutionError(ValueError):
+    """The truncation is too coarse for the requested tolerance."""
+
+
+def free_space_point_solution(sources, times, inputs, probes, kappa: float,
+                              t=None, quad_order: int = 12) -> np.ndarray:
+    """Whole-space field of point sources, evaluated at interior probes.
+
+    ``inputs`` holds one column of samples per source on the uniform grid
+    ``times``; the potential integral is done panel by panel with Gauss
+    nodes, so the only discretization left is the piecewise-linear reading
+    of the samples.  Evaluation time defaults to the end of the grid.
+    """
+    src = np.atleast_2d(np.asarray(sources, dtype=float))
+    prb = np.atleast_2d(np.asarray(probes, dtype=float))
+    if src.shape[1] != prb.shape[1]:
+        raise ValueError("sources and probes must share a dimension")
+    times = np.asarray(times, dtype=float)
+    inputs = np.asarray(inputs, dtype=float)
+    if inputs.shape != (times.shape[0], src.shape[0]):
+        raise ValueError("inputs must be sampled on the grid, one column per source")
+    diff = prb[:, None, :] - src[None, :, :]
+    if np.min(np.sum(diff ** 2, axis=2)) == 0.0:
+        raise ValueError("probes must not coincide with sources")
+    idx = _resolve_time(times, t)
+    taus, w = _gauss_panels(times, idx, quad_order)
+    u_tau = _interp_inputs(times, inputs, taus)
+    s = times[idx] - taus
+    values = np.zeros(prb.shape[0])
+    for p in range(prb.shape[0]):
+        for j in range(src.shape[0]):
+            kern = np.ones_like(s)
+            for ax in range(src.shape[1]):
+                kern = kern * _free_axis_kernel(
+                    np.asarray(prb[p, ax] - src[j, ax]), s, kappa)
+            values[p] += float(np.sum(w * kern * u_tau[:, j]))
+    return values
+
+
+def neumann_solution_probe(domain, sources, times, inputs, probes,
+                           n_modes: int, t=None, check: bool = True,
+                           check_tol: float = 1e-6) -> np.ndarray:
+    """Truncated cosine-expansion field of point sources at probes.
+
+    Runs the exact forced march for piecewise-linear inputs up to ``t`` and
+    synthesizes pointwise values.  With ``check`` enabled the run repeats
+    at twice the truncation; a change above ``check_tol`` raises a
+    resolution error naming the observed change.
+    """
+    src = np.atleast_2d(np.asarray(sources, dtype=float))
+    times = np.asarray(times, dtype=float)
+    dt = uniform_step(times)
+    inputs = np.asarray(inputs, dtype=float)
+    if inputs.shape != (times.shape[0], src.shape[0]):
+        raise ValueError("inputs must be sampled on the grid, one column per source")
+    idx = _resolve_time(times, t)
+
+    def synthesize(k: int) -> np.ndarray:
+        table = enumerate_modes(domain, k)
+        z = march_forced(table, src, np.zeros(k), inputs[:idx + 1], dt,
+                         "linear")[-1]
+        return eval_modes(table, probes) @ z
+
+    values = synthesize(n_modes)
+    if check:
+        refined = synthesize(2 * n_modes)
+        change = float(np.max(np.abs(refined - values)))
+        if change > check_tol:
+            raise ResolutionError(
+                f"doubling the truncation moved probe values by {change:.3e}"
+                f" (tolerance {check_tol:g}); increase n_modes")
+    return values

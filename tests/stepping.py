@@ -2,12 +2,13 @@
 
 One exact step at a time, each sample's modal forcing formed on its own:
 the loop that ``heattrack.spectral.march_forced`` replaces with a prefix
-scan, kept here as its oracle.
+scan, kept here as its oracle, together with the unforced flow it reduces
+to without inputs.
 """
 
 import numpy as np
 
-from heattrack.spectral import eval_modes, phi1, phi2
+from heattrack.spectral import SpectralField, eval_modes, phi1, phi2
 
 
 def step_march(table, points, y0, inputs, dt, hold):
@@ -26,3 +27,10 @@ def step_march(table, points, y0, inputs, dt, hold):
         c = c * decay + b0 * f1 + (b1 - b0) * f2
         states[q + 1] = c
     return states
+
+
+def semigroup_apply(z, t):
+    """Run the unforced heat flow for time t >= 0."""
+    if t < 0:
+        raise ValueError("time must be nonnegative")
+    return SpectralField(z.table, z.coeffs * np.exp(-z.table.eigenvalues * t))

@@ -15,11 +15,8 @@ from heattrack.control import (
     cross_integrator_check,
     decay_rate_fit,
     doubling_gain_search,
-    embed_low_modes,
     equilibrium,
     fixed_point_reference,
-    observe,
-    observe_function,
     simulate_closed_loop,
     tail_mismatch_report,
     time_grid,
@@ -30,7 +27,8 @@ from heattrack.errors import (
     SingularSystemError,
 )
 from heattrack.placement import ActuatorSet, dct_nodes_interval, sampling_matrix
-from heattrack.spectral import DomainSpec, SpectralField, enumerate_modes
+from heattrack.spectral import (DomainSpec, SpectralField, enumerate_modes,
+                                eval_modes)
 
 GAIN = 8.0
 REFERENCE = np.array([0.3, 0.2, -0.1, 0.1])
@@ -48,37 +46,19 @@ def _skewed_matrices(length, points, n_modes=4, k=32):
 
 
 def test_observe_is_the_resolvent_smoothed_point_value(matrices4, table32):
-    from heattrack.spectral import eval_modes, resolvent_apply
-
+    """The loop feeds back the pointwise value of the resolvent-smoothed
+    error field: u = u_ff - gain * (z / (1 + lambda))(x_j)."""
     rng = np.random.default_rng(2)
-    z = SpectralField(table32, rng.standard_normal(32))
-    vals = observe(z, matrices4)
-    # observation = pointwise value of the resolvent-smoothed field
-    smoothed = resolvent_apply(z)
-    direct = eval_modes(table32, matrices4.actuators.points) @ smoothed.coeffs
-    assert_allclose(vals, direct, rtol=1e-12)
+    system = assemble_closed_loop(matrices4, GAIN, REFERENCE)
+    z0 = SpectralField(table32, rng.standard_normal(32))
+    record = simulate_closed_loop(system, z0, 0.01, 0.002)
+    smoothed = record.states / (1.0 + table32.eigenvalues)
+    direct = smoothed @ eval_modes(table32, matrices4.actuators.points).T
+    assert_allclose(record.inputs, system.u_ff - GAIN * direct, rtol=1e-12,
+                    atol=1e-12 * np.max(np.abs(record.inputs)))
     other = SpectralField(enumerate_modes(table32.domain, 16))
     with pytest.raises(ValueError):
-        observe(other, matrices4)
-
-
-def test_observe_function_band_limited_case_is_exact(matrices4, table32):
-    """cos^2(pi x) lies in the span of modes 0 and 2, so no tail is left."""
-    vals, tail_gap = observe_function(
-        lambda p: np.cos(np.pi * p[:, 0]) ** 2, matrices4)
-    x = matrices4.actuators.points[:, 0]
-    lam2 = table32.eigenvalues[2]
-    direct = 0.5 + 0.5 * np.cos(2 * np.pi * x) / (1.0 + lam2)
-    assert_allclose(vals, direct, atol=1e-12)
-    assert tail_gap < 1e-14
-
-
-def test_embed_low_modes_zero_pads(matrices4, table32):
-    field = embed_low_modes(matrices4, np.array([1.0, 2.0, 3.0, 4.0]))
-    assert_allclose(field.coeffs[:4], [1.0, 2.0, 3.0, 4.0])
-    assert np.all(field.coeffs[4:] == 0.0)
-    with pytest.raises(ValueError):
-        embed_low_modes(matrices4, np.ones(3))
+        simulate_closed_loop(system, other, 0.01, 0.002)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from numpy.testing import assert_allclose
 
 import heattrack
 from heattrack import plasmonic, spectral
+from heattrack.control import tail_mismatch_report
 from heattrack.errors import (
     ConfigError,
     DegenerateNodesError,
@@ -33,6 +34,7 @@ from heattrack.harness.manifest import (
 from heattrack.rng import PURPOSE_TEST, stream
 from heattrack.spectral import march_forced
 
+from particles import run_pipeline
 from stepping import step_march
 
 BASE = {
@@ -314,7 +316,7 @@ def test_track_writes_deterministic_outputs(tmp_path):
 def test_particles_are_marched_once_per_run(monkeypatch, run):
     """Calibration, realization and remainder at every contrast scale (and
     at the doubled truncation) share one batched amplitude march."""
-    calls = {"volterra_solve": 0, "kernel_time_derivative": 0}
+    calls = {"volterra_solve": 0}
     for name in calls:
         original = getattr(plasmonic, name)
 
@@ -324,7 +326,7 @@ def test_particles_are_marched_once_per_run(monkeypatch, run):
 
         monkeypatch.setattr(plasmonic, name, counting)
     run()
-    assert calls == {"volterra_solve": 1, "kernel_time_derivative": 0}
+    assert calls == {"volterra_solve": 1}
 
 
 def test_track_samples_the_modes_once_per_march(monkeypatch):
@@ -371,15 +373,14 @@ def test_track_with_perturbed_interaction_matches_the_difference_path(
     denom = np.trapezoid(phi * phi, times)
     for row in result.budget_rows:
         pconf = exp.build_plasmonic(config, result.setup.actuators, row.delta)
-        probes = [plasmonic.run_pipeline(pconf, times,
-                                         phi[:, None] * np.eye(4)[col])
+        probes = [run_pipeline(pconf, times, phi[:, None] * np.eye(4)[col])
                   for col in range(4)]
         k0 = np.stack([np.trapezoid(out * phi[:, None], times, axis=0)
                        for out in probes], axis=1) / denom
         coeffs = np.linalg.solve(k0, result.decomposition.beta)
         intensities = phi[:, None] * coeffs[None, :]
-        full = plasmonic.run_pipeline(pconf, times, intensities)
-        leading = plasmonic.run_pipeline(
+        full = run_pipeline(pconf, times, intensities)
+        leading = run_pipeline(
             exp.build_plasmonic(config, result.setup.actuators, 0.0), times,
             intensities)
         assert row.mismatch == pytest.approx(
@@ -460,6 +461,23 @@ def test_gain_sweep_reports_tail_sizes():
     assert result.statuses == ("ok", "ok")
     assert all(m > 0.0 for m in result.metrics)
     assert not result.fitted  # two points never get a fit
+
+
+def test_gain_sweep_honours_a_disabled_fixed_point():
+    """With ``control.fixed_point: false`` each loop runs on the target
+    itself, as ``build_loop`` assembles it, not on the pre-compensated
+    reference."""
+    control = dict(BASE["control"], fixed_point=False)
+    sweep = {"kind": "gain", "values": [4.0, 8.0]}
+    off, _ = exp.run_sweep(_config(control=control, sweep=sweep))
+    on, _ = exp.run_sweep(_config(sweep=sweep))
+    assert off.statuses == on.statuses == ("ok", "ok")
+    setup = exp.build_loop(_config(control=control))
+    assert setup.fixed_point is None and setup.gain == 8.0
+    tail = tail_mismatch_report(setup.system, setup.bias, setup.a_target)
+    assert off.metrics[1] == pytest.approx(tail.tail_vdual, rel=1e-13)
+    for metric_off, metric_on in zip(off.metrics, on.metrics):
+        assert abs(metric_off - metric_on) > 1e-6 * metric_on
 
 
 def test_mesh_sweep_records_failures_and_keeps_going(unit_interval):
@@ -605,10 +623,16 @@ def test_cli_rejects_bad_configs(tmp_path, capsys):
     ("plasmonic", "coupling_scale", float("inf")),
     ("track", "delta", float("nan")),
     ("tolerances", "cross_integrator", float("nan")),
+    ("modes", "count", 32.7),
+    ("actuators", "count", True),
+    ("coercivity", "cells", [8.9]),
+    ("restriction", "samples", 48.5),
 ], ids=lambda v: str(v))
 def test_cli_rejects_malformed_values_as_config_errors(tmp_path, capsys,
                                                        block, key, value):
-    data = _mapping()
+    # a valid restriction block, so that only the bad value can fail it
+    data = _mapping(restriction={"probes": [[0.5]],
+                                 "horizons": [0.02, 0.01, 0.005]})
     if block is None:
         data[key] = value
     else:

@@ -12,7 +12,6 @@ from heattrack.placement import (
     genericity_monte_carlo,
     greedy_placement,
     min_norm_feedforward,
-    pseudo_inverse,
     sampling_matrix,
     uniform_candidates,
 )
@@ -75,15 +74,6 @@ def test_box_grid_sampling_matrix_full_rank():
     table = enumerate_modes(domain, 64)
     mats = sampling_matrix(acts, table, 8)
     assert mats.sigma_min > 0.1
-
-
-def test_pseudo_inverse_identities_on_seeded_matrices():
-    for trial in range(5):
-        rng = stream(7, PURPOSE_TEST, trial)
-        a = rng.standard_normal((4, 9))
-        pinv, sigma_min = pseudo_inverse(a)
-        assert_allclose(a @ pinv, np.eye(4), atol=1e-10)
-        assert_allclose(np.linalg.norm(pinv, 2), 1.0 / sigma_min, rtol=1e-10)
 
 
 def test_sampling_matrices_shapes(matrices4, table32):
@@ -176,6 +166,18 @@ def test_greedy_placement_never_loses_to_the_prefix():
     prefix = ActuatorSet(domain, candidates[:4])
     mats_prefix = sampling_matrix(prefix, table, 4)
     assert mats_greedy.sigma_min >= mats_prefix.sigma_min - 1e-12
+
+
+def test_greedy_placement_ranks_the_steps_before_full_rank():
+    """With fewer columns than controlled modes the rows-th singular value
+    is 0 for every candidate; the smallest of the min(rows, cols) singular
+    values still ranks them, so the first picks are not the list prefix."""
+    domain = DomainSpec.interval(1.0)
+    table = enumerate_modes(domain, 32)
+    chosen = greedy_placement(uniform_candidates(domain, 64), table, 4, 4)
+    assert_allclose(chosen.points[:, 0],
+                    [0.0078125, 0.3671875, 0.6640625, 0.9921875], rtol=0)
+    assert sampling_matrix(chosen, table, 4).sigma_min > 1.8
 
 
 def test_greedy_placement_validates_arguments():

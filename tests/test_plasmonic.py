@@ -15,20 +15,17 @@ from heattrack.plasmonic import (
     PlasmonicConfig,
     calibrate_k0,
     effective_dictionary,
-    free_space_kernel,
     heat_inputs_from_sigma,
     invert_actuation,
-    kernel_time_derivative,
     realize_profile,
     realized_remainder,
-    resonance_gain,
-    run_pipeline,
     unit_heat_inputs,
     volterra_solve,
 )
 from heattrack.rng import PURPOSE_TEST, stream
 
 import manufactured as mms
+from particles import free_space_kernel, kernel_time_derivative, run_pipeline
 
 KAPPA = 1.0
 
@@ -361,21 +358,6 @@ def test_remainder_scales_like_delta_to_mu():
     design = np.stack([np.log(deltas), np.ones(4)], axis=1)
     coef, *_ = np.linalg.lstsq(design, np.log(norms), rcond=None)
     assert coef[0] == pytest.approx(1.0, abs=0.1)
-
-
-def test_resonance_gain_scaling_and_domain():
-    gain = resonance_gain(0.5, 1.0, 2.0, np.array([1.0, 3.0]), 1.5)
-    assert_allclose(gain, 2.0 * 0.5 * np.array([1.0, 3.0]) * 1.5, rtol=1e-14)
-    # smaller particles always force less in the admissible shape range
-    g1 = resonance_gain(0.2, 1.2, 1.0, np.array([1.0]), 1.0)
-    g2 = resonance_gain(0.1, 1.2, 1.0, np.array([1.0]), 1.0)
-    assert g2 < g1
-    with pytest.raises(ValueError):
-        resonance_gain(0.5, 1.5, 1.0, np.array([1.0]), 1.0)
-    with pytest.raises(ValueError):
-        resonance_gain(0.0, 1.0, 1.0, np.array([1.0]), 1.0)
-    with pytest.raises(ValueError):
-        resonance_gain(1.2, 1.0, 1.0, np.array([1.0]), 1.0)
 
 
 def test_config_validation():

@@ -5,16 +5,16 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.special import erfc
 
-from heattrack.errors import InsufficientDataError, ResolutionError
+from heattrack.errors import InsufficientDataError
 from heattrack.restriction import (
-    ProbeSet,
     boundary_distance,
-    free_space_point_solution,
     images_point_solution,
-    neumann_solution_probe,
     restriction_gap_report,
 )
 from heattrack.spectral import DomainSpec
+
+from probes import (ResolutionError, free_space_point_solution,
+                    neumann_solution_probe)
 
 KAPPA = 1.0
 
@@ -42,12 +42,15 @@ def test_boundary_distance_interval_and_box():
 
 def test_probe_set_requires_strict_interior():
     dom = _interval()
-    probes = ProbeSet(dom, np.array([[0.25], [0.75]]))
-    assert probes.margin == pytest.approx(0.25)
-    with pytest.raises(ValueError):
-        ProbeSet(dom, np.array([[0.0]]))
-    with pytest.raises(ValueError):
-        ProbeSet(dom, np.array([[1.2]]))
+    sources = np.array([[0.4]])
+    horizons = [0.02, 0.01, 0.005]
+    report = restriction_gap_report(dom, sources, np.array([[0.25], [0.75]]),
+                                    horizons)
+    assert report.margin == pytest.approx(0.25)
+    with pytest.raises(ValueError, match="strictly interior"):
+        restriction_gap_report(dom, sources, np.array([[0.0]]), horizons)
+    with pytest.raises(ValueError, match="strictly interior"):
+        restriction_gap_report(dom, sources, np.array([[1.2]]), horizons)
 
 
 # ---------------------------------------------------------------------------

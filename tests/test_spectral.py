@@ -6,6 +6,9 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.integrate import solve_ivp
 
+from heattrack.control import (assemble_closed_loop, decay_rate_fit,
+                               simulate_closed_loop)
+from heattrack.placement import ActuatorSet, sampling_matrix
 from heattrack.rng import PURPOSE_TEST, stream
 from heattrack.spectral import (
     DomainSpec,
@@ -14,17 +17,14 @@ from heattrack.spectral import (
     as_points,
     enumerate_modes,
     eval_modes,
-    gauss_legendre_grid,
     line_fit,
     march_forced,
     phi1,
     phi2,
-    project_function,
-    resolvent_apply,
-    semigroup_apply,
 )
 
-from stepping import step_march
+from quadrature import gauss_legendre_grid
+from stepping import semigroup_apply, step_march
 
 
 # ---------------------------------------------------------------------------
@@ -136,10 +136,16 @@ def test_quadrature_orthonormality(domain, order, k):
     assert_allclose(gram, np.eye(k), atol=1e-10)
 
 
+def _project(f, table, quad_order):
+    """L2 projection of f onto the table's modes by Gauss quadrature."""
+    pts, w = gauss_legendre_grid(table.domain, quad_order)
+    return eval_modes(table, pts).T @ (w * f(pts))
+
+
 def test_project_linear_profile_matches_hand_integrals():
     """f(x) = x on [0,1] has a cosine series computable in closed form."""
     table = enumerate_modes(DomainSpec.interval(1.0), 8)
-    coeffs = project_function(lambda p: p[:, 0], table, quad_order=64).coeffs
+    coeffs = _project(lambda p: p[:, 0], table, quad_order=64)
     expected = np.zeros(8)
     expected[0] = 0.5  # <x, 1> on [0,1]
     for k in range(1, 8):
@@ -152,10 +158,9 @@ def test_projection_roundtrip_recovers_band_limited_fields(table32):
     rng = np.random.default_rng(5)
     coeffs = np.zeros(32)
     coeffs[:10] = rng.standard_normal(10)
-    field = SpectralField(table32, coeffs)
-    back = project_function(lambda p: field.evaluate(p), table32,
-                            quad_order=64)
-    assert_allclose(back.coeffs, coeffs, atol=1e-12)
+    back = _project(lambda p: eval_modes(table32, p) @ coeffs, table32,
+                    quad_order=64)
+    assert_allclose(back, coeffs, atol=1e-12)
 
 
 def test_gauss_grid_integrates_the_constant(unit_interval):
@@ -167,17 +172,25 @@ def test_gauss_grid_integrates_the_constant(unit_interval):
 
 
 # ---------------------------------------------------------------------------
-# norms
+# norms: the H and Vdual sizes that a trajectory record reports
+
+
+def _free_record(table, coeffs):
+    """Norm samples of the uncontrolled, unforced flow from ``coeffs``."""
+    acts = ActuatorSet(table.domain, [[0.3]])
+    system = assemble_closed_loop(sampling_matrix(acts, table, 1), 0.0,
+                                  np.zeros(1), u_ff=np.zeros(1))
+    return simulate_closed_loop(system, SpectralField(table, coeffs), 0.01,
+                                0.01)
 
 
 def test_norm_values_single_mode(table32):
     coeffs = np.zeros(32)
     coeffs[5] = -3.0
     lam = table32.eigenvalues[5]
-    z = SpectralField(table32, coeffs)
-    assert_allclose(z.norm("H"), 3.0, rtol=1e-15)
-    assert_allclose(z.norm("Vdual"), 3.0 / (1.0 + lam), rtol=1e-15)
-    assert_allclose(z.norm("graph"), 3.0 * (1.0 + lam), rtol=1e-15)
+    record = _free_record(table32, coeffs)
+    assert_allclose(record.norms_h[0], 3.0, rtol=1e-15)
+    assert_allclose(record.norms_vdual[0], 3.0 / (1.0 + lam), rtol=1e-15)
 
 
 @settings(max_examples=60, deadline=None)
@@ -187,22 +200,15 @@ def test_norm_ordering_holds_for_any_coefficients(vals):
     table = enumerate_modes(DomainSpec.interval(1.0), 12)
     coeffs = np.zeros(12)
     coeffs[:len(vals)] = vals
-    z = SpectralField(table, coeffs)
-    # resolvent weight <= 1 <= graph weight on every mode
-    assert z.norm("Vdual") <= z.norm("H") + 1e-9 * z.norm("H")
-    assert z.norm("H") <= z.norm("graph") + 1e-9 * z.norm("graph")
+    record = _free_record(table, coeffs)
+    # resolvent weight <= 1 on every mode
+    assert np.all(record.norms_vdual <= record.norms_h * (1.0 + 1e-9))
 
 
 def test_unknown_norm_kind_raises(table32):
-    with pytest.raises(ValueError):
-        SpectralField(table32).norm("L2")
-
-
-def test_field_algebra_rejects_table_mismatch(unit_interval):
-    a = SpectralField(enumerate_modes(unit_interval, 4))
-    b = SpectralField(enumerate_modes(unit_interval, 8))
-    with pytest.raises(ValueError):
-        _ = a + b
+    record = _free_record(table32, np.ones(32))
+    with pytest.raises(ValueError, match="norm"):
+        decay_rate_fit(record, "L2")
 
 
 def test_as_points_coercion_rules():
@@ -368,13 +374,6 @@ def test_semigroup_is_a_flow(table32):
     assert_allclose(once.coeffs, twice.coeffs, rtol=1e-11)
     with pytest.raises(ValueError):
         semigroup_apply(z, -0.1)
-
-
-def test_resolvent_divides_by_one_plus_eigenvalue(table32):
-    z = SpectralField(table32, np.ones(32))
-    out = resolvent_apply(z)
-    assert_allclose(out.coeffs, 1.0 / (1.0 + table32.eigenvalues),
-                    rtol=1e-15)
 
 
 def test_step_rejects_bad_arguments(table32):
