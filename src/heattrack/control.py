@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (InsufficientSignalError, NonConvergenceError,
                      SingularSystemError)
@@ -40,6 +41,40 @@ __all__ = [
 ]
 
 
+class _Spectrum(NamedTuple):
+    """Eigen-decomposition a_cl = diag(1/root_w) @ vecs @ diag(mu) @ vecs.T
+    @ diag(root_w), with mu ascending and vecs orthogonal."""
+
+    mu: np.ndarray
+    vecs: np.ndarray
+    root_w: np.ndarray      # W^(1/2) = (1 + lambda)^(-1/2)
+    singular: bool          # smallest |mu| at roundoff of the largest
+
+    def to_w(self, z: np.ndarray) -> np.ndarray:
+        """Eigen-coordinates vecs.T @ W^(1/2) z of states on the last axis."""
+        return (z * self.root_w) @ self.vecs
+
+    def from_w(self, w: np.ndarray) -> np.ndarray:
+        return (w @ self.vecs.T) / self.root_w
+
+
+def _w_eigh(a_cl: np.ndarray, lam: np.ndarray) -> _Spectrum:
+    """Spectrum of the loop generator in the resolvent frame.
+
+    The feedback samples W z at the actuators, W = diag(1/(1 + lambda)),
+    so a_cl = -Lambda - gain * E E^T W and S = W^(1/2) a_cl W^(-1/2) is
+    symmetric: the loop is self-adjoint in <x, y>_W = x^T W y.  S is
+    symmetrised against roundoff before one ``eigh``; every eigenvalue is
+    real and, for a nonnegative gain, nonpositive.
+    """
+    root_w = 1.0 / np.sqrt(1.0 + lam)
+    s = root_w[:, None] * a_cl / root_w[None, :]
+    mu, vecs = np.linalg.eigh(0.5 * (s + s.T))
+    scale = np.abs(mu)
+    singular = bool(np.min(scale) <= 1e-13 * max(np.max(scale), 1.0))
+    return _Spectrum(mu, vecs, root_w, singular)
+
+
 @dataclass(frozen=True)
 class ClosedLoopSystem:
     """Assembled error dynamics dz/dt = a_cl @ z + forcing."""
@@ -54,6 +89,19 @@ class ClosedLoopSystem:
     @property
     def table(self):
         return self.matrices.table
+
+    @cached_property
+    def _spectrum(self) -> _Spectrum:
+        # One eigh per loop, shared by every consumer below.
+        return _w_eigh(self.a_cl, self.table.eigenvalues)
+
+    def _equilibrium_w(self) -> np.ndarray:
+        """Eigen-coordinates of the stationary state; raises when singular."""
+        spec = self._spectrum
+        if spec.singular:
+            raise SingularSystemError("closed-loop generator is singular",
+                                      float(np.min(np.abs(spec.mu))))
+        return -spec.to_w(self.forcing) / spec.mu
 
 
 def _input_matrix(matrices: SamplingMatrices) -> np.ndarray:
@@ -70,8 +118,8 @@ def assemble_closed_loop(matrices: SamplingMatrices, gain: float,
     for that reference is computed, in which case the first N forcing
     entries must cancel; that cancellation is checked to 1e-10.
     """
-    if gain < 0:
-        raise ValueError("feedback gain must be nonnegative")
+    if not (np.isfinite(gain) and gain >= 0):
+        raise ValueError("feedback gain must be finite and nonnegative")
     table = matrices.table
     lam = table.eigenvalues
     n = matrices.n_modes
@@ -117,8 +165,8 @@ def _solve_square(a: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
 
 def equilibrium(system: ClosedLoopSystem) -> SpectralField:
     """Stationary error state, the solution of a_cl z = -forcing."""
-    z = _solve_square(system.a_cl, -system.forcing, "closed-loop generator")
-    return SpectralField(system.table, z)
+    return SpectralField(system.table,
+                         system._spectrum.from_w(system._equilibrium_w()))
 
 
 @dataclass
@@ -134,24 +182,6 @@ class TrajectoryRecord:
     system: ClosedLoopSystem = field(repr=False, default=None)
 
 
-def _step_operators(a_cl: np.ndarray, forcing: np.ndarray, dt: float):
-    propagator = scipy.linalg.expm(a_cl * dt)
-    if not np.any(forcing):
-        return propagator, np.zeros_like(forcing)
-    s = np.linalg.svd(a_cl, compute_uv=False)
-    if s[-1] > 1e-12 * max(s[0], 1.0):
-        affine = np.linalg.solve(a_cl, (propagator - np.eye(len(forcing))) @ forcing)
-    else:
-        # Singular generator: the step integral of exp(a_cl s) @ forcing
-        # is the top-right block of one augmented exponential.
-        k = len(forcing)
-        aug = np.zeros((k + 1, k + 1))
-        aug[:k, :k] = a_cl * dt
-        aug[:k, k] = forcing * dt
-        affine = scipy.linalg.expm(aug)[:k, k]
-    return propagator, affine
-
-
 def time_grid(horizon: float, dt: float) -> np.ndarray:
     """Sample times 0, dt, ..., horizon; ValueError unless dt divides it."""
     if not (dt > 0 and horizon > 0):
@@ -164,27 +194,33 @@ def time_grid(horizon: float, dt: float) -> np.ndarray:
 
 def simulate_closed_loop(system: ClosedLoopSystem, z0: SpectralField,
                          horizon: float, dt: float) -> TrajectoryRecord:
-    """March the closed loop on a uniform grid with exact step propagators.
+    """Sample the closed loop exactly on a uniform grid.
 
-    One matrix exponential is computed per call; each step is then a dense
-    multiply plus the constant affine increment, so the discretization is
-    exact for the assembled linear dynamics at the grid times.
+    In the eigen-coordinates w of the self-adjoint loop every mode obeys
+    w' = mu w + f, so ``w(t) = exp(mu t) w0 + expm1(mu t) / mu * f`` (with
+    ``t f`` where mu = 0), evaluated at every grid time at once.  With
+    mu <= 0 nothing overflows.  The offset from the stationary state,
+    whose norms the record keeps, is formed directly as
+    ``exp(mu t) (w0 - w_inf)``.
     """
     times = time_grid(horizon, dt)
     if not z0.table.matches(system.table):
         raise ValueError("initial state uses a different mode table")
-    k = system.table.size
-    propagator, affine = _step_operators(system.a_cl, system.forcing, dt)
-    states = np.empty((times.shape[0], k))
-    states[0] = z0.coeffs
-    for i in range(times.shape[0] - 1):
-        states[i + 1] = propagator @ states[i] + affine
-
-    try:
-        z_inf = _solve_square(system.a_cl, -system.forcing, "generator")
-    except SingularSystemError:
-        z_inf = None
-    offset = states - (z_inf if z_inf is not None else 0.0)
+    spec = system._spectrum
+    w0 = spec.to_w(z0.coeffs)
+    f = spec.to_w(system.forcing)
+    mu_t = np.outer(times, spec.mu)
+    decay = np.exp(mu_t)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        phi_t = np.where(spec.mu == 0.0, times[:, None],
+                         np.expm1(mu_t) / spec.mu)
+    states = spec.from_w(decay * w0 + phi_t * f)
+    if spec.singular:
+        z_inf, offset = None, states
+    else:
+        w_inf = system._equilibrium_w()
+        z_inf = spec.from_w(w_inf)
+        offset = spec.from_w(decay * (w0 - w_inf))
     lam = system.table.eigenvalues
     norms_h = np.linalg.norm(offset, axis=1)
     norms_vdual = np.linalg.norm(offset / (1.0 + lam)[None, :], axis=1)
@@ -236,23 +272,19 @@ class BiasMatrix:
 def assemble_bias_matrix(matrices: SamplingMatrices, gain: float) -> BiasMatrix:
     """Probe each controlled mode once and collect stationary low modes."""
     n = matrices.n_modes
-    t_mat = np.empty((n, n))
-    u_cols = np.empty((matrices.actuators.count, n))
     base = assemble_closed_loop(matrices, gain, np.zeros(n),
                                 u_ff=np.zeros(matrices.actuators.count))
-    lu = scipy.linalg.lu_factor(base.a_cl)
-    lam = matrices.table.eigenvalues
-    e_mat = _input_matrix(matrices)
-    for k in range(n):
-        a_ref = np.zeros(n)
-        a_ref[k] = 1.0
-        u_ff = min_norm_feedforward(a_ref, matrices)
-        ref_full = np.zeros(matrices.table.size)
-        ref_full[:n] = a_ref
-        forcing = -lam * ref_full + e_mat @ u_ff
-        z_inf = scipy.linalg.lu_solve(lu, -forcing)
-        t_mat[:, k] = z_inf[:n]
-        u_cols[:, k] = u_ff
+    eye = np.eye(n)
+    u_cols = np.stack([min_norm_feedforward(eye[k], matrices)
+                       for k in range(n)], axis=1)
+    # Column k of the forcing is -lambda * e_k + E u_k; one solve for all.
+    forcing = _input_matrix(matrices) @ u_cols
+    forcing[:n] -= np.diag(matrices.table.eigenvalues[:n])
+    try:
+        t_mat = np.linalg.solve(base.a_cl, -forcing)[:n]
+    except np.linalg.LinAlgError:
+        raise SingularSystemError(
+            "closed-loop generator is singular") from None
     return BiasMatrix(matrices, float(gain), t_mat,
                       float(np.linalg.norm(t_mat, 2)), u_cols)
 
@@ -328,8 +360,11 @@ def tail_mismatch_report(system: ClosedLoopSystem, bias: BiasMatrix,
     tail_vdual = float(np.linalg.norm(y_inf[n:] / (1.0 + lam[n:])))
 
     w = 1.0 / (1.0 + lam)
-    a_inv = np.linalg.inv(system.a_cl)
-    c_cl = float(np.linalg.norm((w[:, None] * a_inv) / w[None, :], 2))
+    # W a_cl^-1 W^-1 = W^(1/2) S^-1 W^(-1/2), S^-1 from the loop spectrum.
+    spec = system._spectrum
+    s_inv = (spec.vecs / spec.mu) @ spec.vecs.T
+    c_cl = float(np.linalg.norm(
+        (spec.root_w[:, None] * s_inv) / spec.root_w[None, :], 2))
     e_mat = _input_matrix(system.matrices)
     tail_b = float(np.linalg.norm(w[n:, None] * e_mat[n:, :], 2))
     phi_pinv = np.linalg.pinv(system.matrices.phi)
@@ -366,7 +401,7 @@ class ContractionDiagnostics:
     u_n_norm: float
     resolvent_norm: float      # norm of the full inverse generator, inf if singular
     alpha: float               # spectral abscissa magnitude
-    m_est: float               # sampled semigroup overshoot constant
+    m_est: float               # W-frame semigroup constant, inf if alpha <= 0
     sigma_min: float
     bound_tail_margin: float   # lam_next - beta
     bound_a: float
@@ -387,6 +422,13 @@ def contraction_diagnostics(system: ClosedLoopSystem) -> ContractionDiagnostics:
     the measured cross block.  Each bound multiplies the input and
     feedforward norms into a bias-matrix estimate; the mechanism holds
     when that estimate is below one.
+
+    Mechanism B works in the W frame, <x, y>_W = x^T W y, in which the loop
+    is self-adjoint: ||exp(a_cl t)||_W = exp(-alpha t), so M = 1 exactly and
+    ||a_cl^-1||_W = 1/alpha.  Its input norm is ||W^(1/2) E||_2, and its
+    feedforward norm u_n_norm * sqrt(1 + lambda) at the largest controlled
+    lambda bounds the map from the reference in the W norm of the
+    controlled modes, so bound_b certifies the bias matrix in that norm.
     """
     n = system.matrices.n_modes
     k = system.table.size
@@ -429,16 +471,9 @@ def contraction_diagnostics(system: ClosedLoopSystem) -> ContractionDiagnostics:
     else:
         resolvent_norm = np.inf
         inconclusive.append("resolvent")
-    eigvals = np.linalg.eigvals(a_cl)
-    alpha = float(-np.max(eigvals.real))
-    if alpha > 0:
-        # Crude overshoot estimate on a coarse grid of the decay window.
-        m_est = 1.0
-        for t in np.linspace(0.0, 5.0 / alpha, 11)[1:]:
-            m_est = max(m_est, float(np.linalg.norm(
-                scipy.linalg.expm(a_cl * t), 2) * np.exp(alpha * t)))
-    else:
-        m_est = np.inf
+    alpha = float(-system._spectrum.mu[-1])
+    m_est = 1.0 if alpha > 0 else np.inf
+    if alpha <= 0:
         inconclusive.append("abscissa")
 
     margin = lam_next - beta
@@ -450,7 +485,10 @@ def contraction_diagnostics(system: ClosedLoopSystem) -> ContractionDiagnostics:
         bound_a = np.inf
         if "schur" not in inconclusive:
             inconclusive.append("tail-margin")
-    bound_b = (m_est / alpha) * b_norm * u_n_norm if alpha > 0 else np.inf
+    b_norm_w = float(np.linalg.norm(
+        system._spectrum.root_w[:, None] * e_mat, 2))
+    bound_b = ((m_est / alpha) * b_norm_w * u_n_norm
+               * np.sqrt(1.0 + lam_low_max) if alpha > 0 else np.inf)
     bound_c = l_n * b_norm * u_n_norm if np.isfinite(l_n) else np.inf
 
     return ContractionDiagnostics(
@@ -498,14 +536,14 @@ def doubling_gain_search(matrices: SamplingMatrices, target_mu: float,
     while gain <= cap:
         system = assemble_closed_loop(matrices, gain, zeros,
                                       u_ff=np.zeros(matrices.actuators.count))
-        eigvals, eigvecs = np.linalg.eig(system.a_cl)
-        slow = int(np.argmax(eigvals.real))
-        rate = -float(eigvals.real[slow])
+        spec = system._spectrum
+        rate = -float(spec.mu[-1])
         if rate <= 1e-12:
             trace.append((gain, 0.0, np.inf))
             gain *= 2.0
             continue
-        z0 = np.real(eigvecs[:, slow])
+        # Slowest eigenvector of a_cl: W^(-1/2) times that of S.
+        z0 = spec.vecs[:, -1] / spec.root_w
         z0 = z0 / np.linalg.norm(z0 / (1.0 + matrices.table.eigenvalues))
         horizon = 2.0 / rate
         dt = horizon / samples

@@ -93,9 +93,9 @@ def _numbers(values, name: str, kind=float, finite: bool = False) -> tuple:
 
 
 def _rows(rows, name: str) -> tuple:
-    """One coordinate list per point; a bare number is a 1-D point."""
+    """One finite coordinate list per point; a bare number is a 1-D point."""
     return tuple(_numbers(row if isinstance(row, (list, tuple)) else [row],
-                          name)
+                          name, finite=True)
                  for row in _list(rows, name))
 
 
@@ -188,7 +188,8 @@ class ControlBlock:
         if vals["gain"] is None and vals["target_rate"] is None:
             raise ConfigError("control needs either gain or target_rate")
         reference, initial = (
-            None if vals[k] is None else _numbers(vals[k], f"control.{k}")
+            None if vals[k] is None
+            else _numbers(vals[k], f"control.{k}", finite=True)
             for k in ("reference", "initial"))
         horizon = _finite(vals["horizon"], "control.horizon")
         dt = _finite(vals["dt"], "control.dt")
@@ -277,10 +278,10 @@ class RestrictionBlock:
         amplitudes = vals["amplitudes"]
         return RestrictionBlock(
             _rows(probes, "restriction.probes"),
-            _numbers(horizons, "restriction.horizons"),
+            _numbers(horizons, "restriction.horizons", finite=True),
             None if sources is None else _rows(sources, "restriction.sources"),
             None if amplitudes is None
-            else _numbers(amplitudes, "restriction.amplitudes"),
+            else _numbers(amplitudes, "restriction.amplitudes", finite=True),
             _number(vals["samples"], "restriction.samples", int),
             _number(vals["quad_order"], "restriction.quad_order", int))
 
@@ -314,7 +315,7 @@ class SweepBlock:
         if kind not in ("delta", "gain", "mesh"):
             raise ConfigError(f"unknown sweep kind {kind!r}")
         values = _numbers(_require(vals["values"], "sweep", "values"),
-                          "sweep.values")
+                          "sweep.values", finite=True)
         if len(values) < 1:
             raise ConfigError("sweep.values must be nonempty")
         return SweepBlock(kind, values)

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from ..control import (ClosedLoopSystem, assemble_bias_matrix,
                        assemble_closed_loop, contraction_diagnostics,
@@ -800,10 +799,15 @@ def coercivity_at_nodes(domain: DomainSpec, nodes, n_modes: int) -> float:
     s = np.linalg.svd(constraints, compute_uv=False)
     if s[-1] <= 1e-10 * max(s[0], 1.0):
         raise DegenerateNodesError("constraint rows are numerically dependent")
-    basis = scipy.linalg.null_space(constraints)
-    a_mat = basis.T @ (graph_w[:, None] * basis)
-    b_mat = basis.T @ (energy_w[:, None] * basis)
-    vals = scipy.linalg.eigh(a_mat, b_mat, eigvals_only=True)
+    # Whiten by the diagonal energy weight: with x = energy_w^(-1/2) y the
+    # quotient is a plain Rayleigh quotient of diag(graph_w / energy_w) on
+    # the null space of the whitened constraints, spanned by the trailing
+    # columns of a complete QR factor of their transpose.
+    root_e = np.sqrt(energy_w)
+    q_full = np.linalg.qr((constraints / root_e).T, mode="complete")[0]
+    basis = q_full[:, nodes.size:]
+    ratio = graph_w / energy_w
+    vals = np.linalg.eigvalsh(basis.T @ (ratio[:, None] * basis))
     return float(vals[0])
 
 

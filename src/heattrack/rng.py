@@ -9,7 +9,9 @@ in parallel.
 
 from __future__ import annotations
 
-import numpy as np
+# Imported eagerly: numpy loads its random module on first attribute
+# access, which would otherwise land inside the first seeded run.
+from numpy.random import Generator, Philox, SeedSequence
 
 # Stable purpose tags.  Values are part of the on-disk reproducibility
 # contract: changing them changes every seeded experiment.
@@ -23,9 +25,9 @@ __all__ = ["stream", "PURPOSE_GENERICITY", "PURPOSE_PERTURBATION",
            "PURPOSE_TRACK_INPUTS", "PURPOSE_CANDIDATES", "PURPOSE_TEST"]
 
 
-def stream(seed: int, purpose: int, index: int = 0) -> np.random.Generator:
+def stream(seed: int, purpose: int, index: int = 0) -> Generator:
     """Return the generator for one (seed, purpose, index) cell."""
     if seed < 0:
         raise ValueError("seed must be a nonnegative integer")
-    seq = np.random.SeedSequence((int(seed), int(purpose), int(index)))
-    return np.random.Generator(np.random.Philox(seq))
+    seq = SeedSequence((int(seed), int(purpose), int(index)))
+    return Generator(Philox(seq))

@@ -1,12 +1,14 @@
-"""Per-step reference for the exact forced-heat march.
+"""Per-step references for the exact forced-heat and closed-loop marches.
 
 One exact step at a time, each sample's modal forcing formed on its own:
 the loop that ``heattrack.spectral.march_forced`` replaces with a prefix
 scan, kept here as its oracle, together with the unforced flow it reduces
-to without inputs.
+to without inputs.  ``expm_march`` steps a dense affine system with one
+matrix exponential, the oracle of the closed-loop eigen-solution.
 """
 
 import numpy as np
+import scipy.linalg
 
 from heattrack.spectral import SpectralField, eval_modes, phi1, phi2
 
@@ -34,3 +36,23 @@ def semigroup_apply(z, t):
     if t < 0:
         raise ValueError("time must be nonnegative")
     return SpectralField(z.table, z.coeffs * np.exp(-z.table.eigenvalues * t))
+
+
+def expm_march(a, forcing, z0, dt, steps):
+    """March dz/dt = a @ z + forcing by its exact step propagator.
+
+    The propagator and the step integral of the constant forcing are the
+    blocks of one augmented exponential, which needs no inverse of ``a``,
+    so singular generators march too.
+    """
+    k = len(forcing)
+    aug = np.zeros((k + 1, k + 1))
+    aug[:k, :k] = a * dt
+    aug[:k, k] = forcing * dt
+    step = scipy.linalg.expm(aug)
+    propagator, affine = step[:k, :k], step[:k, k]
+    states = np.empty((steps + 1, k))
+    states[0] = z0
+    for i in range(steps):
+        states[i + 1] = propagator @ states[i] + affine
+    return states

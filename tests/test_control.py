@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from heattrack.control import (
@@ -26,9 +27,12 @@ from heattrack.errors import (
     NonConvergenceError,
     SingularSystemError,
 )
-from heattrack.placement import ActuatorSet, dct_nodes_interval, sampling_matrix
+from heattrack.placement import (ActuatorSet, dct_grid_box,
+                                  dct_nodes_interval, sampling_matrix)
 from heattrack.spectral import (DomainSpec, SpectralField, enumerate_modes,
-                                eval_modes)
+                                eval_modes, march_forced)
+
+from stepping import expm_march
 
 GAIN = 8.0
 REFERENCE = np.array([0.3, 0.2, -0.1, 0.1])
@@ -39,6 +43,13 @@ def _skewed_matrices(length, points, n_modes=4, k=32):
     table = enumerate_modes(domain, k)
     acts = ActuatorSet(domain, np.asarray(points)[:, None])
     return sampling_matrix(acts, table, n_modes)
+
+
+def _box3_matrices():
+    """128 modes of a 1 x 0.8 x 0.6 box, 8 actuators on the cosine grid."""
+    domain = DomainSpec.box([1.0, 0.8, 0.6])
+    table = enumerate_modes(domain, 128)
+    return sampling_matrix(dct_grid_box((1, 1, 1), domain), table, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +151,74 @@ def test_decay_fit_needs_enough_signal(matrices4):
     record = TrajectoryRecord(times, None, None, norms, norms, None, system)
     with pytest.raises(InsufficientSignalError):
         decay_rate_fit(record, "H")
+
+
+@pytest.mark.parametrize("geometry", ["interval", "box3"])
+def test_generator_is_self_adjoint_in_the_resolvent_frame(matrices4,
+                                                          geometry):
+    """W^(1/2) a_cl W^(-1/2) is symmetric, W = diag(1/(1 + lambda))."""
+    mats = matrices4 if geometry == "interval" else _box3_matrices()
+    system = assemble_closed_loop(mats, GAIN, REFERENCE)
+    root_w = 1.0 / np.sqrt(1.0 + mats.table.eigenvalues)
+    s = root_w[:, None] * system.a_cl / root_w[None, :]
+    assert np.max(np.abs(s - s.T)) <= 1e-14 * np.max(np.abs(s))
+
+
+@pytest.mark.parametrize("geometry,gain", [
+    ("interval", GAIN), ("box3", GAIN), ("interval", 0.0)])
+def test_eigen_solution_matches_the_expm_step_march(matrices4, geometry,
+                                                    gain):
+    """The loop-free closed form agrees with a dense matrix-exponential
+    march; at zero gain the generator is singular (mu = 0) and the
+    constant mode grows linearly under its forcing."""
+    mats = matrices4 if geometry == "interval" else _box3_matrices()
+    rng = np.random.default_rng(11)
+    k, m = mats.table.size, mats.actuators.count
+    system = assemble_closed_loop(mats, gain, REFERENCE,
+                                  u_ff=rng.standard_normal(m))
+    z0 = SpectralField(mats.table, rng.standard_normal(k))
+    record = simulate_closed_loop(system, z0, 1.0, 0.002)
+    oracle = expm_march(system.a_cl, system.forcing, z0.coeffs, 0.002, 500)
+    scale = np.max(np.abs(oracle))
+    assert np.max(np.abs(record.states - oracle)) <= 1e-12 * scale
+    assert (record.z_inf is None) == (gain == 0.0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(gain=st.one_of(st.just(0.0), st.floats(0.0, 64.0)),
+       points=st.lists(st.floats(0.01, 0.99), min_size=1, max_size=4,
+                       unique=True),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_open_loop_replay_of_the_recorded_inputs_tracks_the_loop(gain, points,
+                                                                  seed):
+    """Held-input replay deviates from the loop by at most its sampling
+    error.  The replay error e obeys e' = -Lambda e + E (u_held - u), and
+    the open flow is an H contraction, so ||e|| <= ||E|| * sum of the
+    input jumps; u = u_ff - gain * E^T W z and the loop is a W-frame
+    contraction, so over one step ||u(s) - u(t_i)|| <= gain *
+    ||W^(1/2) E|| * (s - t_i) * ||z'(0)||_W."""
+    table = enumerate_modes(DomainSpec.interval(1.0), 12)
+    acts = ActuatorSet(table.domain, np.asarray(points)[:, None])
+    mats = sampling_matrix(acts, table, len(points))
+    rng = np.random.default_rng(seed)
+    system = assemble_closed_loop(mats, gain, rng.standard_normal(len(points)),
+                                  u_ff=rng.standard_normal(len(points)))
+    z0 = SpectralField(table, rng.standard_normal(table.size))
+    steps, dt = 100, 1e-7
+    record = simulate_closed_loop(system, z0, steps * dt, dt)
+    ref = system.reference.coeffs
+    replay = march_forced(table, acts.points, ref + z0.coeffs, record.inputs,
+                          dt, "constant")
+    dev = np.max(np.linalg.norm(replay - (ref + record.states), axis=1))
+
+    root_w = 1.0 / np.sqrt(1.0 + table.eigenvalues)
+    e_mat = eval_modes(table, acts.points).T
+    rate0 = np.linalg.norm(root_w * (system.a_cl @ z0.coeffs + system.forcing))
+    bound = (np.linalg.norm(e_mat, 2) * gain
+             * np.linalg.norm(root_w[:, None] * e_mat, 2)
+             * steps * dt ** 2 / 2.0 * rate0)
+    scale = np.max(np.linalg.norm(ref + record.states, axis=1))
+    assert dev <= bound + 1e-12 * scale
 
 
 def test_closed_loop_spectrum_is_real_with_dct_nodes(matrices4):

@@ -480,6 +480,15 @@ def test_gain_sweep_honours_a_disabled_fixed_point():
         assert abs(metric_off - metric_on) > 1e-6 * metric_on
 
 
+def test_gain_sweep_records_a_singular_zero_gain_and_keeps_going():
+    # at zero gain the constant mode is neither damped nor fed back
+    sweep = {"kind": "gain", "values": [0.0, 4.0, 8.0, 16.0]}
+    result, _ = exp.run_sweep(_config(sweep=sweep))
+    assert result.statuses == ("SingularSystemError", "ok", "ok", "ok")
+    assert np.isnan(result.metrics[0])
+    assert result.fitted
+
+
 def test_mesh_sweep_records_failures_and_keeps_going(unit_interval):
     config = _config(sweep={"kind": "mesh", "values": [1, 8, 16, 32]},
                      coercivity={"cells": [4], "modes_per_cell": 2})
@@ -627,12 +636,21 @@ def test_cli_rejects_bad_configs(tmp_path, capsys):
     ("actuators", "count", True),
     ("coercivity", "cells", [8.9]),
     ("restriction", "samples", 48.5),
+    ("sweep", "values", [float("nan"), 4.0, 8.0]),
+    ("restriction", "horizons", [float("nan"), 0.01, 0.005]),
+    ("restriction", "probes", [[float("inf")]]),
+    ("restriction", "sources", [[float("nan")], [0.6]]),
+    ("restriction", "amplitudes", [float("inf"), 1.0]),
+    ("control", "reference", [float("nan"), 0.2, -0.1, 0.1]),
+    ("actuators", "points", [[float("inf")]]),
 ], ids=lambda v: str(v))
 def test_cli_rejects_malformed_values_as_config_errors(tmp_path, capsys,
                                                        block, key, value):
-    # a valid restriction block, so that only the bad value can fail it
+    # valid restriction and sweep blocks, so that only the bad value can
+    # fail them
     data = _mapping(restriction={"probes": [[0.5]],
-                                 "horizons": [0.02, 0.01, 0.005]})
+                                 "horizons": [0.02, 0.01, 0.005]},
+                    sweep={"kind": "gain", "values": [4.0, 8.0]})
     if block is None:
         data[key] = value
     else:
@@ -701,6 +719,23 @@ def test_cli_nan_diffusivity_exits_promptly(tmp_path):
         capture_output=True, text=True, env=env, timeout=30)
     assert proc.returncode == 2, proc.stderr
     assert "kappa" in proc.stderr
+
+
+def test_track_runs_without_importing_scipy(tmp_path):
+    """scipy is a test oracle only: the CLI path must never import it."""
+    code = ("import sys\n"
+            "from heattrack.harness import cli\n"
+            f"rc = cli.main(['track', '--config', 'default', '--out', "
+            f"{str(tmp_path / 'out')!r}])\n"
+            "assert rc == 0, rc\n"
+            "loaded = sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+            "assert not loaded, loaded\n")
+    package_root = os.path.dirname(os.path.dirname(heattrack.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_cli_reports_run_failures(tmp_path, capsys):
