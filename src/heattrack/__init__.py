@@ -12,8 +12,8 @@ from .errors import (ConfigError, DegenerateNodesError, HeattrackError,
                      InsufficientDataError, InsufficientSignalError,
                      NonConvergenceError, RankDeficiencyError,
                      SingularSystemError, StageError)
-from .spectral import (DomainSpec, ModeTable, SpectralField, enumerate_modes,
-                       eval_modes, march_forced)
+from .spectral import (DomainSpec, ModeTable, enumerate_modes, eval_modes,
+                       march_forced)
 from .placement import (ActuatorSet, SamplingMatrices, dct_grid_box,
                         dct_nodes_interval, genericity_monte_carlo,
                         greedy_placement, min_norm_feedforward,

@@ -9,7 +9,7 @@ over the mode table carried by the sampling data.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -18,7 +18,7 @@ import numpy as np
 from .errors import (InsufficientSignalError, NonConvergenceError,
                      SingularSystemError)
 from .placement import SamplingMatrices, min_norm_feedforward
-from .spectral import SpectralField, eval_modes, line_fit, march_forced
+from .spectral import eval_modes, line_fit, march_forced
 
 __all__ = [
     "ClosedLoopSystem",
@@ -81,7 +81,7 @@ class ClosedLoopSystem:
 
     matrices: SamplingMatrices
     gain: float
-    reference: SpectralField
+    reference: np.ndarray       # (K,) target coefficients, zero past N
     u_ff: np.ndarray
     a_cl: np.ndarray
     forcing: np.ndarray
@@ -123,18 +123,10 @@ def assemble_closed_loop(matrices: SamplingMatrices, gain: float,
     table = matrices.table
     lam = table.eigenvalues
     n = matrices.n_modes
-    if reference is None:
-        a_ref = np.zeros(n)
-    elif isinstance(reference, SpectralField):
-        if not reference.table.matches(table):
-            raise ValueError("reference uses a different mode table")
-        if np.any(reference.coeffs[n:] != 0.0):
-            raise ValueError("reference must lie in the controlled mode span")
-        a_ref = reference.coeffs[:n].copy()
-    else:
-        a_ref = np.asarray(reference, dtype=float)
-        if a_ref.shape != (n,):
-            raise ValueError("reference coefficients must have length n_modes")
+    a_ref = np.asarray(np.zeros(n) if reference is None else reference,
+                       dtype=float)
+    if a_ref.shape != (n,):
+        raise ValueError("reference coefficients must have length n_modes")
 
     check_cancellation = u_ff is None
     if u_ff is None:
@@ -151,8 +143,7 @@ def assemble_closed_loop(matrices: SamplingMatrices, gain: float,
         if np.max(np.abs(forcing[:n])) > 1e-10 * scale:
             raise SingularSystemError(
                 "feedforward failed to cancel the controlled-mode forcing")
-    return ClosedLoopSystem(matrices, float(gain),
-                            SpectralField(table, ref_full), u_ff, a_cl,
+    return ClosedLoopSystem(matrices, float(gain), ref_full, u_ff, a_cl,
                             forcing)
 
 
@@ -163,10 +154,9 @@ def _solve_square(a: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
     return np.linalg.solve(a, rhs)
 
 
-def equilibrium(system: ClosedLoopSystem) -> SpectralField:
+def equilibrium(system: ClosedLoopSystem) -> np.ndarray:
     """Stationary error state, the solution of a_cl z = -forcing."""
-    return SpectralField(system.table,
-                         system._spectrum.from_w(system._equilibrium_w()))
+    return system._spectrum.from_w(system._equilibrium_w())
 
 
 @dataclass
@@ -179,40 +169,45 @@ class TrajectoryRecord:
     norms_h: np.ndarray         # H norm of z - z_inf per sample
     norms_vdual: np.ndarray     # Vdual norm of z - z_inf per sample
     z_inf: np.ndarray | None    # None when the generator is singular
-    system: ClosedLoopSystem = field(repr=False, default=None)
 
 
 def time_grid(horizon: float, dt: float) -> np.ndarray:
     """Sample times 0, dt, ..., horizon; ValueError unless dt divides it."""
     if not (dt > 0 and horizon > 0):
         raise ValueError("horizon and dt must be positive")
+    if not np.isfinite(horizon / dt):
+        raise ValueError("horizon / dt must be finite")
     steps = int(round(horizon / dt))
     if steps < 1 or abs(steps * dt - horizon) > 1e-9 * max(1.0, horizon):
         raise ValueError("horizon must be an integer number of steps")
     return np.arange(steps + 1) * dt
 
 
-def simulate_closed_loop(system: ClosedLoopSystem, z0: SpectralField,
+def simulate_closed_loop(system: ClosedLoopSystem, z0: np.ndarray,
                          horizon: float, dt: float) -> TrajectoryRecord:
     """Sample the closed loop exactly on a uniform grid.
 
     In the eigen-coordinates w of the self-adjoint loop every mode obeys
     w' = mu w + f, so ``w(t) = exp(mu t) w0 + expm1(mu t) / mu * f`` (with
-    ``t f`` where mu = 0), evaluated at every grid time at once.  With
-    mu <= 0 nothing overflows.  The offset from the stationary state,
-    whose norms the record keeps, is formed directly as
+    ``t f`` where mu t underflows to 0), evaluated at every grid time at
+    once.  With mu <= 0 nothing overflows.  The offset from the stationary
+    state, whose norms the record keeps, is formed directly as
     ``exp(mu t) (w0 - w_inf)``.
     """
     times = time_grid(horizon, dt)
-    if not z0.table.matches(system.table):
-        raise ValueError("initial state uses a different mode table")
+    z0 = np.asarray(z0, dtype=float)
+    if z0.shape != (system.table.size,):
+        raise ValueError("initial state must have one coefficient per mode")
     spec = system._spectrum
-    w0 = spec.to_w(z0.coeffs)
+    w0 = spec.to_w(z0)
     f = spec.to_w(system.forcing)
     mu_t = np.outer(times, spec.mu)
     decay = np.exp(mu_t)
+    # A subnormal mu lets mu t underflow, and expm1(mu t) / mu read 0, not
+    # t.  Two comparisons, not abs(): no (Q+1, K) float temporary.
+    tiny = np.finfo(float).tiny
     with np.errstate(divide="ignore", invalid="ignore"):
-        phi_t = np.where(spec.mu == 0.0, times[:, None],
+        phi_t = np.where((-tiny < mu_t) & (mu_t < tiny), times[:, None],
                          np.expm1(mu_t) / spec.mu)
     states = spec.from_w(decay * w0 + phi_t * f)
     if spec.singular:
@@ -226,7 +221,7 @@ def simulate_closed_loop(system: ClosedLoopSystem, z0: SpectralField,
     norms_vdual = np.linalg.norm(offset / (1.0 + lam)[None, :], axis=1)
     inputs = system.u_ff[None, :] - system.gain * (states @ system.matrices.d_matrix.T)
     return TrajectoryRecord(times, states, inputs, norms_h, norms_vdual,
-                            z_inf, system)
+                            z_inf)
 
 
 def decay_rate_fit(record: TrajectoryRecord, norm: str = "Vdual",
@@ -262,11 +257,8 @@ class BiasMatrix:
     ``norm`` is the spectral norm, the Picard contraction factor.
     """
 
-    matrices: SamplingMatrices
-    gain: float
     matrix: np.ndarray
     norm: float
-    u_columns: np.ndarray  # (M, N), feedforward used per probe column
 
 
 def assemble_bias_matrix(matrices: SamplingMatrices, gain: float) -> BiasMatrix:
@@ -285,8 +277,7 @@ def assemble_bias_matrix(matrices: SamplingMatrices, gain: float) -> BiasMatrix:
     except np.linalg.LinAlgError:
         raise SingularSystemError(
             "closed-loop generator is singular") from None
-    return BiasMatrix(matrices, float(gain), t_mat,
-                      float(np.linalg.norm(t_mat, 2)), u_cols)
+    return BiasMatrix(t_mat, float(np.linalg.norm(t_mat, 2)))
 
 
 @dataclass
@@ -294,7 +285,6 @@ class FixedPointResult:
     a_star: np.ndarray
     used_picard: bool
     picard_errors: np.ndarray  # distance of each iterate to the direct solve
-    iterations: int
 
 
 def fixed_point_reference(bias: BiasMatrix, a_target, picard: bool = False,
@@ -313,11 +303,11 @@ def fixed_point_reference(bias: BiasMatrix, a_target, picard: bool = False,
     a_star = _solve_square(np.eye(n) + bias.matrix, a_target,
                            "I + bias matrix")
     if not picard:
-        return FixedPointResult(a_star, False, np.empty(0), 0)
+        return FixedPointResult(a_star, False, np.empty(0))
     if bias.norm >= 1.0:
         warnings.warn("bias matrix norm >= 1; Picard skipped, direct solve "
                       "returned", RuntimeWarning, stacklevel=2)
-        return FixedPointResult(a_star, False, np.empty(0), 0)
+        return FixedPointResult(a_star, False, np.empty(0))
     errors = []
     y = a_target.copy()
     for _ in range(max_iter):
@@ -328,7 +318,7 @@ def fixed_point_reference(bias: BiasMatrix, a_target, picard: bool = False,
     else:
         raise NonConvergenceError("Picard iteration hit the iteration cap",
                                   best=y)
-    return FixedPointResult(a_star, True, np.asarray(errors), len(errors) - 1)
+    return FixedPointResult(a_star, True, np.asarray(errors))
 
 
 @dataclass(frozen=True)
@@ -353,8 +343,7 @@ def tail_mismatch_report(system: ClosedLoopSystem, bias: BiasMatrix,
     a_target = np.asarray(a_target, dtype=float)
     n = system.matrices.n_modes
     lam = system.table.eigenvalues
-    z_inf = equilibrium(system).coeffs
-    y_inf = system.reference.coeffs + z_inf
+    y_inf = system.reference + equilibrium(system)
 
     low_mismatch = float(np.linalg.norm(y_inf[:n] - a_target))
     tail_vdual = float(np.linalg.norm(y_inf[n:] / (1.0 + lam[n:])))
@@ -501,19 +490,21 @@ def contraction_diagnostics(system: ClosedLoopSystem) -> ContractionDiagnostics:
         mechanism_c=bool(bound_c < 1.0), inconclusive=tuple(inconclusive))
 
 
-def cross_integrator_check(system: ClosedLoopSystem, z0: SpectralField,
-                           steps: int = 100, dt: float = 1e-6) -> float:
+def cross_integrator_check(system: ClosedLoopSystem, z0: np.ndarray,
+                           steps: int = 100, dt: float = 1e-7) -> float:
     """Replay recorded inputs through the open-loop marcher.
 
     The closed-loop trajectory is reconstructed in absolute coordinates by
     the exact Duhamel march of the recorded inputs, each held over its step.
     Both integrators agree to the input sampling error, which this check
-    returns as the maximum H-norm deviation over the horizon.
+    returns as the maximum H-norm deviation over the horizon.  The default
+    step is small enough that this held-input sampling error stays below
+    the packaged ``tolerances.cross_integrator``.
     """
     record = simulate_closed_loop(system, z0, steps * dt, dt)
-    ref = system.reference.coeffs
+    ref = system.reference
     replay = march_forced(system.table, system.matrices.actuators.points,
-                          ref + z0.coeffs, record.inputs, dt, "constant")
+                          ref + z0, record.inputs, dt, "constant")
     dev = np.linalg.norm(replay[1:] - (ref + record.states[1:]), axis=1)
     return float(np.max(dev))
 
@@ -547,8 +538,7 @@ def doubling_gain_search(matrices: SamplingMatrices, target_mu: float,
         z0 = z0 / np.linalg.norm(z0 / (1.0 + matrices.table.eigenvalues))
         horizon = 2.0 / rate
         dt = horizon / samples
-        record = simulate_closed_loop(
-            system, SpectralField(matrices.table, z0), horizon, dt)
+        record = simulate_closed_loop(system, z0, horizon, dt)
         mu_hat, residual = decay_rate_fit(record, "Vdual")
         trace.append((gain, mu_hat, residual))
         if mu_hat >= target_mu:

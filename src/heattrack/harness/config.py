@@ -326,16 +326,15 @@ class TolerancesBlock:
     cross_integrator: float
     convergence: float
     low_mode: float
-    resolution: float
 
     @staticmethod
     def parse(block: dict) -> "TolerancesBlock":
         vals = _take(block, "tolerances",
                      {"cross_integrator": 1e-8, "convergence": 1e-6,
-                      "low_mode": 1e-8, "resolution": 1e-6})
+                      "low_mode": 1e-8})
         return TolerancesBlock(*(_finite(vals[k], f"tolerances.{k}") for k in
                                  ("cross_integrator", "convergence",
-                                  "low_mode", "resolution")))
+                                  "low_mode")))
 
 
 _BLOCK_PARSERS = {

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import rng
 from .errors import RankDeficiencyError
-from .spectral import DomainSpec, ModeTable, SpectralField, as_points, eval_modes
+from .spectral import DomainSpec, ModeTable, as_points, eval_modes
 
 __all__ = [
     "ActuatorSet",
@@ -146,14 +146,9 @@ def min_norm_feedforward(y_ref, matrices: SamplingMatrices,
     minimum Euclidean norm one is returned.  The sampling matrix must have
     full row rank, and the solved system is re-checked to ``residual_tol``.
     """
-    if isinstance(y_ref, SpectralField):
-        if not y_ref.table.matches(matrices.table):
-            raise ValueError("reference field uses a different mode table")
-        coeffs = y_ref.coeffs[:matrices.n_modes]
-    else:
-        coeffs = np.asarray(y_ref, dtype=float)
-        if coeffs.shape != (matrices.n_modes,):
-            raise ValueError("reference coefficients must have length n_modes")
+    coeffs = np.asarray(y_ref, dtype=float)
+    if coeffs.shape != (matrices.n_modes,):
+        raise ValueError("reference coefficients must have length n_modes")
     if matrices.sigma_min <= 1e-12 * max(1.0, np.linalg.norm(matrices.phi, 2)):
         raise RankDeficiencyError("sampling matrix is not full row rank",
                                   matrices.sigma_min)

@@ -32,11 +32,9 @@ from .spectral import EXP_FLOOR, uniform_step
 
 __all__ = [
     "PlasmonicConfig",
-    "VolterraSolution",
     "ActuationMap",
     "volterra_solve",
     "effective_dictionary",
-    "heat_inputs_from_sigma",
     "unit_heat_inputs",
     "calibrate_k0",
     "invert_actuation",
@@ -171,13 +169,6 @@ def _effective_coupling(config: PlasmonicConfig) -> np.ndarray:
     return config.coupling + config.delta ** config.mu * pert
 
 
-@dataclass
-class VolterraSolution:
-    times: np.ndarray
-    sigma: np.ndarray    # (Q + 1, M) or (Q + 1, M, R) amplitudes
-    forcing: np.ndarray  # right-hand side samples, shaped like sigma
-
-
 def _memory_table(centers, coupling, kappa: float, dt: float,
                   q_steps: int) -> np.ndarray:
     """Coupling-weighted kernel table; the coupling diagonal is ignored."""
@@ -209,7 +200,7 @@ def _history(flat: np.ndarray, amplitudes: np.ndarray, q: int) -> np.ndarray:
 
 
 def volterra_solve(centers, coupling, kappa: float, times,
-                   forcing) -> VolterraSolution:
+                   forcing) -> np.ndarray:
     """March the coupled amplitude system by product trapezoid rule.
 
     The memory integral of each pair uses the time derivative of the
@@ -219,7 +210,8 @@ def volterra_solve(centers, coupling, kappa: float, times,
     which is one matrix product per step over the lag-reversed table.
 
     ``forcing`` is ``(Q + 1, M)``, or ``(Q + 1, M, R)`` to march R
-    right-hand sides at once; ``sigma`` has the same shape.
+    right-hand sides at once; the returned amplitudes ``sigma`` have the
+    same shape.
     """
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     m = centers.shape[0]
@@ -238,8 +230,7 @@ def volterra_solve(centers, coupling, kappa: float, times,
     sigma[0] = rhs[0]
     for q in range(1, q_steps + 1):
         sigma[q] = rhs[q] - dt * _history(flat, stacked, q)
-    return VolterraSolution(times.copy(), sigma.reshape(forcing.shape),
-                            forcing.copy())
+    return sigma.reshape(forcing.shape)
 
 
 def _dictionary_forcing(config: PlasmonicConfig, intensities,
@@ -250,31 +241,23 @@ def _dictionary_forcing(config: PlasmonicConfig, intensities,
     return intensities @ dictionary.T
 
 
-def heat_inputs_from_sigma(config: PlasmonicConfig,
-                           solution: VolterraSolution) -> np.ndarray:
-    """Heat inputs G_i = (alpha_i / c_m) * sigma_i, sampled on the grid."""
-    sigma = solution.sigma
-    scale = config.contrasts / config.c_m
-    return sigma * scale.reshape((-1,) + (1,) * (sigma.ndim - 2))
-
-
 def unit_heat_inputs(config: PlasmonicConfig, times,
                      profile: np.ndarray) -> np.ndarray:
     """Heat inputs under the unit forcings ``profile * e_j``, one march.
 
-    Returns ``g[t, i, j]``, the heat input of particle i when only
-    particle j is forced, with the profile.  It does not involve the
-    dictionary, so it depends on ``delta`` only through the coupling, that
-    is only when ``perturb_interaction`` is set.
+    Returns ``g[t, i, j]``, the heat input ``(alpha_i / c_m) * sigma_i``
+    of particle i when only particle j is forced, with the profile.  It
+    does not involve the dictionary, so it depends on ``delta`` only
+    through the coupling, that is only when ``perturb_interaction`` is set.
     """
     times = np.asarray(times, dtype=float)
     profile = np.asarray(profile, dtype=float)
     if profile.shape != times.shape:
         raise ValueError("profile must be sampled on the time grid")
     forcing = profile[:, None, None] * np.eye(config.count)[None]
-    sol = volterra_solve(config.centers, _effective_coupling(config),
-                         config.kappa, times, forcing)
-    return heat_inputs_from_sigma(config, sol)
+    sigma = volterra_solve(config.centers, _effective_coupling(config),
+                           config.kappa, times, forcing)
+    return sigma * (config.contrasts / config.c_m)[:, None]
 
 
 def _l2_inner(times: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
@@ -294,8 +277,6 @@ class ActuationMap:
     pinv: np.ndarray
     sigma_min: float
     residuals: np.ndarray
-    profile: np.ndarray
-    times: np.ndarray
 
 
 def calibrate_k0(config: PlasmonicConfig, times, profile: np.ndarray,
@@ -329,8 +310,7 @@ def calibrate_k0(config: PlasmonicConfig, times, profile: np.ndarray,
     if sigma_min <= 1e-12 * max(float(s[0]), 1.0):
         raise RankDeficiencyError("calibrated map is rank deficient",
                                   sigma_min)
-    return ActuationMap(k0, np.linalg.pinv(k0), sigma_min, residuals,
-                        profile.copy(), times.copy())
+    return ActuationMap(k0, np.linalg.pinv(k0), sigma_min, residuals)
 
 
 def invert_actuation(amap: ActuationMap, u_des: np.ndarray,
@@ -364,7 +344,7 @@ def _coupling_forcing(config: PlasmonicConfig, times: np.ndarray,
     """
     leading = volterra_solve(
         config.centers, config.coupling, config.kappa, times,
-        _dictionary_forcing(config, intensities, config.dictionary)).sigma
+        _dictionary_forcing(config, intensities, config.dictionary))
     dt = uniform_step(times)
     q_steps = times.shape[0] - 1
     flat = _lag_reversed(_memory_table(
@@ -402,9 +382,9 @@ def realized_remainder(config: PlasmonicConfig, times,
     forcing = _dictionary_forcing(config, intensities, gap)
     if config.perturb_interaction:
         forcing = forcing + _coupling_forcing(config, times, intensities)
-    sol = volterra_solve(config.centers, _effective_coupling(config),
-                         config.kappa, times, forcing)
-    rho = heat_inputs_from_sigma(config, sol)
+    sigma = volterra_solve(config.centers, _effective_coupling(config),
+                           config.kappa, times, forcing)
+    rho = sigma * (config.contrasts / config.c_m)
     return rho, _series_norm(times, rho)
 
 

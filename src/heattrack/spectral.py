@@ -1,21 +1,21 @@
 """Neumann eigenbasis tools on an interval or a rectangular box.
 
-Everything downstream works in coefficient space: a field is a finite
-cosine-series truncation, the heat semigroup is diagonal on it, and point
-forcing enters through eigenfunction values at the forcing locations.
+Everything downstream works in coefficient space: a field is the (K,)
+coefficient array of a cosine-series truncation over a ModeTable, the
+heat semigroup is diagonal on it, and point forcing enters through
+eigenfunction values at the forcing locations.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "DomainSpec",
     "ModeTable",
-    "SpectralField",
     "enumerate_modes",
     "eval_modes",
     "uniform_step",
@@ -124,12 +124,6 @@ class ModeTable:
     def size(self) -> int:
         return self.eigenvalues.shape[0]
 
-    def matches(self, other: "ModeTable") -> bool:
-        return self is other or (
-            self.domain == other.domain
-            and self.size == other.size
-            and np.array_equal(self.indices, other.indices))
-
     @staticmethod
     def from_indices(domain: DomainSpec, indices) -> "ModeTable":
         """Build a table from explicit multi-indices, kept in given order."""
@@ -179,21 +173,6 @@ def eval_modes(table: ModeTable, points) -> np.ndarray:
     # phase[p, k, l] = n_l * pi * x_l / L_l
     phase = pts[:, None, :] * (table.indices[None, :, :] * np.pi / lengths)
     return np.prod(np.cos(phase), axis=2) * table.norm_constants[None, :]
-
-
-@dataclass
-class SpectralField:
-    """A truncated cosine series: coefficients against a ModeTable."""
-
-    table: ModeTable
-    coeffs: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        if self.coeffs is None:
-            self.coeffs = np.zeros(self.table.size)
-        self.coeffs = np.asarray(self.coeffs, dtype=float).copy()
-        if self.coeffs.shape != (self.table.size,):
-            raise ValueError("coefficient vector length must match the table")
 
 
 def uniform_step(times) -> float:

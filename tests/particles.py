@@ -63,7 +63,7 @@ def forcing_from_intensities(config, intensities: np.ndarray) -> np.ndarray:
 def run_pipeline(config, times, intensities: np.ndarray) -> np.ndarray:
     """Intensities -> forcing -> amplitudes -> heat inputs, on one grid."""
     forcing = forcing_from_intensities(config, intensities)
-    sol = plasmonic.volterra_solve(config.centers,
-                                   plasmonic._effective_coupling(config),
-                                   config.kappa, times, forcing)
-    return plasmonic.heat_inputs_from_sigma(config, sol)
+    sigma = plasmonic.volterra_solve(config.centers,
+                                     plasmonic._effective_coupling(config),
+                                     config.kappa, times, forcing)
+    return sigma * (config.contrasts / config.c_m)[None, :]

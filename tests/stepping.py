@@ -10,7 +10,7 @@ matrix exponential, the oracle of the closed-loop eigen-solution.
 import numpy as np
 import scipy.linalg
 
-from heattrack.spectral import SpectralField, eval_modes, phi1, phi2
+from heattrack.spectral import eval_modes, phi1, phi2
 
 
 def step_march(table, points, y0, inputs, dt, hold):
@@ -31,11 +31,11 @@ def step_march(table, points, y0, inputs, dt, hold):
     return states
 
 
-def semigroup_apply(z, t):
-    """Run the unforced heat flow for time t >= 0."""
+def semigroup_apply(table, z, t):
+    """Run the unforced heat flow on coefficients z for time t >= 0."""
     if t < 0:
         raise ValueError("time must be nonnegative")
-    return SpectralField(z.table, z.coeffs * np.exp(-z.table.eigenvalues * t))
+    return z * np.exp(-table.eigenvalues * t)
 
 
 def expm_march(a, forcing, z0, dt, steps):

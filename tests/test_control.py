@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from heattrack.control import (
@@ -29,8 +29,8 @@ from heattrack.errors import (
 )
 from heattrack.placement import (ActuatorSet, dct_grid_box,
                                   dct_nodes_interval, sampling_matrix)
-from heattrack.spectral import (DomainSpec, SpectralField, enumerate_modes,
-                                eval_modes, march_forced)
+from heattrack.spectral import (DomainSpec, enumerate_modes, eval_modes,
+                                march_forced)
 
 from stepping import expm_march
 
@@ -61,13 +61,13 @@ def test_observe_is_the_resolvent_smoothed_point_value(matrices4, table32):
     error field: u = u_ff - gain * (z / (1 + lambda))(x_j)."""
     rng = np.random.default_rng(2)
     system = assemble_closed_loop(matrices4, GAIN, REFERENCE)
-    z0 = SpectralField(table32, rng.standard_normal(32))
+    z0 = rng.standard_normal(32)
     record = simulate_closed_loop(system, z0, 0.01, 0.002)
     smoothed = record.states / (1.0 + table32.eigenvalues)
     direct = smoothed @ eval_modes(table32, matrices4.actuators.points).T
     assert_allclose(record.inputs, system.u_ff - GAIN * direct, rtol=1e-12,
                     atol=1e-12 * np.max(np.abs(record.inputs)))
-    other = SpectralField(enumerate_modes(table32.domain, 16))
+    other = np.zeros(16)  # a 16-mode state
     with pytest.raises(ValueError):
         simulate_closed_loop(system, other, 0.01, 0.002)
 
@@ -84,8 +84,7 @@ def test_scalar_loop_decays_at_exactly_the_gain():
     mats = sampling_matrix(acts, table, 1)
     system = assemble_closed_loop(mats, 3.0, np.zeros(1))
     assert_allclose(system.a_cl, [[-3.0]], rtol=1e-14)
-    record = simulate_closed_loop(system, SpectralField(table, np.ones(1)),
-                                  1.0, 0.01)
+    record = simulate_closed_loop(system, np.ones(1), 1.0, 0.01)
     mu_hat, residual = decay_rate_fit(record, "H")
     assert_allclose(mu_hat, 3.0, rtol=1e-10)
     assert residual < 1e-10
@@ -111,12 +110,12 @@ def test_explicit_feedforward_is_used_verbatim(matrices4):
 def test_equilibrium_solves_the_generator(matrices4):
     system = assemble_closed_loop(matrices4, GAIN, REFERENCE)
     z_inf = equilibrium(system)
-    assert_allclose(system.a_cl @ z_inf.coeffs, -system.forcing, atol=1e-10)
+    assert_allclose(system.a_cl @ z_inf, -system.forcing, atol=1e-10)
 
 
 def test_simulation_grid_validation(matrices4, table32):
     system = assemble_closed_loop(matrices4, GAIN, REFERENCE)
-    z0 = SpectralField(table32)
+    z0 = np.zeros(32)
     with pytest.raises(ValueError):
         simulate_closed_loop(system, z0, 1.0, -0.1)
     with pytest.raises(ValueError):
@@ -134,21 +133,19 @@ def test_time_grid_accepts_only_whole_step_counts():
             time_grid(horizon, dt)
 
 
-def test_decay_fit_recovers_a_synthetic_rate(matrices4):
-    system = assemble_closed_loop(matrices4, GAIN, np.zeros(4))
+def test_decay_fit_recovers_a_synthetic_rate():
     times = np.linspace(0.0, 2.0, 101)
     norms = 3.0 * np.exp(-2.0 * times)
-    record = TrajectoryRecord(times, None, None, norms, norms, None, system)
+    record = TrajectoryRecord(times, None, None, norms, norms, None)
     mu_hat, residual = decay_rate_fit(record, "H")
     assert_allclose(mu_hat, 2.0, rtol=1e-12)
     assert residual < 1e-12
 
 
-def test_decay_fit_needs_enough_signal(matrices4):
-    system = assemble_closed_loop(matrices4, GAIN, np.zeros(4))
+def test_decay_fit_needs_enough_signal():
     times = np.linspace(0.0, 1.0, 11)
     norms = np.full(11, 1e-15)
-    record = TrajectoryRecord(times, None, None, norms, norms, None, system)
+    record = TrajectoryRecord(times, None, None, norms, norms, None)
     with pytest.raises(InsufficientSignalError):
         decay_rate_fit(record, "H")
 
@@ -176,9 +173,9 @@ def test_eigen_solution_matches_the_expm_step_march(matrices4, geometry,
     k, m = mats.table.size, mats.actuators.count
     system = assemble_closed_loop(mats, gain, REFERENCE,
                                   u_ff=rng.standard_normal(m))
-    z0 = SpectralField(mats.table, rng.standard_normal(k))
+    z0 = rng.standard_normal(k)
     record = simulate_closed_loop(system, z0, 1.0, 0.002)
-    oracle = expm_march(system.a_cl, system.forcing, z0.coeffs, 0.002, 500)
+    oracle = expm_march(system.a_cl, system.forcing, z0, 0.002, 500)
     scale = np.max(np.abs(oracle))
     assert np.max(np.abs(record.states - oracle)) <= 1e-12 * scale
     assert (record.z_inf is None) == (gain == 0.0)
@@ -189,6 +186,8 @@ def test_eigen_solution_matches_the_expm_step_march(matrices4, geometry,
        points=st.lists(st.floats(0.01, 0.99), min_size=1, max_size=4,
                        unique=True),
        seed=st.integers(0, 2 ** 32 - 1))
+# a subnormal gain gives a subnormal mu whose mu * t underflows to zero
+@example(gain=5e-324, points=[0.5], seed=0)
 def test_open_loop_replay_of_the_recorded_inputs_tracks_the_loop(gain, points,
                                                                   seed):
     """Held-input replay deviates from the loop by at most its sampling
@@ -203,17 +202,17 @@ def test_open_loop_replay_of_the_recorded_inputs_tracks_the_loop(gain, points,
     rng = np.random.default_rng(seed)
     system = assemble_closed_loop(mats, gain, rng.standard_normal(len(points)),
                                   u_ff=rng.standard_normal(len(points)))
-    z0 = SpectralField(table, rng.standard_normal(table.size))
+    z0 = rng.standard_normal(table.size)
     steps, dt = 100, 1e-7
     record = simulate_closed_loop(system, z0, steps * dt, dt)
-    ref = system.reference.coeffs
-    replay = march_forced(table, acts.points, ref + z0.coeffs, record.inputs,
+    ref = system.reference
+    replay = march_forced(table, acts.points, ref + z0, record.inputs,
                           dt, "constant")
     dev = np.max(np.linalg.norm(replay - (ref + record.states), axis=1))
 
     root_w = 1.0 / np.sqrt(1.0 + table.eigenvalues)
     e_mat = eval_modes(table, acts.points).T
-    rate0 = np.linalg.norm(root_w * (system.a_cl @ z0.coeffs + system.forcing))
+    rate0 = np.linalg.norm(root_w * (system.a_cl @ z0 + system.forcing))
     bound = (np.linalg.norm(e_mat, 2) * gain
              * np.linalg.norm(root_w[:, None] * e_mat, 2)
              * steps * dt ** 2 / 2.0 * rate0)
@@ -241,7 +240,7 @@ def test_bias_columns_match_per_reference_equilibria(matrices4):
         unit = np.zeros(4)
         unit[k] = 1.0
         system = assemble_closed_loop(matrices4, GAIN, unit)
-        z_inf = equilibrium(system).coeffs
+        z_inf = equilibrium(system)
         assert_allclose(bias.matrix[:, k], z_inf[:4], atol=1e-12)
     assert bias.norm == pytest.approx(np.linalg.norm(bias.matrix, 2))
 
@@ -347,7 +346,7 @@ def test_cross_integrator_agreement_small_loop():
     mats = sampling_matrix(acts, table, 2)
     system = assemble_closed_loop(mats, 0.5, np.zeros(2))
     rng = np.random.default_rng(9)
-    z0 = SpectralField(table, rng.standard_normal(8))
+    z0 = rng.standard_normal(8)
     dev = cross_integrator_check(system, z0, steps=100, dt=1e-6)
     assert dev <= 1e-8
 

@@ -78,7 +78,7 @@ def test_default_config_loads_by_name():
     assert config.control.gain == 8.0
     assert config.restriction is not None
     assert config.digest == (
-        "d3a7a6e9c460a1896eb0327b34602bbfb20f3bd66b60d73aacddcd59e0acdc42")
+        "71a68601779fef57eef4a670d63a7af5a1d69f06e0664f5e14f35ad99d518bfa")
 
 
 def test_unknown_top_level_block_is_rejected():
@@ -601,6 +601,10 @@ def test_cli_rejects_bad_configs(tmp_path, capsys):
     data["control"]["gian"] = 1.0
     path = _write_yaml(tmp_path / "typo.yaml", data)
     assert cli.main(["simulate", "--config", path]) == 2
+    # a key that no longer exists is unknown like a typo
+    path = _write_yaml(tmp_path / "dropped.yaml",
+                       _mapping(tolerances={"resolution": 1e-6}))
+    assert cli.main(["simulate", "--config", path]) == 2
     assert cli.main(["simulate", "--config",
                      str(tmp_path / "missing.yaml")]) == 2
     bad = tmp_path / "broken.yaml"
@@ -618,6 +622,7 @@ def test_cli_rejects_bad_configs(tmp_path, capsys):
     ("control", "dt", 0.003),
     ("control", "horizon", float("nan")),
     ("control", "horizon", float("inf")),
+    ("control", "horizon", 1e308),
     ("control", "dt", float("nan")),
     ("control", "gain", float("inf")),
     ("control", "gain", float("nan")),

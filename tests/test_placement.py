@@ -16,8 +16,8 @@ from heattrack.placement import (
     uniform_candidates,
 )
 from heattrack.rng import PURPOSE_TEST, stream
-from heattrack.spectral import (DomainSpec, ModeTable, SpectralField,
-                                enumerate_modes, eval_modes)
+from heattrack.spectral import (DomainSpec, ModeTable, enumerate_modes,
+                                eval_modes)
 
 
 def test_dct_nodes_are_shifted_midpoints():
@@ -131,14 +131,6 @@ def test_min_norm_feedforward_prefers_small_solutions(matrices4):
     assert_allclose(mats5.phi @ u5, rhs, atol=1e-12)
     assert np.linalg.norm(u5) <= np.linalg.norm(
         np.concatenate([u, [0.0]])) + 1e-12
-
-
-def test_feedforward_accepts_fields_and_checks_tables(matrices4, table32):
-    coeffs = np.zeros(32)
-    coeffs[:4] = [0.3, 0.2, -0.1, 0.1]
-    u_field = min_norm_feedforward(SpectralField(table32, coeffs), matrices4)
-    u_plain = min_norm_feedforward(coeffs[:4], matrices4)
-    assert_allclose(u_field, u_plain, rtol=1e-14)
 
 
 def test_rank_deficiency_on_a_nodal_plane():

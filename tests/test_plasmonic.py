@@ -15,7 +15,6 @@ from heattrack.plasmonic import (
     PlasmonicConfig,
     calibrate_k0,
     effective_dictionary,
-    heat_inputs_from_sigma,
     invert_actuation,
     realize_profile,
     realized_remainder,
@@ -85,9 +84,9 @@ def test_single_particle_has_no_memory():
     """With M = 1 the coupling sum is empty, so sigma equals the forcing."""
     times = np.linspace(0.0, 0.5, 33)
     forcing = (np.sin(2 * np.pi * times) + 1.5)[:, None]
-    sol = volterra_solve(np.array([[0.4]]), np.zeros((1, 1)), KAPPA, times,
-                         forcing)
-    assert_allclose(sol.sigma, forcing, atol=1e-14)
+    sigma = volterra_solve(np.array([[0.4]]), np.zeros((1, 1)), KAPPA, times,
+                           forcing)
+    assert_allclose(sigma, forcing, atol=1e-14)
 
 
 def test_zero_coupling_decouples_every_particle():
@@ -95,8 +94,8 @@ def test_zero_coupling_decouples_every_particle():
     rng = stream(7, PURPOSE_TEST, 3)
     forcing = rng.standard_normal((33, 3))
     centers = np.array([[0.2], [0.5], [0.8]])
-    sol = volterra_solve(centers, np.zeros((3, 3)), KAPPA, times, forcing)
-    assert_allclose(sol.sigma, forcing, atol=1e-14)
+    sigma = volterra_solve(centers, np.zeros((3, 3)), KAPPA, times, forcing)
+    assert_allclose(sigma, forcing, atol=1e-14)
 
 
 def test_batched_forcing_matches_single_column_marches():
@@ -105,12 +104,12 @@ def test_batched_forcing_matches_single_column_marches():
     coupling = 0.5 * (np.ones((3, 3)) - np.eye(3))
     forcing = stream(7, PURPOSE_TEST, 5).standard_normal((65, 3, 4))
     batch = volterra_solve(centers, coupling, KAPPA, times, forcing)
-    assert batch.sigma.shape == forcing.shape
+    assert batch.shape == forcing.shape
     for r in range(4):
         single = volterra_solve(centers, coupling, KAPPA, times,
                                 forcing[:, :, r])
-        assert_allclose(batch.sigma[:, :, r], single.sigma, rtol=0,
-                        atol=1e-14 * np.max(np.abs(single.sigma)))
+        assert_allclose(batch[:, :, r], single, rtol=0,
+                        atol=1e-14 * np.max(np.abs(single)))
     with pytest.raises(ValueError):
         volterra_solve(centers, coupling, KAPPA, times, forcing[:, :2])
 
@@ -120,14 +119,14 @@ def test_march_ignores_the_memory_layout_of_the_forcing():
     centers = np.array([[0.2], [0.5], [0.8]])
     coupling = 0.5 * (np.ones((3, 3)) - np.eye(3))
     forcing = stream(7, PURPOSE_TEST, 7).standard_normal((65, 3, 2))
-    want = volterra_solve(centers, coupling, KAPPA, times, forcing).sigma
+    want = volterra_solve(centers, coupling, KAPPA, times, forcing)
     fortran = np.asfortranarray(forcing)
     assert not fortran.flags.c_contiguous
-    got = volterra_solve(centers, coupling, KAPPA, times, fortran).sigma
+    got = volterra_solve(centers, coupling, KAPPA, times, fortran)
     assert np.array_equal(got, want)
     columns = np.array([forcing[:, :, 0].T, forcing[:, :, 1].T]).T
     assert not columns.flags.c_contiguous
-    got = volterra_solve(centers, coupling, KAPPA, times, columns).sigma
+    got = volterra_solve(centers, coupling, KAPPA, times, columns)
     assert np.array_equal(got, want)
 
 
@@ -175,9 +174,9 @@ def test_march_is_linear_in_the_forcing(seed, a, b, q_steps):
     f1, f2 = stream(seed, PURPOSE_TEST, 6).standard_normal(
         (2, q_steps + 1, 3))
     combined = volterra_solve(centers, coupling, KAPPA, times,
-                              a * f1 + b * f2).sigma
-    parts = (a * volterra_solve(centers, coupling, KAPPA, times, f1).sigma
-             + b * volterra_solve(centers, coupling, KAPPA, times, f2).sigma)
+                              a * f1 + b * f2)
+    parts = (a * volterra_solve(centers, coupling, KAPPA, times, f1)
+             + b * volterra_solve(centers, coupling, KAPPA, times, f2))
     scale = (abs(a) + abs(b)) * max(np.max(np.abs(f1)), np.max(np.abs(f2)))
     assert_allclose(combined, parts, rtol=0, atol=1e-13 * max(scale, 1.0))
 
@@ -228,9 +227,9 @@ def test_volterra_march_is_second_order():
     errs = []
     for q in (64, 128, 256):
         times = np.linspace(0.0, mms.HORIZON, q + 1)
-        sol = volterra_solve(mms.CENTERS, coupling, mms.KAPPA, times,
-                             mms.forcing(times))
-        diff = sol.sigma - mms.sigma(times)
+        sigma = volterra_solve(mms.CENTERS, coupling, mms.KAPPA, times,
+                               mms.forcing(times))
+        diff = sigma - mms.sigma(times)
         errs.append(float(np.sqrt(np.sum(diff ** 2) * (mms.HORIZON / q))))
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     assert np.all(orders >= 1.8)
@@ -318,11 +317,11 @@ def test_profile_realization_superposes_the_unit_inputs(perturb):
 def test_heat_inputs_scale_by_contrast_over_heat_capacity():
     config = _config(contrasts=np.array([2.0, 3.0]), c_m=4.0)
     times = np.linspace(0.0, 0.2, 21)
-    forcing = np.ones((21, 2))
-    sol = volterra_solve(config.centers, config.coupling, KAPPA, times,
-                         forcing)
-    inputs = heat_inputs_from_sigma(config, sol)
-    assert_allclose(inputs, sol.sigma * np.array([0.5, 0.75])[None, :],
+    profile = np.ones(21)
+    sigma = volterra_solve(config.centers, config.coupling, KAPPA, times,
+                           profile[:, None, None] * np.eye(2)[None])
+    inputs = unit_heat_inputs(config, times, profile)
+    assert_allclose(inputs, sigma * np.array([0.5, 0.75])[None, :, None],
                     rtol=1e-14)
 
 
