@@ -29,9 +29,8 @@ from .plasmonic import (PlasmonicConfig, calibrate_k0, invert_actuation,
 from .restriction import (boundary_distance, images_point_solution,
                           restriction_gap_report)
 from .harness.config import ExperimentConfig, load_config, profile_samples
-from .harness.experiments import (coercivity_at_nodes, coercivity_constant,
-                                  run_calibrate, run_coercivity, run_place,
-                                  run_restriction, run_simulate, run_sweep,
-                                  run_track)
+from .harness.experiments import (coercivity_constant, run_calibrate,
+                                  run_coercivity, run_place, run_restriction,
+                                  run_simulate, run_sweep, run_track)
 
 __version__ = "0.1.0"

@@ -296,11 +296,12 @@ class CoercivityBlock:
         vals = _take(block, "coercivity",
                      {"cells": [8, 16, 32, 64], "modes_per_cell": 8})
         cells = _numbers(vals["cells"], "coercivity.cells", int)
-        if any(m < 1 for m in cells):
-            raise ConfigError("coercivity.cells must be positive")
-        return CoercivityBlock(cells, _number(vals["modes_per_cell"],
-                                              "coercivity.modes_per_cell",
-                                              int))
+        per_cell = _number(vals["modes_per_cell"],
+                           "coercivity.modes_per_cell", int)
+        if any(m < 1 for m in cells) or per_cell < 1:
+            raise ConfigError("coercivity cells and modes_per_cell must be "
+                              "positive")
+        return CoercivityBlock(cells, per_cell)
 
 
 @dataclass(frozen=True)

@@ -60,7 +60,6 @@ __all__ = [
     "run_coercivity",
     "run_sweep",
     "coercivity_constant",
-    "coercivity_at_nodes",
 ]
 
 
@@ -353,7 +352,6 @@ class TrackResult:
 
     config: ExperimentConfig
     setup: LoopSetup
-    record: object
     times: np.ndarray
     u_ideal: np.ndarray
     decomposition: ProfileDecomposition
@@ -361,7 +359,6 @@ class TrackResult:
     c_cert: float
     amap_sigma_min: float
     inversion_residual: float
-    intensity_coeffs: np.ndarray
     g_real: np.ndarray
     err_proj: np.ndarray
     err_real: np.ndarray
@@ -373,7 +370,6 @@ class TrackResult:
     convergence_gap: float
     assertions: dict
     headline: BudgetRow = None
-    out_dir: str | None = None
     manifest: RunManifest | None = None
 
 
@@ -420,7 +416,7 @@ def _project(config: ExperimentConfig, actuators: ActuatorSet, record,
         amap = calibrate_k0(pconf, times, phi, units[key])
         p, residual = invert_actuation(amap, deco.beta)
         g_real, remainder = realize_profile(pconf, times, phi, units[key], p)
-        return {"amap": amap, "p": p, "inversion_residual": residual,
+        return {"amap": amap, "inversion_residual": residual,
                 "g_real": g_real, "mismatch": _series_l2(w, g_real - u_des),
                 "remainder": remainder}
 
@@ -548,19 +544,18 @@ def run_track(config: ExperimentConfig, out_dir: str | None = None,
         assertions["convergence"] = (gap <= tol.convergence, gap)
 
     result = TrackResult(
-        config=config, setup=setup, record=record, times=record.times,
+        config=config, setup=setup, times=record.times,
         u_ideal=record.inputs, decomposition=deco, u_des=core.u_des,
         c_cert=c_cert, amap_sigma_min=headline_act["amap"].sigma_min,
         inversion_residual=headline_act["inversion_residual"],
-        intensity_coeffs=headline_act["p"], g_real=headline_act["g_real"],
-        err_proj=core.err_proj, err_real=headline_curves["real"],
+        g_real=headline_act["g_real"], err_proj=core.err_proj,
+        err_real=headline_curves["real"],
         err_total=headline_curves["total"], budget_rows=budget_rows,
         remainder_slope=remainder_slope, tail=tail, cross_deviation=cross,
         convergence_gap=gap, assertions=assertions, headline=headline_row)
     result.manifest = _emit(out_dir, "track", config,
                             *_track_artifacts(result), assertions,
                             tolerances=True)
-    result.out_dir = out_dir
     check_assertions(assertions, strict)
     return result
 
@@ -768,56 +763,55 @@ def run_restriction(config: ExperimentConfig, out_dir: str | None = None,
 # constraint coercivity
 
 
-def coercivity_at_nodes(domain: DomainSpec, nodes, n_modes: int) -> float:
-    """Smallest graph-to-energy quotient over fields vanishing at nodes.
+def coercivity_constant(domain: DomainSpec, cells: int, n_modes: int) -> float:
+    """Smallest graph-to-energy quotient over fields vanishing on a mesh.
 
     The quotient compares the squared resolvent-graph norm against the
-    diffusion energy norm; an empty node list leaves the quotient
-    unconstrained, whose minimum is exactly one (attained by the constant
-    mode).  Degenerate node sets (repeats, dependent constraint rows)
-    raise instead of silently shrinking the constraint.
-    """
-    if domain.kind != "interval":
-        raise ValueError("constraint coercivity is defined on an interval")
-    table = enumerate_modes(domain, n_modes)
-    lam = table.eigenvalues
-    graph_w = (1.0 + lam) ** 2
-    energy_w = 1.0 + lam / domain.kappa
-    nodes = np.asarray(nodes, dtype=float).reshape(-1)
-    if nodes.size == 0:
-        return float(np.min(graph_w / energy_w))
-    if np.unique(nodes).size != nodes.size:
-        raise DegenerateNodesError("constraint nodes repeat")
-    if nodes.size >= n_modes:
-        raise DegenerateNodesError(
-            "at least as many constraint nodes as modes; no field remains")
-    constraints = eval_modes(table, nodes[:, None])  # (V, K)
-    s = np.linalg.svd(constraints, compute_uv=False)
-    if s[-1] <= 1e-10 * max(s[0], 1.0):
-        raise DegenerateNodesError("constraint rows are numerically dependent")
-    # Whiten by the diagonal energy weight: with x = energy_w^(-1/2) y the
-    # quotient is a plain Rayleigh quotient of diag(graph_w / energy_w) on
-    # the null space of the whitened constraints, spanned by the trailing
-    # columns of a complete QR factor of their transpose.
-    root_e = np.sqrt(energy_w)
-    q_full = np.linalg.qr((constraints / root_e).T, mode="complete")[0]
-    basis = q_full[:, nodes.size:]
-    ratio = graph_w / energy_w
-    vals = np.linalg.eigvalsh(basis.T @ (ratio[:, None] * basis))
-    return float(vals[0])
-
-
-def coercivity_constant(domain: DomainSpec, cells: int, n_modes: int) -> float:
-    """Coercivity quotient for a uniform partition into ``cells`` elements.
-
-    Constraint nodes are the element vertices including both interval
-    endpoints, so ``cells`` elements pin ``cells + 1`` values.
+    diffusion energy norm of the first ``n_modes`` modes; the fields
+    vanish at the vertices x_j = jL/n, j = 0..n, of ``cells`` = n equal
+    elements.  There mode k takes the values of mode
+    r(k) = |((k + n) mod 2n) - n| and the DCT-I matrix of order n + 1 is
+    invertible, so the constraints are one per alias class r:
+    sum_{k in r} c_k x_k = 0.  Whitened by the energy weight, a class is
+    diag(d) on the complement of a = c / sqrt(energy_w), whose smallest
+    eigenvalue is the smallest root of sum a_k^2 / (d_k - t) = 0 between
+    the class's two smallest d (Golub, SIAM Rev. 15, 1973), or their value
+    when they tie.  A one-member class leaves no field; the constant is
+    the minimum over the classes.
     """
     if cells < 1:
         raise ValueError("at least one element is required")
-    length = domain.lengths[0]
-    nodes = np.linspace(0.0, length, cells + 1)
-    return coercivity_at_nodes(domain, nodes, n_modes)
+    if domain.kind != "interval":
+        raise ValueError("constraint coercivity is defined on an interval")
+    if cells + 1 >= n_modes:
+        raise DegenerateNodesError(
+            "at least as many constraint nodes as modes; no field remains")
+    table = enumerate_modes(domain, n_modes)
+    lam = table.eigenvalues
+    energy_w = 1.0 + lam / domain.kappa
+    d, a2 = (1.0 + lam) ** 2 / energy_w, table.norm_constants ** 2 / energy_w
+    alias = np.abs((table.indices[:, 0] + cells) % (2 * cells) - cells)
+    # (class, member) layout with d ascending in each class; d is not
+    # monotone in k for kappa < 1/2.  Padding is a = 0 at d = inf.
+    order = np.lexsort((d, alias))
+    alias, d, a2 = alias[order], d[order], a2[order]
+    sizes = np.bincount(alias, minlength=cells + 1)
+    member = np.arange(n_modes) - (np.cumsum(sizes) - sizes)[alias]
+    dd = np.full((cells + 1, sizes.max()), np.inf)
+    aa = np.zeros_like(dd)
+    dd[alias, member] = d
+    aa[alias, member] = a2
+    dd, aa = dd[sizes >= 2], aa[sizes >= 2]
+    # The secular function rises from -inf to +inf across each bracket;
+    # bisect them all until none shrinks.
+    lo, hi = dd[:, 0], dd[:, 1]
+    mid = 0.5 * (lo + hi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while np.any((lo < mid) & (mid < hi)):
+            below = np.sum(aa / (dd - mid[:, None]), axis=1) < 0.0
+            lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+            mid = 0.5 * (lo + hi)
+    return float(np.min(lo))
 
 
 @dataclass(frozen=True)

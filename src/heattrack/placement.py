@@ -217,22 +217,21 @@ def genericity_monte_carlo(domain: DomainSpec, table: ModeTable, count: int,
     Each trial draws ``count`` independent uniform points and checks
     sigma_min of the square sampling matrix against ``threshold``.  Trials
     use independent counter-keyed streams, so the count is reproducible
-    and independent of evaluation order.
+    and independent of evaluation order; all trials share one mode
+    evaluation and one stacked SVD.
     """
     if count < 1 or count > table.size:
         raise ValueError("count must lie in [1, table.size]")
     if trials < 1:
         raise ValueError("at least one trial is required")
-    lengths = np.asarray(domain.lengths)
-    failures = 0
-    min_sigma = np.inf
-    for trial in range(trials):
-        gen = rng.stream(seed, rng.PURPOSE_GENERICITY, trial)
-        pts = gen.uniform(size=(count, domain.dim)) * lengths
-        phi = eval_modes(table, pts)[:, :count].T
-        sigma = _row_sigma_min(phi)
-        min_sigma = min(min_sigma, sigma)
-        if sigma < threshold:
-            failures += 1
-    return GenericityReport(trials, failures, threshold, float(min_sigma),
-                            seed)
+    pts = np.concatenate([
+        rng.stream(seed, rng.PURPOSE_GENERICITY, trial).uniform(
+            size=(count, domain.dim)) for trial in range(trials)])
+    pts = pts * np.asarray(domain.lengths)
+    head = ModeTable.from_indices(table.domain, table.indices[:count])
+    # phi[t] is trial t's (modes x points) square sampling matrix
+    phi = eval_modes(head, pts).reshape(trials, count, count).transpose(
+        0, 2, 1)
+    sigma = np.linalg.svd(phi, compute_uv=False)[:, count - 1]
+    return GenericityReport(trials, int(np.sum(sigma < threshold)),
+                            threshold, float(np.min(sigma)), seed)

@@ -341,20 +341,22 @@ def _coupling_forcing(config: PlasmonicConfig, times: np.ndarray,
     the effective-coupling march of
     ``h[q] = -dt * sum_{s<q} w_s (W_eff - W)[q-s] sigma[s]``, the
     trapezoid history of the coupling perturbation; this returns h.
+    ``sigma`` is known in full, so h is one causal convolution over the
+    lags, taken by zero-padded FFT.
     """
     leading = volterra_solve(
         config.centers, config.coupling, config.kappa, times,
         _dictionary_forcing(config, intensities, config.dictionary))
     dt = uniform_step(times)
-    q_steps = times.shape[0] - 1
-    flat = _lag_reversed(_memory_table(
+    samples = times.shape[0]
+    table = _memory_table(
         config.centers, _effective_coupling(config) - config.coupling,
-        config.kappa, dt, q_steps))
-    stacked = leading.reshape(-1, 1)
-    h = np.zeros_like(leading)
-    for q in range(1, q_steps + 1):
-        h[q] = -dt * _history(flat, stacked, q)[:, 0]
-    return h
+        config.kappa, dt, samples - 1)
+    weighted = np.concatenate([0.5 * leading[:1], leading[1:]])
+    size = 2 * samples
+    spectrum = np.einsum("fij,fj->fi", np.fft.rfft(table, size, axis=0),
+                         np.fft.rfft(weighted, size, axis=0))
+    return -dt * np.fft.irfft(spectrum, size, axis=0)[:samples]
 
 
 def _series_norm(times: np.ndarray, series: np.ndarray) -> float:

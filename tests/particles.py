@@ -1,9 +1,10 @@
 """Scalar and unbatched references for the particle model.
 
 The free-space heat kernel and its time derivative at one pair of points
-and two times, and the intensities -> forcing -> amplitudes -> heat
-inputs pipeline marched once per call: the forms that the library's
-kernel table and batched unit-forcing march replace, kept here as their
+and two times, the intensities -> forcing -> amplitudes -> heat inputs
+pipeline marched once per call, and the coupling-remainder forcing summed
+step by step: the forms that the library's kernel table, batched
+unit-forcing march and history convolution replace, kept here as their
 oracles.
 """
 
@@ -67,3 +68,27 @@ def run_pipeline(config, times, intensities: np.ndarray) -> np.ndarray:
                                      plasmonic._effective_coupling(config),
                                      config.kappa, times, forcing)
     return sigma * (config.contrasts / config.c_m)[None, :]
+
+
+def coupling_forcing_steps(config, times, intensities: np.ndarray) -> np.ndarray:
+    """The coupling-remainder forcing summed step by step.
+
+    ``h[q] = -dt * sum_{s<q} w_s (W_eff - W)[q-s] sigma[s]`` with the
+    leading amplitudes ``sigma``, one history sum per step: the form the
+    library's FFT convolution replaces.
+    """
+    leading = plasmonic.volterra_solve(
+        config.centers, config.coupling, config.kappa, times,
+        plasmonic._dictionary_forcing(config, intensities,
+                                      config.dictionary))
+    dt = times[1] - times[0]
+    q_steps = times.shape[0] - 1
+    flat = plasmonic._lag_reversed(plasmonic._memory_table(
+        config.centers,
+        plasmonic._effective_coupling(config) - config.coupling,
+        config.kappa, dt, q_steps))
+    stacked = leading.reshape(-1, 1)
+    h = np.zeros_like(leading)
+    for q in range(1, q_steps + 1):
+        h[q] = -dt * plasmonic._history(flat, stacked, q)[:, 0]
+    return h

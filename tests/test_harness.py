@@ -1,5 +1,6 @@
 """Config validation, experiment drivers, manifests and the CLI."""
 
+import copy
 import hashlib
 import os
 import subprocess
@@ -8,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import heattrack
@@ -24,6 +26,7 @@ from heattrack.harness.config import (
     ExperimentConfig,
     load_config,
     profile_samples,
+    resolve_config_path,
 )
 from heattrack.harness.manifest import (
     TOOL_ID,
@@ -34,6 +37,7 @@ from heattrack.harness.manifest import (
 from heattrack.rng import PURPOSE_TEST, stream
 from heattrack.spectral import march_forced
 
+from coercivity import coercivity_at_nodes
 from particles import run_pipeline
 from stepping import step_march
 
@@ -168,6 +172,34 @@ def test_load_config_failure_modes(tmp_path):
         load_config(str(bad))
 
 
+# The packaged default plus a sweep block, so every block has keys to fuzz.
+FUZZ_BASE = dict(yaml.safe_load(resolve_config_path("default").read_text()),
+                 sweep={"kind": "mesh", "values": [8, 16]})
+FUZZ_KEYS = [(None, "seed")] + [(block, key)
+                                for block, keys in FUZZ_BASE.items()
+                                if isinstance(keys, dict) for key in keys]
+FUZZ_VALUES = st.one_of(
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), True, False,
+                     "", "abc", -1, -2.5, 0, [], [float("nan")], [[]],
+                     None, {}]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-10, 10),
+    st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=3))
+
+
+@settings(max_examples=300, deadline=1000)
+@given(st.lists(st.tuples(st.sampled_from(FUZZ_KEYS), FUZZ_VALUES),
+                min_size=1, max_size=4))
+def test_fuzzed_config_mappings_parse_or_raise_config_errors(mutations):
+    data = copy.deepcopy(FUZZ_BASE)
+    for (block, key), value in mutations:
+        (data if block is None else data[block])[key] = value
+    try:
+        ExperimentConfig.from_mapping(data)
+    except ConfigError:
+        pass
+
+
 # ---------------------------------------------------------------------------
 # grid utilities
 
@@ -235,27 +267,63 @@ def test_certified_constant_bounds_every_response(table32, dct4):
 
 
 def test_coercivity_without_constraints_is_one(unit_interval):
-    assert exp.coercivity_at_nodes(unit_interval, [], 16) == pytest.approx(1.0)
+    assert coercivity_at_nodes(unit_interval, [], 16) == pytest.approx(1.0)
 
 
 def test_constraints_only_raise_the_constant(unit_interval):
-    one = exp.coercivity_at_nodes(unit_interval, [0.3], 16)
-    two = exp.coercivity_at_nodes(unit_interval, [0.3, 0.7], 16)
+    one = coercivity_at_nodes(unit_interval, [0.3], 16)
+    two = coercivity_at_nodes(unit_interval, [0.3, 0.7], 16)
     assert 1.0 < one < two
 
 
 def test_degenerate_node_sets_are_rejected(unit_interval):
     with pytest.raises(DegenerateNodesError, match="repeat"):
-        exp.coercivity_at_nodes(unit_interval, [0.3, 0.3], 16)
+        coercivity_at_nodes(unit_interval, [0.3, 0.3], 16)
     with pytest.raises(DegenerateNodesError, match="no field"):
-        exp.coercivity_at_nodes(unit_interval, np.linspace(0.1, 0.9, 16), 16)
+        coercivity_at_nodes(unit_interval, np.linspace(0.1, 0.9, 16), 16)
+    with pytest.raises(DegenerateNodesError, match="dependent"):
+        coercivity_at_nodes(unit_interval, [0.3, 0.3 + 1e-12], 16)
 
 
 def test_mesh_constant_uses_the_element_vertices(unit_interval):
-    direct = exp.coercivity_at_nodes(unit_interval,
-                                     np.linspace(0.0, 1.0, 5), 24)
+    direct = coercivity_at_nodes(unit_interval, np.linspace(0.0, 1.0, 5), 24)
     assert exp.coercivity_constant(unit_interval, 4, 24) == pytest.approx(
         direct, rel=1e-13)
+
+
+@pytest.mark.parametrize("modes_per_cell", [1, 2, 5, 8])
+@pytest.mark.parametrize("cells", [1, 2, 3, 8, 64])
+@pytest.mark.parametrize("kappa", [0.05, 0.3, 1.0, 4.0])
+def test_mesh_constant_matches_the_dense_oracle(kappa, cells,
+                                                modes_per_cell):
+    domain = spectral.DomainSpec.interval(1.0, kappa)
+    n_modes = modes_per_cell * cells
+    nodes = np.linspace(0.0, 1.0, cells + 1)
+    if n_modes <= cells + 1:
+        with pytest.raises(DegenerateNodesError, match="no field"):
+            exp.coercivity_constant(domain, cells, n_modes)
+        with pytest.raises(DegenerateNodesError, match="no field"):
+            coercivity_at_nodes(domain, nodes, n_modes)
+        return
+    assert exp.coercivity_constant(domain, cells, n_modes) == pytest.approx(
+        coercivity_at_nodes(domain, nodes, n_modes), rel=1e-13)
+
+
+def test_mesh_constant_at_a_tie_is_the_tied_value():
+    # Three cells put modes 2, 4, 8 and 10 in one alias class.  For
+    # kappa = 0.05 the weight ratio d(lambda) falls until lambda = 0.9 and
+    # then rises, and at this length modes 2 and 4 straddle that minimum
+    # with bit-identical d: the class's two smallest values tie, so its
+    # secular root is that value, and the class holds the constant.
+    domain = spectral.DomainSpec.interval(2.108214243663861, 0.05)
+    lam = spectral.enumerate_modes(domain, 12).eigenvalues
+    d = (1.0 + lam) ** 2 / (1.0 + lam / domain.kappa)
+    assert d[2] == d[4] < d[8] < d[10]
+    got = exp.coercivity_constant(domain, 3, 12)
+    assert got == d[2]
+    nodes = np.linspace(0.0, domain.lengths[0], 4)
+    assert got == pytest.approx(coercivity_at_nodes(domain, nodes, 12),
+                                rel=1e-13)
 
 
 def test_coercivity_profile_shows_the_mesh_rate(unit_interval):
@@ -640,6 +708,7 @@ def test_cli_rejects_bad_configs(tmp_path, capsys):
     ("modes", "count", 32.7),
     ("actuators", "count", True),
     ("coercivity", "cells", [8.9]),
+    ("coercivity", "modes_per_cell", 0),
     ("restriction", "samples", 48.5),
     ("sweep", "values", [float("nan"), 4.0, 8.0]),
     ("restriction", "horizons", [float("nan"), 0.01, 0.005]),
@@ -727,14 +796,20 @@ def test_cli_nan_diffusivity_exits_promptly(tmp_path):
 
 
 def test_track_runs_without_importing_scipy(tmp_path):
-    """scipy is a test oracle only: the CLI path must never import it."""
+    """scipy is a test oracle only: the CLI path must never import it.
+
+    ``place`` and ``coercivity`` run in the same interpreter after
+    ``track``, each checked on its own.
+    """
     code = ("import sys\n"
             "from heattrack.harness import cli\n"
-            f"rc = cli.main(['track', '--config', 'default', '--out', "
-            f"{str(tmp_path / 'out')!r}])\n"
-            "assert rc == 0, rc\n"
-            "loaded = sorted(m for m in sys.modules if m.startswith('scipy'))\n"
-            "assert not loaded, loaded\n")
+            "for command in ('track', 'place', 'coercivity'):\n"
+            "    rc = cli.main([command, '--config', 'default', '--out', "
+            f"{str(tmp_path)!r} + '/' + command])\n"
+            "    assert rc == 0, (command, rc)\n"
+            "    loaded = sorted(m for m in sys.modules"
+            " if m.startswith('scipy'))\n"
+            "    assert not loaded, (command, loaded)\n")
     package_root = os.path.dirname(os.path.dirname(heattrack.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [package_root, os.environ.get("PYTHONPATH")])))

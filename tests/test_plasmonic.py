@@ -24,7 +24,8 @@ from heattrack.plasmonic import (
 from heattrack.rng import PURPOSE_TEST, stream
 
 import manufactured as mms
-from particles import free_space_kernel, kernel_time_derivative, run_pipeline
+from particles import (coupling_forcing_steps, free_space_kernel,
+                       kernel_time_derivative, run_pipeline)
 
 KAPPA = 1.0
 
@@ -293,6 +294,26 @@ def test_direct_remainder_matches_the_difference_of_pipelines(perturb):
                                      times, intensities)
     assert norm0 == 0.0
     assert not np.any(rho0)
+
+
+@pytest.mark.parametrize("centers,samples", [
+    (np.array([[0.3], [0.7]]), 81),
+    (np.array([[0.2], [0.45], [0.8]]), 501),
+    (np.array([[0.3, 0.4, 0.3], [0.6, 0.4, 0.3], [0.5, 0.2, 0.1]]), 201),
+])
+def test_coupling_forcing_matches_the_step_loop(centers, samples):
+    m = centers.shape[0]
+    config = _config(centers=centers, contrasts=np.ones(m),
+                     coupling=0.5 * (np.ones((m, m)) - np.eye(m)),
+                     dictionary=np.eye(m), delta=0.1,
+                     perturb_interaction=True)
+    times = np.linspace(0.0, 0.4, samples)
+    phase = np.pi * times[:, None] / 0.4 * np.arange(1, m + 1)[None, :]
+    intensities = np.sin(phase) ** 2
+    want = coupling_forcing_steps(config, times, intensities)
+    got = plasmonic._coupling_forcing(config, times, intensities)
+    assert np.max(np.abs(want)) > 0.0
+    assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
 
 
 @pytest.mark.parametrize("perturb", [False, True])
