@@ -25,6 +25,10 @@ __all__ = ["ExperimentConfig", "load_config", "resolve_config_path",
 
 PROFILE_NAMES = ("sine-bump",)
 
+# Largest mesh a coercivity run or a mesh sweep accepts: n cells ask for
+# modes_per_cell * n interval modes, about 20 ms at n = 4096 and 8 per cell.
+MAX_CELLS = 4096
+
 
 def profile_samples(name: str, times: np.ndarray, horizon: float) -> np.ndarray:
     """Sample a named causal profile, vanishing at both horizon ends."""
@@ -90,6 +94,14 @@ def _list(values, name: str):
 
 def _numbers(values, name: str, kind=float, finite: bool = False) -> tuple:
     return tuple(_number(v, name, kind, finite) for v in _list(values, name))
+
+
+def _cell_counts(values, name: str) -> tuple:
+    cells = _numbers(values, name, int)
+    if any(not 1 <= n <= MAX_CELLS for n in cells):
+        raise ConfigError(f"{name} must be cell counts in 1..{MAX_CELLS}, "
+                          f"got {list(values)!r}")
+    return cells
 
 
 def _rows(rows, name: str) -> tuple:
@@ -295,19 +307,18 @@ class CoercivityBlock:
     def parse(block: dict) -> "CoercivityBlock":
         vals = _take(block, "coercivity",
                      {"cells": [8, 16, 32, 64], "modes_per_cell": 8})
-        cells = _numbers(vals["cells"], "coercivity.cells", int)
+        cells = _cell_counts(vals["cells"], "coercivity.cells")
         per_cell = _number(vals["modes_per_cell"],
                            "coercivity.modes_per_cell", int)
-        if any(m < 1 for m in cells) or per_cell < 1:
-            raise ConfigError("coercivity cells and modes_per_cell must be "
-                              "positive")
+        if per_cell < 1:
+            raise ConfigError("coercivity.modes_per_cell must be positive")
         return CoercivityBlock(cells, per_cell)
 
 
 @dataclass(frozen=True)
 class SweepBlock:
     kind: str
-    values: tuple
+    values: tuple           # floats; cell counts (ints) for a mesh sweep
 
     @staticmethod
     def parse(block: dict) -> "SweepBlock":
@@ -315,8 +326,9 @@ class SweepBlock:
         kind = str(_require(vals["kind"], "sweep", "kind"))
         if kind not in ("delta", "gain", "mesh"):
             raise ConfigError(f"unknown sweep kind {kind!r}")
-        values = _numbers(_require(vals["values"], "sweep", "values"),
-                          "sweep.values", finite=True)
+        values = _require(vals["values"], "sweep", "values")
+        values = (_cell_counts(values, "sweep.values") if kind == "mesh"
+                  else _numbers(values, "sweep.values", finite=True))
         if len(values) < 1:
             raise ConfigError("sweep.values must be nonempty")
         return SweepBlock(kind, values)
@@ -402,7 +414,12 @@ class ExperimentConfig:
                 blocks[name] = _BLOCK_PARSERS[name]({})
         canon_source = {k: v for k, v in data.items() if k != "seed"}
         canon_source["seed"] = seed
-        canonical = yaml.safe_dump(canon_source, sort_keys=True)
+        # libyaml's emitter when PyYAML has it.  The pure-Python SafeDumper
+        # writes the same text, but for where it wraps a quoted value
+        # longer than a line once non-ASCII characters are escaped.
+        canonical = yaml.dump(
+            canon_source, sort_keys=True,
+            Dumper=getattr(yaml, "CSafeDumper", yaml.SafeDumper))
         return ExperimentConfig(seed=seed, canonical=canonical, **blocks)
 
 
@@ -425,7 +442,8 @@ def load_config(path_or_name: str,
     except OSError as exc:
         raise ConfigError(f"cannot read config {path_or_name!r}: {exc}") from exc
     try:
-        data = yaml.safe_load(text)
+        data = yaml.load(text,
+                         Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except yaml.YAMLError as exc:
         raise ConfigError(f"config is not valid YAML: {exc}") from exc
     return ExperimentConfig.from_mapping(data or {}, seed_override)

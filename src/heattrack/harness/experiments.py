@@ -90,8 +90,8 @@ def _emit(out_dir: str | None, command: str, config: ExperimentConfig,
     """Write one run's tables and manifest; nothing when ``out_dir`` is None.
 
     ``tables`` maps a file name to ``(header, rows)``; ``summary`` lists
-    ``(key, value)`` pairs for ``summary.csv``.  Rows may be a generator,
-    so they are only formed when written.
+    ``(key, value)`` pairs for ``summary.csv``.  Rows are a 2-D float
+    array or an iterable; a generator is only formed when written.
     """
     if out_dir is None:
         return None
@@ -590,13 +590,9 @@ def _track_artifacts(result: TrackResult):
               + [f"u_des_{j + 1}" for j in range(m)]
               + [f"g_real_{j + 1}" for j in range(m)]
               + ["err_proj", "err_real", "err_total"])
-    rows = ([float(t)]
-            + [float(v) for v in result.u_ideal[i]]
-            + [float(v) for v in result.u_des[i]]
-            + [float(v) for v in result.g_real[i]]
-            + [float(result.err_proj[i]), float(result.err_real[i]),
-               float(result.err_total[i])]
-            for i, t in enumerate(result.times))
+    rows = np.column_stack([result.times, result.u_ideal, result.u_des,
+                            result.g_real, result.err_proj, result.err_real,
+                            result.err_total])
     budget_header = ["delta", "orth", "mismatch", "remainder", "eta",
                      "proj_sup", "real_sup", "total_sup", "budget_proj",
                      "budget_real", "budget_total", "within_proj",
@@ -660,10 +656,8 @@ def run_simulate(config: ExperimentConfig, out_dir: str | None = None,
     m = setup.actuators.count
     header = (["time", "norm_h", "norm_vdual"]
               + [f"u_{j + 1}" for j in range(m)])
-    rows = ([float(record.times[i]), float(record.norms_h[i]),
-             float(record.norms_vdual[i])]
-            + [float(v) for v in record.inputs[i]]
-            for i in range(record.times.shape[0]))
+    rows = None if out_dir is None else np.column_stack(
+        [record.times, record.norms_h, record.norms_vdual, record.inputs])
     summary = [("gain", setup.gain), ("mu_hat", mu_hat),
                ("fit_residual", residual),
                ("cross_deviation", cross),
@@ -916,8 +910,7 @@ def run_sweep(config: ExperimentConfig, out_dir: str | None = None):
         blk = config.coercivity or CoercivityBlock.parse({})
         with _stage("build"):
             domain = config.domain.build()
-        for value in values:
-            cells = int(round(value))
+        for cells in values:
             try:
                 metrics.append(coercivity_constant(
                     domain, cells, blk.modes_per_cell * cells))

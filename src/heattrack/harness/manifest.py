@@ -10,10 +10,15 @@ from __future__ import annotations
 import hashlib
 import os
 from dataclasses import dataclass, field
+from itertools import chain, islice
+
+import numpy as np
 
 __all__ = ["format_value", "write_csv", "RunManifest", "TOOL_ID"]
 
 TOOL_ID = "heattrack 0.1.0"
+
+BLOCK_ROWS = 256    # rows formatted, written and hashed at a time
 
 
 def format_value(value) -> str:
@@ -24,15 +29,36 @@ def format_value(value) -> str:
     return str(value)
 
 
+def _row_blocks(rows):
+    """The table body as text, ``BLOCK_ROWS`` rows at a time."""
+    if (isinstance(rows, np.ndarray) and rows.ndim == 2
+            and rows.dtype == np.float64):
+        # One ``%`` per block with the ``.17g`` of ``format_value``.
+        template = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+        for start in range(0, rows.shape[0], BLOCK_ROWS):
+            block = rows[start:start + BLOCK_ROWS]
+            yield (template * block.shape[0]) % tuple(block.ravel().tolist())
+        return
+    rows = iter(rows)
+    while block := list(islice(rows, BLOCK_ROWS)):
+        yield "".join(",".join(map(format_value, row)) + "\n"
+                      for row in block)
+
+
 def write_csv(path: str, header, rows) -> str:
-    """Write rows deterministically; returns the content sha256."""
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(format_value(v) for v in row))
-    payload = ("\n".join(lines) + "\n").encode("utf-8")
+    """Write rows deterministically; returns the content sha256.
+
+    ``rows`` is an iterable of rows, or a 2-D float64 array written with
+    the same bytes.  The file and its digest are fed block by block, so
+    the whole payload is never held in memory.
+    """
+    digest = hashlib.sha256()
     with open(path, "wb") as handle:
-        handle.write(payload)
-    return hashlib.sha256(payload).hexdigest()
+        for text in chain([",".join(header) + "\n"], _row_blocks(rows)):
+            data = text.encode("utf-8")
+            handle.write(data)
+            digest.update(data)
+    return digest.hexdigest()
 
 
 @dataclass

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
 import heattrack
@@ -23,12 +24,14 @@ from heattrack.errors import (
 from heattrack.harness import cli
 from heattrack.harness import experiments as exp
 from heattrack.harness.config import (
+    MAX_CELLS,
     ExperimentConfig,
     load_config,
     profile_samples,
     resolve_config_path,
 )
 from heattrack.harness.manifest import (
+    BLOCK_ROWS,
     TOOL_ID,
     RunManifest,
     format_value,
@@ -137,6 +140,9 @@ def test_sweep_block_validation():
         _config(sweep={"values": [1.0]})
     with pytest.raises(ConfigError, match="nonempty"):
         _config(sweep={"kind": "delta", "values": []})
+    assert _config(sweep={"kind": "mesh",
+                          "values": [1, 8.0, MAX_CELLS]}).sweep.values == (
+        1, 8, MAX_CELLS)
 
 
 def test_profile_samples_shape_and_names():
@@ -198,6 +204,51 @@ def test_fuzzed_config_mappings_parse_or_raise_config_errors(mutations):
         ExperimentConfig.from_mapping(data)
     except ConfigError:
         pass
+
+
+@settings(max_examples=200, deadline=1000)
+@given(st.lists(st.tuples(st.sampled_from(FUZZ_KEYS), FUZZ_VALUES),
+                min_size=1, max_size=4))
+def test_libyaml_and_pure_python_dumpers_agree_on_fuzzed_mappings(mutations):
+    data = copy.deepcopy(FUZZ_BASE)
+    for (block, key), value in mutations:
+        (data if block is None else data[block])[key] = value
+    dumper = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+    assert (yaml.dump(data, Dumper=dumper, sort_keys=True)
+            == yaml.dump(data, Dumper=yaml.SafeDumper, sort_keys=True))
+
+
+YAML_TEXTS = {
+    "default": resolve_config_path("default").read_text(),
+    "base": yaml.safe_dump(BASE),
+    "fuzz-base": yaml.safe_dump(FUZZ_BASE),
+    "all-blocks": yaml.safe_dump(_mapping(
+        restriction={"probes": [[0.5]], "sources": [[0.4], [0.6]],
+                     "horizons": [0.02, 0.01, 0.005, 0.0025]},
+        coercivity={"cells": [4, 8], "modes_per_cell": 4},
+        sweep={"kind": "gain", "values": [4.0, 8.0, 16.0]},
+        plasmonic={"contrasts": [1.0, 0.5, 2.0, 1.5],
+                   "perturb_interaction": True})),
+}
+
+
+@pytest.mark.parametrize("name", sorted(YAML_TEXTS))
+def test_libyaml_and_pure_python_configs_agree(tmp_path, monkeypatch, name):
+    """PyYAML's libyaml classes, when built, read and canonicalise a config
+    exactly as the pure-Python ones that replace them when they are not."""
+    text = YAML_TEXTS[name]
+    path = tmp_path / "c.yaml"
+    path.write_text(text)
+    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    assert (yaml.load(text, Loader=loader)
+            == yaml.load(text, Loader=yaml.SafeLoader))
+    fast = load_config(str(path))
+    monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    monkeypatch.delattr(yaml, "CSafeDumper", raising=False)
+    pure = load_config(str(path))
+    assert pure == fast
+    assert pure.canonical == fast.canonical
+    assert pure.digest == fast.digest
 
 
 # ---------------------------------------------------------------------------
@@ -595,6 +646,43 @@ def test_write_csv_bytes_and_digest(tmp_path):
     assert digest == hashlib.sha256(payload).hexdigest()
 
 
+def _float_table(rng, rows, cols):
+    """Signed magnitudes from 1e-320 to 1e308 with the special values and
+    integer-valued floats mixed in."""
+    table = (rng.choice([-1.0, 1.0], (rows, cols))
+             * 10.0 ** rng.uniform(-320.0, 308.0, (rows, cols)))
+    specials = [float("nan"), -float("nan"), float("inf"), -float("inf"),
+                0.0, -0.0, 5e-324, 1e308, 3.0, -12.0, 2.0 ** 60, 1e16]
+    mask = rng.random((rows, cols)) < 0.3
+    table[mask] = rng.choice(specials, int(mask.sum()))
+    return table
+
+
+@pytest.mark.parametrize("rows", [0, 1, BLOCK_ROWS, 2 * BLOCK_ROWS + 37])
+def test_write_csv_array_and_rows_give_the_same_bytes(tmp_path, rows):
+    table = _float_table(stream(7, PURPOSE_TEST, 900 + rows), rows, 7)
+    header = [f"c{j}" for j in range(7)]
+    fast, slow = tmp_path / "array.csv", tmp_path / "rows.csv"
+    digest = write_csv(str(fast), header, table)
+    assert digest == write_csv(str(slow), header, table.tolist())
+    assert fast.read_bytes() == slow.read_bytes()
+    assert digest == hashlib.sha256(fast.read_bytes()).hexdigest()
+    assert len(fast.read_bytes().splitlines()) == rows + 1
+
+
+@settings(max_examples=200, deadline=1000)
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2),
+                  elements=st.floats(allow_nan=True, allow_infinity=True)))
+def test_write_csv_array_matches_format_value_on_any_floats(tmp_path_factory,
+                                                            table):
+    expected = "".join(",".join(format_value(v) for v in row) + "\n"
+                       for row in table.tolist())
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    digest = write_csv(str(path), ["h"], table)
+    assert path.read_bytes() == ("h\n" + expected).encode()
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def test_manifest_render_is_ordered_and_stable(tmp_path):
     manifest = RunManifest("track", "c" * 64, 7, {"b_tol": 0.5, "a_tol": 1.0})
     manifest.record_output("zeta.csv", "f" * 64)
@@ -686,6 +774,16 @@ def test_cli_rejects_bad_configs(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("values", [[0.4, 8, 16], [8.5, 16], [0, 8],
+                                    [-4, 8], [8, MAX_CELLS + 1], [1e300]],
+                         ids=str)
+def test_cli_mesh_sweep_rejects_bad_cell_counts(tmp_path, capsys, values):
+    path = _write_yaml(tmp_path / "mesh.yaml",
+                       _mapping(sweep={"kind": "mesh", "values": values}))
+    assert cli.main(["sweep", "--config", path, "--check"]) == 2
+    assert "sweep.values" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("block,key,value", [
     ("control", "dt", 0.003),
     ("control", "horizon", float("nan")),
@@ -708,6 +806,7 @@ def test_cli_rejects_bad_configs(tmp_path, capsys):
     ("modes", "count", 32.7),
     ("actuators", "count", True),
     ("coercivity", "cells", [8.9]),
+    ("coercivity", "cells", [8, MAX_CELLS + 1]),
     ("coercivity", "modes_per_cell", 0),
     ("restriction", "samples", 48.5),
     ("sweep", "values", [float("nan"), 4.0, 8.0]),
