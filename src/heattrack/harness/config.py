@@ -28,6 +28,15 @@ PROFILE_NAMES = ("sine-bump",)
 # Largest mesh a coercivity run or a mesh sweep accepts: n cells ask for
 # modes_per_cell * n interval modes, about 20 ms at n = 4096 and 8 per cell.
 MAX_CELLS = 4096
+# Largest modes_per_cell a coercivity run accepts: at MAX_CELLS it asks for
+# 64 * 4096 = 262,144 modes, about 0.12 s per mesh.
+MAX_MODES_PER_CELL = 64
+# Largest restriction.samples: each horizon sums the images of every
+# (probe, source) pair at samples * quad_order nodes, about 0.25 s per
+# horizon for two box3 pairs at 1024 * 100.
+MAX_SAMPLES = 1024
+# numpy's leggauss, an eigenvalue solve of this order, is tested up to 100.
+MAX_QUAD_ORDER = 100
 
 
 def profile_samples(name: str, times: np.ndarray, horizon: float) -> np.ndarray:
@@ -65,9 +74,13 @@ def _number(value, name: str, kind=float, finite: bool = False):
 
     A boolean is not a number, and an integer key takes no fractional
     number: ``int(32.7)`` would silently truncate it.  Numeric strings
-    convert, since YAML reads an unquoted ``1e-6`` as a string.
+    convert, since YAML reads an unquoted ``1e-6`` as a string, but only
+    ASCII ones: ``float`` also reads other scripts' digits, and the
+    canonical dump would then depend on how the YAML emitter escapes them.
+    A ``!!binary`` value is bytes, which ``float`` would read too.
     """
-    if isinstance(value, bool):
+    if isinstance(value, (bool, bytes)) or (isinstance(value, str)
+                                            and not value.isascii()):
         raise ConfigError(f"{name} must be a number, got {value!r}")
     try:
         number = kind(value)
@@ -96,12 +109,15 @@ def _numbers(values, name: str, kind=float, finite: bool = False) -> tuple:
     return tuple(_number(v, name, kind, finite) for v in _list(values, name))
 
 
+def _bounded(value, name: str, top: int) -> int:
+    number = _number(value, name, int)
+    if not 1 <= number <= top:
+        raise ConfigError(f"{name} must be in 1..{top}, got {value!r}")
+    return number
+
+
 def _cell_counts(values, name: str) -> tuple:
-    cells = _numbers(values, name, int)
-    if any(not 1 <= n <= MAX_CELLS for n in cells):
-        raise ConfigError(f"{name} must be cell counts in 1..{MAX_CELLS}, "
-                          f"got {list(values)!r}")
-    return cells
+    return tuple(_bounded(v, name, MAX_CELLS) for v in _list(values, name))
 
 
 def _rows(rows, name: str) -> tuple:
@@ -294,8 +310,9 @@ class RestrictionBlock:
             None if sources is None else _rows(sources, "restriction.sources"),
             None if amplitudes is None
             else _numbers(amplitudes, "restriction.amplitudes", finite=True),
-            _number(vals["samples"], "restriction.samples", int),
-            _number(vals["quad_order"], "restriction.quad_order", int))
+            _bounded(vals["samples"], "restriction.samples", MAX_SAMPLES),
+            _bounded(vals["quad_order"], "restriction.quad_order",
+                     MAX_QUAD_ORDER))
 
 
 @dataclass(frozen=True)
@@ -308,11 +325,9 @@ class CoercivityBlock:
         vals = _take(block, "coercivity",
                      {"cells": [8, 16, 32, 64], "modes_per_cell": 8})
         cells = _cell_counts(vals["cells"], "coercivity.cells")
-        per_cell = _number(vals["modes_per_cell"],
-                           "coercivity.modes_per_cell", int)
-        if per_cell < 1:
-            raise ConfigError("coercivity.modes_per_cell must be positive")
-        return CoercivityBlock(cells, per_cell)
+        return CoercivityBlock(cells, _bounded(vals["modes_per_cell"],
+                                               "coercivity.modes_per_cell",
+                                               MAX_MODES_PER_CELL))
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ difference of two nearly equal numbers.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -33,34 +34,51 @@ def boundary_distance(domain: DomainSpec, points) -> float:
     return float(np.min(np.minimum(pts, lengths[None, :] - pts)))
 
 
-def _free_axis_kernel(dx: np.ndarray, s: np.ndarray, kappa: float) -> np.ndarray:
-    expo = -(dx ** 2) / (4.0 * kappa * s)
-    out = np.zeros(np.broadcast_shapes(dx.shape, s.shape))
-    ok = expo > -EXP_FLOOR
-    pref = (4.0 * np.pi * kappa * s) ** -0.5
-    np.multiply(pref, np.exp(np.where(ok, expo, 0.0)), out=out, where=ok)
-    return out
+# Largest (images, nodes) exponent table one _image_sums block holds:
+# 2**17 float64 values, 1 MiB.  Every packaged and benchmark config fits
+# its images in one block; a long horizon on a short axis needs thousands
+# of images, and blocking keeps the working set at this size.
+_BLOCK_VALUES = 1 << 17
 
 
-def _reflected_axis_kernel(xi: float, eta: float, length: float,
-                           s: np.ndarray, kappa: float) -> np.ndarray:
-    """Sum of all non-principal 1-d Neumann images at elapsed times s."""
-    s = np.asarray(s, dtype=float)
-    reach = math.sqrt(4.0 * kappa * float(np.max(s)) * EXP_FLOOR)
-    m_max = int(math.ceil((reach + 2.0 * length) / (2.0 * length))) + 1
-    total = np.zeros_like(s)
-    for m in range(-m_max, m_max + 1):
-        arg = xi - eta + 2.0 * m * length
-        if m != 0:
-            total += _free_axis_kernel(np.asarray(arg), s, kappa)
-        arg = xi + eta + 2.0 * m * length
-        total += _free_axis_kernel(np.asarray(arg), s, kappa)
-    return total
+def _image_sums(offsets: np.ndarray, groups: np.ndarray, n_groups: int,
+                s: np.ndarray, kappa: float) -> np.ndarray:
+    """Sums of the 1-d heat kernel over image offsets, one per group.
+
+    ``offsets`` and ``groups`` are flat, ``s`` holds the elapsed times;
+    returns (n_groups, len(s)).  Exponents at or below -EXP_FLOOR count as
+    exact zeros, so an image that is below it at the longest time is
+    dropped before the table is built.
+    """
+    scale = 4.0 * kappa * s
+    live = -(offsets ** 2) / np.max(scale) > -EXP_FLOOR
+    offsets, groups = offsets[live], groups[live]
+    total = np.zeros((n_groups, s.shape[0]))
+    step = max(1, _BLOCK_VALUES // s.shape[0])
+    for lo in range(0, offsets.shape[0], step):
+        expo = -(offsets[lo:lo + step, None] ** 2) / scale
+        ok = expo > -EXP_FLOOR
+        # exp is several times slower on arguments that underflow
+        np.maximum(expo, -EXP_FLOOR, out=expo)
+        np.exp(expo, out=expo)
+        expo *= ok
+        total += (groups[lo:lo + step] == np.arange(n_groups)[:, None]) @ expo
+    return total * (4.0 * np.pi * kappa * s) ** -0.5
+
+
+@functools.lru_cache(maxsize=8, typed=True)
+def _gauss_rule(order: int):
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], one eigenvalue
+    solve per order and process."""
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
 
 
 def _gauss_panels(times: np.ndarray, upto: int, order: int):
     """Gauss-Legendre nodes/weights on each grid panel up to index ``upto``."""
-    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes, weights = _gauss_rule(order)
     dt = times[1] - times[0]
     starts = times[:upto]
     taus = starts[:, None] + 0.5 * dt * (nodes[None, :] + 1.0)
@@ -106,35 +124,43 @@ def images_point_solution(domain: DomainSpec, sources, times, inputs, probes,
     inputs = np.asarray(inputs, dtype=float)
     idx = _resolve_time(times, t)
     taus, w = _gauss_panels(times, idx, quad_order)
-    u_tau = _interp_inputs(times, inputs, taus)
+    weighted = w[:, None] * _interp_inputs(times, inputs, taus)
     s = times[idx] - taus
     kappa = domain.kappa
-    dim = domain.dim
-    values = np.zeros(prb.shape[0])
-    for p in range(prb.shape[0]):
-        for j in range(src.shape[0]):
-            free = [
-                _free_axis_kernel(np.asarray(prb[p, ax] - src[j, ax]), s, kappa)
-                for ax in range(dim)]
-            refl = [
-                _reflected_axis_kernel(prb[p, ax], src[j, ax],
-                                       domain.lengths[ax], s, kappa)
-                for ax in range(dim)]
-            if reflected_only:
-                # Expand prod(free + refl) - prod(free): every term keeps
-                # at least one reflected factor, so nothing cancels.
-                kern = np.zeros_like(s)
-                for mask in range(1, 2 ** dim):
-                    term = np.ones_like(s)
-                    for ax in range(dim):
-                        term = term * (refl[ax] if (mask >> ax) & 1 else free[ax])
-                    kern += term
-            else:
-                kern = np.ones_like(s)
-                for ax in range(dim):
-                    kern = kern * (free[ax] + refl[ax])
-            values[p] += float(np.sum(w * kern * u_tau[:, j]))
-    return values
+    lengths = np.asarray(domain.lengths, dtype=float)
+    # Images |m| <= m_max per axis cover the reach of the kernel.  Every
+    # axis takes the largest m_max: past its own, an image lies more than
+    # the reach away, so its kernel is an exact zero.
+    reach = math.sqrt(4.0 * kappa * float(np.max(s)) * EXP_FLOOR)
+    m_max = max(int(math.ceil((reach + 2.0 * length) / (2.0 * length))) + 1
+                for length in domain.lengths)
+    shifts = 2.0 * np.arange(-m_max, m_max + 1)[None, :] * lengths[:, None]
+    shifted = np.delete(shifts, m_max, axis=1)  # m = 0 is the principal image
+    # Offsets of one pair form a (dim, images) table whose column 0 is the
+    # principal image; its sums land in group ax (free) or dim + ax.
+    dim = lengths.shape[0]
+    columns = 1 + shifted.shape[1] + shifts.shape[1]
+    groups = (np.arange(dim)[:, None]
+              + dim * (np.arange(columns) > 0)[None, :]).ravel()
+    kern = np.empty((prb.shape[0], src.shape[0], s.shape[0]))
+    for p, j in np.ndindex(kern.shape[:2]):
+        diff = (prb[p] - src[j])[:, None]
+        offsets = np.hstack([diff, diff + shifted,
+                             (prb[p] + src[j])[:, None] + shifts]).ravel()
+        free, refl = np.split(
+            _image_sums(offsets, groups, 2 * dim, s, kappa), 2)
+        if reflected_only:
+            # prod(free + refl) - prod(free), expanded one axis at a time:
+            # every term keeps at least one reflected factor, so nothing
+            # cancels.
+            gap, free_prod = np.zeros_like(s), np.ones_like(s)
+            for f, r in zip(free, refl):
+                gap = gap * (f + r) + free_prod * r
+                free_prod = free_prod * f
+            kern[p, j] = gap
+        else:
+            kern[p, j] = np.prod(free + refl, axis=0)
+    return np.einsum("pjs,sj->p", kern, weighted)
 
 
 @dataclass(frozen=True)

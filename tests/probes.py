@@ -1,21 +1,92 @@
-"""Two independent routes to probe values of point-source heat fields.
+"""Independent routes to probe values of point-source heat fields.
 
 ``heattrack.restriction.images_point_solution`` is checked against the
 whole-space field of the sources (its principal image alone, on the same
-panel quadrature) and against the truncated cosine expansion marched
-exactly by ``march_forced``, which checks its own truncation by doubling.
+panel quadrature), against the truncated cosine expansion marched
+exactly by ``march_forced``, which checks its own truncation by doubling,
+and against the same image sum taken one image at a time.
 """
+
+import math
 
 import numpy as np
 
-from heattrack.restriction import (_free_axis_kernel, _gauss_panels,
-                                   _interp_inputs, _resolve_time)
-from heattrack.spectral import (enumerate_modes, eval_modes, march_forced,
-                                uniform_step)
+from heattrack.restriction import _gauss_panels, _interp_inputs, _resolve_time
+from heattrack.spectral import (EXP_FLOOR, enumerate_modes, eval_modes,
+                                march_forced, uniform_step)
 
 
 class ResolutionError(ValueError):
     """The truncation is too coarse for the requested tolerance."""
+
+
+def _free_axis_kernel(dx: np.ndarray, s: np.ndarray, kappa: float) -> np.ndarray:
+    expo = -(dx ** 2) / (4.0 * kappa * s)
+    out = np.zeros(np.broadcast_shapes(dx.shape, s.shape))
+    ok = expo > -EXP_FLOOR
+    pref = (4.0 * np.pi * kappa * s) ** -0.5
+    np.multiply(pref, np.exp(np.where(ok, expo, 0.0)), out=out, where=ok)
+    return out
+
+
+def _reflected_axis_kernel(xi: float, eta: float, length: float,
+                           s: np.ndarray, kappa: float) -> np.ndarray:
+    """Sum of all non-principal 1-d Neumann images at elapsed times s."""
+    s = np.asarray(s, dtype=float)
+    reach = math.sqrt(4.0 * kappa * float(np.max(s)) * EXP_FLOOR)
+    m_max = int(math.ceil((reach + 2.0 * length) / (2.0 * length))) + 1
+    total = np.zeros_like(s)
+    for m in range(-m_max, m_max + 1):
+        arg = xi - eta + 2.0 * m * length
+        if m != 0:
+            total += _free_axis_kernel(np.asarray(arg), s, kappa)
+        arg = xi + eta + 2.0 * m * length
+        total += _free_axis_kernel(np.asarray(arg), s, kappa)
+    return total
+
+
+def looped_images_point_solution(domain, sources, times, inputs, probes,
+                                 t=None, quad_order: int = 12,
+                                 reflected_only: bool = False) -> np.ndarray:
+    """``images_point_solution`` one probe, source, axis and image at a time.
+
+    Each axis sums its own images |m| <= m_max, and ``reflected_only``
+    expands prod(free + refl) - prod(free) over the nonempty sets of
+    reflected axes.
+    """
+    src = np.atleast_2d(np.asarray(sources, dtype=float))
+    prb = np.atleast_2d(np.asarray(probes, dtype=float))
+    times = np.asarray(times, dtype=float)
+    inputs = np.asarray(inputs, dtype=float)
+    idx = _resolve_time(times, t)
+    taus, w = _gauss_panels(times, idx, quad_order)
+    u_tau = _interp_inputs(times, inputs, taus)
+    s = times[idx] - taus
+    kappa = domain.kappa
+    dim = domain.dim
+    values = np.zeros(prb.shape[0])
+    for p in range(prb.shape[0]):
+        for j in range(src.shape[0]):
+            free = [
+                _free_axis_kernel(np.asarray(prb[p, ax] - src[j, ax]), s, kappa)
+                for ax in range(dim)]
+            refl = [
+                _reflected_axis_kernel(prb[p, ax], src[j, ax],
+                                       domain.lengths[ax], s, kappa)
+                for ax in range(dim)]
+            if reflected_only:
+                kern = np.zeros_like(s)
+                for mask in range(1, 2 ** dim):
+                    term = np.ones_like(s)
+                    for ax in range(dim):
+                        term = term * (refl[ax] if (mask >> ax) & 1 else free[ax])
+                    kern += term
+            else:
+                kern = np.ones_like(s)
+                for ax in range(dim):
+                    kern = kern * (free[ax] + refl[ax])
+            values[p] += float(np.sum(w * kern * u_tau[:, j]))
+    return values
 
 
 def free_space_point_solution(sources, times, inputs, probes, kappa: float,

@@ -25,6 +25,9 @@ from heattrack.harness import cli
 from heattrack.harness import experiments as exp
 from heattrack.harness.config import (
     MAX_CELLS,
+    MAX_MODES_PER_CELL,
+    MAX_QUAD_ORDER,
+    MAX_SAMPLES,
     ExperimentConfig,
     load_config,
     profile_samples,
@@ -143,6 +146,27 @@ def test_sweep_block_validation():
     assert _config(sweep={"kind": "mesh",
                           "values": [1, 8.0, MAX_CELLS]}).sweep.values == (
         1, 8, MAX_CELLS)
+
+
+def test_capped_integer_keys_accept_both_ends():
+    for low_or_top in ((1, 1, 1), (MAX_SAMPLES, MAX_QUAD_ORDER,
+                                   MAX_MODES_PER_CELL)):
+        samples, quad_order, per_cell = low_or_top
+        config = _config(
+            restriction={"probes": [[0.5]], "horizons": [0.02, 0.01, 0.005],
+                         "samples": samples, "quad_order": quad_order},
+            coercivity={"cells": [4, 8], "modes_per_cell": per_cell})
+        assert (config.restriction.samples, config.restriction.quad_order,
+                config.coercivity.modes_per_cell) == low_or_top
+
+
+def test_ascii_numeric_strings_still_convert():
+    control = dict(BASE["control"], gain="8.0")
+    config = _config(control=control,
+                     tolerances={"cross_integrator": "1e-6"})
+    assert config.control.gain == 8.0
+    assert config.tolerances.cross_integrator == 1e-6
+    assert _config(seed="11").seed == 11
 
 
 def test_profile_samples_shape_and_names():
@@ -808,7 +832,18 @@ def test_cli_mesh_sweep_rejects_bad_cell_counts(tmp_path, capsys, values):
     ("coercivity", "cells", [8.9]),
     ("coercivity", "cells", [8, MAX_CELLS + 1]),
     ("coercivity", "modes_per_cell", 0),
+    ("coercivity", "modes_per_cell", MAX_MODES_PER_CELL + 1),
+    ("coercivity", "cells", ["\u0668"]),
+    ("control", "gain", "\u0668" * 15),
+    ("control", "dt", "\uff10.002"),
+    ("control", "gain", b"88.0"),
     ("restriction", "samples", 48.5),
+    ("restriction", "samples", 0),
+    ("restriction", "samples", -3),
+    ("restriction", "samples", MAX_SAMPLES + 1),
+    ("restriction", "quad_order", 0),
+    ("restriction", "quad_order", -2),
+    ("restriction", "quad_order", MAX_QUAD_ORDER + 1),
     ("sweep", "values", [float("nan"), 4.0, 8.0]),
     ("restriction", "horizons", [float("nan"), 0.01, 0.005]),
     ("restriction", "probes", [[float("inf")]]),

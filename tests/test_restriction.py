@@ -1,10 +1,13 @@
 """Probing near sources: the free-space route against the mode sum."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.special import erfc
 
+from heattrack import restriction
 from heattrack.errors import InsufficientDataError
 from heattrack.restriction import (
     boundary_distance,
@@ -14,7 +17,7 @@ from heattrack.restriction import (
 from heattrack.spectral import DomainSpec
 
 from probes import (ResolutionError, free_space_point_solution,
-                    neumann_solution_probe)
+                    looped_images_point_solution, neumann_solution_probe)
 
 KAPPA = 1.0
 
@@ -134,6 +137,95 @@ def test_reflected_only_is_the_image_correction():
                                  reflected_only=True)
     assert_allclose(full - free, refl, atol=1e-14)
     assert np.all(refl > 0.0)  # insulated walls only add heat back
+
+
+# ---------------------------------------------------------------------------
+# the broadcast image sum against the image-by-image loop
+
+# DomainSpec has no 2-D kind; the image sum reads only lengths and kappa.
+_RECT = SimpleNamespace(kind="rect", lengths=(1.0, 0.7), kappa=0.8, dim=2)
+_IMAGE_CASES = {
+    "interval": (_interval(), [[0.4]], [[0.3], [0.55], [0.9]]),
+    "rect": (_RECT, [[0.4, 0.3], [0.6, 0.5]], [[0.5, 0.35]]),
+    "box3": (DomainSpec.box((1.0, 0.8, 0.6), kappa=KAPPA),
+             [[0.4, 0.4, 0.3], [0.6, 0.4, 0.3], [0.5, 0.2, 0.45]],
+             [[0.5, 0.4, 0.3], [0.3, 0.6, 0.2]]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_IMAGE_CASES))
+@pytest.mark.parametrize("reflected_only", [False, True])
+@pytest.mark.parametrize("quad_order", [1, 12])
+@pytest.mark.parametrize("mid", [False, True])
+def test_image_sum_matches_the_image_loop(case, reflected_only, quad_order,
+                                          mid):
+    domain, sources, probes = _IMAGE_CASES[case]
+    times = np.linspace(0.0, 0.02, 25)
+    shape = np.sin(np.pi * times / 0.02) ** 2
+    inputs = shape[:, None] * np.linspace(1.0, 0.5, len(sources))[None, :]
+    kwargs = dict(t=times[12] if mid else None, quad_order=quad_order,
+                  reflected_only=reflected_only)
+    fast = images_point_solution(domain, sources, times, inputs, probes,
+                                 **kwargs)
+    loop = looped_images_point_solution(domain, sources, times, inputs,
+                                        probes, **kwargs)
+    assert fast.shape == (len(probes),)
+    assert np.all(loop > 0.0)
+    assert_allclose(fast, loop, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("case", ["interval", "box3"])
+def test_image_sum_blocks_agree_with_the_image_loop(monkeypatch, case):
+    """A long horizon needs many images; small blocks split their table."""
+    domain, sources, probes = _IMAGE_CASES[case]
+    times = np.linspace(0.0, 0.5, 9)
+    inputs = np.ones((9, len(sources)))
+    loop = looped_images_point_solution(domain, sources, times, inputs,
+                                        probes, reflected_only=True)
+    whole = images_point_solution(domain, sources, times, inputs, probes,
+                                  reflected_only=True)
+    monkeypatch.setattr(restriction, "_BLOCK_VALUES", 500)
+    blocked = images_point_solution(domain, sources, times, inputs, probes,
+                                    reflected_only=True)
+    assert_allclose(whole, loop, rtol=1e-13, atol=0.0)
+    assert_allclose(blocked, loop, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("case", sorted(_IMAGE_CASES))
+def test_images_past_the_floor_are_exact_zeros(case):
+    """At t = 1e-5 every wall image is past the exp floor: the gap is 0."""
+    domain, sources, probes = _IMAGE_CASES[case]
+    times = np.linspace(0.0, 1e-5, 5)
+    inputs = np.ones((5, len(sources)))
+    fast = images_point_solution(domain, sources, times, inputs, probes,
+                                 reflected_only=True)
+    loop = looped_images_point_solution(domain, sources, times, inputs,
+                                        probes, reflected_only=True)
+    assert np.all(loop == 0.0) and np.all(fast == 0.0)
+
+
+def test_the_exp_floor_applies_node_by_node():
+    """Only the wall image at 0.9 is alive, just above the floor at the
+    longest elapsed time and below it at shorter ones."""
+    times = np.linspace(0.0, 2.94e-4, 9)
+    inputs = np.ones((9, 1))
+    args = (_interval(), [[0.4]], times, inputs, [[0.5]])
+    loop = looped_images_point_solution(*args, reflected_only=True)
+    assert 0.0 < loop[0] < 1e-290
+    assert_allclose(images_point_solution(*args, reflected_only=True), loop,
+                    rtol=1e-13, atol=0.0)
+
+
+def test_gauss_rule_is_cached_read_only_and_exact():
+    for order in (1, 12, 100):
+        nodes, weights = restriction._gauss_rule(order)
+        expected = np.polynomial.legendre.leggauss(order)
+        np.testing.assert_array_equal(nodes, expected[0])
+        np.testing.assert_array_equal(weights, expected[1])
+        assert not nodes.flags.writeable and not weights.flags.writeable
+        with pytest.raises(ValueError):
+            nodes[0] = 0.0
+        assert restriction._gauss_rule(order)[0] is nodes
 
 
 # ---------------------------------------------------------------------------
