@@ -159,8 +159,7 @@ def equilibrium(system: ClosedLoopSystem) -> np.ndarray:
     return system._spectrum.from_w(system._equilibrium_w())
 
 
-@dataclass
-class TrajectoryRecord:
+class TrajectoryRecord(NamedTuple):
     """Uniform-grid trajectory of the error state and the applied inputs."""
 
     times: np.ndarray
@@ -248,8 +247,7 @@ def decay_rate_fit(record: TrajectoryRecord, norm: str = "Vdual",
     return -slope, residual
 
 
-@dataclass(frozen=True)
-class BiasMatrix:
+class BiasMatrix(NamedTuple):
     """Low-mode stationary bias operator of the truncated loop.
 
     Column k holds the first N coefficients of the stationary error
@@ -280,8 +278,7 @@ def assemble_bias_matrix(matrices: SamplingMatrices, gain: float) -> BiasMatrix:
     return BiasMatrix(t_mat, float(np.linalg.norm(t_mat, 2)))
 
 
-@dataclass
-class FixedPointResult:
+class FixedPointResult(NamedTuple):
     a_star: np.ndarray
     used_picard: bool
     picard_errors: np.ndarray  # distance of each iterate to the direct solve
@@ -321,8 +318,7 @@ def fixed_point_reference(bias: BiasMatrix, a_target, picard: bool = False,
     return FixedPointResult(a_star, True, np.asarray(errors))
 
 
-@dataclass(frozen=True)
-class TailReport:
+class TailReport(NamedTuple):
     """Measured stationary mismatch versus the assembled tail bound.
 
     All norms are taken in the frame where the resolvent weight
@@ -375,8 +371,7 @@ def tail_mismatch_report(system: ClosedLoopSystem, bias: BiasMatrix,
                       tail_vdual <= bound + tol)
 
 
-@dataclass(frozen=True)
-class ContractionDiagnostics:
+class ContractionDiagnostics(NamedTuple):
     """Block-level certificates that the stationary bias is a contraction."""
 
     n_modes: int

@@ -1,8 +1,9 @@
 """Experiment configuration: a blocked key-value file, strictly validated.
 
 Configs are YAML mappings of named blocks.  Every key is checked against
-the block schema and unknown keys are rejected, so a typo fails fast
-instead of silently running defaults.  The canonical dump (sorted keys,
+``_SCHEMA``, the one table of keys, defaults and converters, and unknown
+keys are rejected, so a typo fails fast instead of silently running
+defaults.  The canonical dump (sorted keys,
 seed applied) is what run manifests hash.
 """
 
@@ -10,8 +11,10 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
+from functools import partial
 from importlib import resources
+from typing import NamedTuple
 
 import numpy as np
 import yaml
@@ -25,6 +28,10 @@ __all__ = ["ExperimentConfig", "load_config", "resolve_config_path",
 
 PROFILE_NAMES = ("sine-bump",)
 
+# Largest modes.count: on the default config an in-process track takes
+# 0.19, 0.63, 3.1 and 18.5 s at 256, 512, 1024 and 2048 modes, and its
+# convergence pass runs at twice the count.
+MAX_MODES = 2048
 # Largest mesh a coercivity run or a mesh sweep accepts: n cells ask for
 # modes_per_cell * n interval modes, about 20 ms at n = 4096 and 8 per cell.
 MAX_CELLS = 4096
@@ -44,21 +51,6 @@ def profile_samples(name: str, times: np.ndarray, horizon: float) -> np.ndarray:
     if name == "sine-bump":
         return np.sin(np.pi * np.asarray(times) / horizon) ** 2
     raise ConfigError(f"unknown profile {name!r}; known: {PROFILE_NAMES}")
-
-
-def _take(block: dict, name: str, allowed: dict) -> dict:
-    unknown = sorted(set(block) - set(allowed))
-    if unknown:
-        raise ConfigError(f"unknown key(s) {unknown} in block '{name}'")
-    merged = dict(allowed)
-    merged.update(block)
-    return merged
-
-
-def _require(value, name: str, key: str):
-    if value is None:
-        raise ConfigError(f"block '{name}' requires key '{key}'")
-    return value
 
 
 def _flag(value, name: str) -> bool:
@@ -93,306 +85,207 @@ def _number(value, name: str, kind=float, finite: bool = False):
     return number
 
 
-def _finite(value, name: str, optional: bool = False) -> float | None:
-    if value is None and optional:
-        return None
-    return _number(value, name, finite=True)
-
-
 def _list(values, name: str):
     if not isinstance(values, (list, tuple)):
         raise ConfigError(f"{name} must be a list, got {values!r}")
     return values
 
 
-def _numbers(values, name: str, kind=float, finite: bool = False) -> tuple:
-    return tuple(_number(v, name, kind, finite) for v in _list(values, name))
+def _each(convert):
+    """A list whose every entry ``convert`` accepts, as a tuple."""
+    return lambda values, name: tuple(convert(v, name)
+                                      for v in _list(values, name))
 
 
-def _bounded(value, name: str, top: int) -> int:
-    number = _number(value, name, int)
-    if not 1 <= number <= top:
-        raise ConfigError(f"{name} must be in 1..{top}, got {value!r}")
-    return number
+def _capped(top: int):
+    """An integer in 1..top."""
+    def convert(value, name: str) -> int:
+        number = _number(value, name, int)
+        if not 1 <= number <= top:
+            raise ConfigError(f"{name} must be in 1..{top}, got {value!r}")
+        return number
+    return convert
 
 
-def _cell_counts(values, name: str) -> tuple:
-    return tuple(_bounded(v, name, MAX_CELLS) for v in _list(values, name))
+_integer = partial(_number, kind=int)
+_finite = partial(_number, finite=True)
+_numbers, _integers, _finites = _each(_number), _each(_integer), _each(_finite)
+_table = _each(_finites)                    # one finite list per row
+_cell_counts = _each(_capped(MAX_CELLS))
 
 
 def _rows(rows, name: str) -> tuple:
     """One finite coordinate list per point; a bare number is a 1-D point."""
-    return tuple(_numbers(row if isinstance(row, (list, tuple)) else [row],
-                          name, finite=True)
-                 for row in _list(rows, name))
+    return _table([row if isinstance(row, (list, tuple)) else [row]
+                   for row in _list(rows, name)], name)
 
 
-@dataclass(frozen=True)
-class DomainBlock:
-    kind: str
-    lengths: tuple
-    kappa: float
-
-    @staticmethod
-    def parse(block: dict) -> "DomainBlock":
-        vals = _take(block, "domain",
-                     {"kind": "interval", "lengths": [1.0], "kappa": 1.0})
-        return DomainBlock(str(vals["kind"]),
-                           _numbers(vals["lengths"], "domain.lengths"),
-                           _number(vals["kappa"], "domain.kappa"))
-
-    def build(self) -> DomainSpec:
-        try:
-            return DomainSpec(self.kind, self.lengths, self.kappa)
-        except ValueError as exc:
-            raise ConfigError(f"invalid domain: {exc}") from exc
+def _opt(convert):
+    """None, or a value ``convert`` accepts."""
+    return lambda value, name: None if value is None else convert(value, name)
 
 
-@dataclass(frozen=True)
-class ModesBlock:
-    count: int
-    controlled: int
-
-    @staticmethod
-    def parse(block: dict) -> "ModesBlock":
-        vals = _take(block, "modes", {"count": 32, "controlled": 4})
-        count = _number(vals["count"], "modes.count", int)
-        controlled = _number(vals["controlled"], "modes.controlled", int)
-        if count < 1 or controlled < 1 or controlled > count:
-            raise ConfigError("modes.count and modes.controlled must satisfy "
-                              "1 <= controlled <= count")
-        return ModesBlock(count, controlled)
+def _or_word(word: str, convert):
+    """The literal ``word``, or a value ``convert`` accepts."""
+    return lambda value, name: value if value == word else convert(value, name)
 
 
-@dataclass(frozen=True)
-class ActuatorBlock:
-    kind: str
-    count: int | None
-    counts: tuple | None
-    points: tuple | None
-    candidates_per_axis: int
-    select: int | None
-
-    @staticmethod
-    def parse(block: dict) -> "ActuatorBlock":
-        vals = _take(block, "actuators",
-                     {"kind": "dct", "count": None, "counts": None,
-                      "points": None, "candidates_per_axis": 64,
-                      "select": None})
-        kind = str(vals["kind"])
-        if kind not in ("dct", "explicit", "greedy"):
-            raise ConfigError(f"unknown actuator kind {kind!r}")
-        points = vals["points"]
-        if points is not None:
-            points = _rows(points, "actuators.points")
-        counts = vals["counts"]
-        if counts is not None:
-            counts = _numbers(counts, "actuators.counts", int)
-        count, select = (None if vals[k] is None
-                         else _number(vals[k], f"actuators.{k}", int)
-                         for k in ("count", "select"))
-        return ActuatorBlock(kind, count, counts, points,
-                             _number(vals["candidates_per_axis"],
-                                     "actuators.candidates_per_axis", int),
-                             select)
+def _choice(what: str, words: tuple):
+    """One of ``words``; ``what`` names the key in the error."""
+    def convert(value, name: str) -> str:
+        if str(value) not in words:
+            raise ConfigError(f"unknown {what} {str(value)!r}")
+        return str(value)
+    return convert
 
 
-@dataclass(frozen=True)
-class ControlBlock:
-    gain: float | None
-    target_rate: float | None
-    horizon: float
-    dt: float
-    reference: tuple
-    fixed_point: bool
-    initial: tuple | None
-
-    @staticmethod
-    def parse(block: dict) -> "ControlBlock":
-        vals = _take(block, "control",
-                     {"gain": None, "target_rate": None, "horizon": 1.0,
-                      "dt": 0.002, "reference": None, "fixed_point": True,
-                      "initial": None})
-        if vals["gain"] is None and vals["target_rate"] is None:
-            raise ConfigError("control needs either gain or target_rate")
-        reference, initial = (
-            None if vals[k] is None
-            else _numbers(vals[k], f"control.{k}", finite=True)
-            for k in ("reference", "initial"))
-        horizon = _finite(vals["horizon"], "control.horizon")
-        dt = _finite(vals["dt"], "control.dt")
-        try:
-            time_grid(horizon, dt)
-        except ValueError as exc:
-            raise ConfigError(f"control (dt={dt:g}): {exc}") from None
-        return ControlBlock(
-            _finite(vals["gain"], "control.gain", optional=True),
-            _finite(vals["target_rate"], "control.target_rate", optional=True),
-            horizon, dt, reference or (),
-            _flag(vals["fixed_point"], "control.fixed_point"), initial)
+def _text(value, name: str) -> str:
+    return str(value)
 
 
-@dataclass(frozen=True)
-class TrackBlock:
-    delta: float
-    mu: float
-    deltas: tuple
-    profile: str
+_REQUIRED = object()   # a default that says the key has none
 
-    @staticmethod
-    def parse(block: dict) -> "TrackBlock":
-        vals = _take(block, "track",
-                     {"delta": 0.05, "mu": 1.0,
-                      "deltas": [0.2, 0.1, 0.05, 0.025],
-                      "profile": "sine-bump"})
-        profile = str(vals["profile"])
-        if profile not in PROFILE_NAMES:
-            raise ConfigError(f"unknown profile {profile!r}")
-        deltas = _numbers(vals["deltas"], "track.deltas", finite=True)
-        return TrackBlock(_finite(vals["delta"], "track.delta"),
-                          _finite(vals["mu"], "track.mu"), deltas, profile)
-
-
-@dataclass(frozen=True)
-class PlasmonicBlock:
-    c_m: float
-    kappa: float | None
-    contrasts: tuple | str
-    coupling_scale: float
-    dictionary: tuple | str
-    perturb_interaction: bool
-
-    @staticmethod
-    def parse(block: dict) -> "PlasmonicBlock":
-        vals = _take(block, "plasmonic",
-                     {"c_m": 1.0, "kappa": None, "contrasts": "ones",
-                      "coupling_scale": 0.05, "dictionary": "identity",
-                      "perturb_interaction": False})
-        contrasts = vals["contrasts"]
-        if contrasts != "ones":
-            contrasts = _numbers(contrasts, "plasmonic.contrasts",
-                                 finite=True)
-        dictionary = vals["dictionary"]
-        if dictionary != "identity":
-            dictionary = tuple(
-                _numbers(row, "plasmonic.dictionary", finite=True)
-                for row in _list(dictionary, "plasmonic.dictionary"))
-        return PlasmonicBlock(
-            _finite(vals["c_m"], "plasmonic.c_m"),
-            _finite(vals["kappa"], "plasmonic.kappa", optional=True),
-            contrasts,
-            _finite(vals["coupling_scale"], "plasmonic.coupling_scale"),
-            dictionary,
-            _flag(vals["perturb_interaction"], "plasmonic.perturb_interaction"))
-
-
-@dataclass(frozen=True)
-class RestrictionBlock:
-    probes: tuple
-    horizons: tuple
-    sources: tuple | None
-    amplitudes: tuple | None
-    samples: int
-    quad_order: int
-
-    @staticmethod
-    def parse(block: dict) -> "RestrictionBlock":
-        vals = _take(block, "restriction",
-                     {"probes": None, "horizons": None, "sources": None,
-                      "amplitudes": None, "samples": 48, "quad_order": 12})
-        probes = _require(vals["probes"], "restriction", "probes")
-        horizons = _require(vals["horizons"], "restriction", "horizons")
-        sources = vals["sources"]
-        amplitudes = vals["amplitudes"]
-        return RestrictionBlock(
-            _rows(probes, "restriction.probes"),
-            _numbers(horizons, "restriction.horizons", finite=True),
-            None if sources is None else _rows(sources, "restriction.sources"),
-            None if amplitudes is None
-            else _numbers(amplitudes, "restriction.amplitudes", finite=True),
-            _bounded(vals["samples"], "restriction.samples", MAX_SAMPLES),
-            _bounded(vals["quad_order"], "restriction.quad_order",
-                     MAX_QUAD_ORDER))
-
-
-@dataclass(frozen=True)
-class CoercivityBlock:
-    cells: tuple
-    modes_per_cell: int
-
-    @staticmethod
-    def parse(block: dict) -> "CoercivityBlock":
-        vals = _take(block, "coercivity",
-                     {"cells": [8, 16, 32, 64], "modes_per_cell": 8})
-        cells = _cell_counts(vals["cells"], "coercivity.cells")
-        return CoercivityBlock(cells, _bounded(vals["modes_per_cell"],
-                                               "coercivity.modes_per_cell",
-                                               MAX_MODES_PER_CELL))
-
-
-@dataclass(frozen=True)
-class SweepBlock:
-    kind: str
-    values: tuple           # floats; cell counts (ints) for a mesh sweep
-
-    @staticmethod
-    def parse(block: dict) -> "SweepBlock":
-        vals = _take(block, "sweep", {"kind": None, "values": None})
-        kind = str(_require(vals["kind"], "sweep", "kind"))
-        if kind not in ("delta", "gain", "mesh"):
-            raise ConfigError(f"unknown sweep kind {kind!r}")
-        values = _require(vals["values"], "sweep", "values")
-        values = (_cell_counts(values, "sweep.values") if kind == "mesh"
-                  else _numbers(values, "sweep.values", finite=True))
-        if len(values) < 1:
-            raise ConfigError("sweep.values must be nonempty")
-        return SweepBlock(kind, values)
-
-
-@dataclass(frozen=True)
-class TolerancesBlock:
-    cross_integrator: float
-    convergence: float
-    low_mode: float
-
-    @staticmethod
-    def parse(block: dict) -> "TolerancesBlock":
-        vals = _take(block, "tolerances",
-                     {"cross_integrator": 1e-8, "convergence": 1e-6,
-                      "low_mode": 1e-8})
-        return TolerancesBlock(*(_finite(vals[k], f"tolerances.{k}") for k in
-                                 ("cross_integrator", "convergence",
-                                  "low_mode")))
-
-
-_BLOCK_PARSERS = {
-    "domain": DomainBlock.parse,
-    "modes": ModesBlock.parse,
-    "actuators": ActuatorBlock.parse,
-    "control": ControlBlock.parse,
-    "track": TrackBlock.parse,
-    "plasmonic": PlasmonicBlock.parse,
-    "restriction": RestrictionBlock.parse,
-    "coercivity": CoercivityBlock.parse,
-    "sweep": SweepBlock.parse,
-    "tolerances": TolerancesBlock.parse,
+# The one list of config keys: block -> key -> (default, convert), where
+# ``convert(value, "block.key")`` returns the parsed value or raises
+# ConfigError.  Each block parses to a namedtuple of its keys.
+_SCHEMA = {
+    "domain": {
+        "kind": ("interval", _text),          # DomainSpec checks the rest
+        "lengths": ((1.0,), _numbers),
+        "kappa": (1.0, _number),
+    },
+    "modes": {
+        "count": (32, _capped(MAX_MODES)),
+        "controlled": (4, _capped(MAX_MODES)),
+    },
+    "actuators": {
+        "kind": ("dct", _choice("actuator kind",
+                                ("dct", "explicit", "greedy"))),
+        "count": (None, _opt(_integer)),
+        "counts": (None, _opt(_integers)),
+        "points": (None, _opt(_rows)),
+        "candidates_per_axis": (64, _integer),
+        "select": (None, _opt(_integer)),
+    },
+    "control": {
+        "gain": (None, _opt(_finite)),
+        "target_rate": (None, _opt(_finite)),
+        "horizon": (1.0, _finite),
+        "dt": (0.002, _finite),
+        "reference": (None, _opt(_finites)),
+        "fixed_point": (True, _flag),
+        "initial": (None, _opt(_finites)),
+    },
+    "track": {
+        "delta": (0.05, _finite),
+        "mu": (1.0, _finite),
+        "deltas": ((0.2, 0.1, 0.05, 0.025), _finites),
+        "profile": ("sine-bump", _choice("profile", PROFILE_NAMES)),
+    },
+    "plasmonic": {
+        "c_m": (1.0, _finite),
+        "kappa": (None, _opt(_finite)),
+        "contrasts": ("ones", _or_word("ones", _finites)),
+        "coupling_scale": (0.05, _finite),
+        "dictionary": ("identity", _or_word("identity", _table)),
+        "perturb_interaction": (False, _flag),
+    },
+    "restriction": {
+        "probes": (_REQUIRED, _rows),
+        "horizons": (_REQUIRED, _finites),
+        "sources": (None, _opt(_rows)),
+        "amplitudes": (None, _opt(_finites)),
+        "samples": (48, _capped(MAX_SAMPLES)),
+        "quad_order": (12, _capped(MAX_QUAD_ORDER)),
+    },
+    "coercivity": {
+        "cells": ((8, 16, 32, 64), _cell_counts),
+        "modes_per_cell": (8, _capped(MAX_MODES_PER_CELL)),
+    },
+    "sweep": {
+        "kind": (_REQUIRED, _choice("sweep kind", ("delta", "gain", "mesh"))),
+        "values": (_REQUIRED, _list),     # converted by kind, see _sweep
+    },
+    "tolerances": {
+        "cross_integrator": (1e-8, _finite),
+        "convergence": (1e-6, _finite),
+        "low_mode": (1e-8, _finite),
+    },
 }
 
+# Blocks a config may leave out entirely; the others get their defaults.
+_OPTIONAL = ("restriction", "coercivity", "sweep")
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+_BLOCKS = {name: namedtuple(f"{name.title()}Block", keys)
+           for name, keys in _SCHEMA.items()}
+
+
+def _modes(block):
+    if block.controlled > block.count:
+        raise ConfigError(f"modes.controlled ({block.controlled}) must not "
+                          f"exceed modes.count ({block.count})")
+    return block
+
+
+def _control(block):
+    if block.gain is None and block.target_rate is None:
+        raise ConfigError("control needs either gain or target_rate")
+    try:
+        time_grid(block.horizon, block.dt)
+    except ValueError as exc:
+        raise ConfigError(f"control (dt={block.dt:g}): {exc}") from None
+    return block
+
+
+def _sweep(block):
+    convert = _cell_counts if block.kind == "mesh" else _finites
+    values = convert(block.values, "sweep.values")
+    if len(values) < 1:
+        raise ConfigError("sweep.values must be nonempty")
+    return block._replace(values=values)
+
+
+# Rules that tie keys of one block together, run after every key parsed.
+_RULES = {"modes": _modes, "control": _control, "sweep": _sweep}
+
+
+def parse_block(name: str, raw: dict):
+    """One block's keys, defaulted and converted, checked by its rule."""
+    schema = _SCHEMA[name]
+    unknown = sorted(set(raw) - set(schema))
+    if unknown:
+        raise ConfigError(f"unknown key(s) {unknown} in block '{name}'")
+    values = {}
+    for key, (default, convert) in schema.items():
+        if default is _REQUIRED and raw.get(key) is None:
+            raise ConfigError(f"block '{name}' requires key '{key}'")
+        values[key] = convert(raw.get(key, default), f"{name}.{key}")
+    block = _BLOCKS[name](**values)
+    rule = _RULES.get(name)
+    return block if rule is None else rule(block)
+
+
+def build_domain(block) -> DomainSpec:
+    """The domain a ``domain`` block describes."""
+    try:
+        return DomainSpec(block.kind, block.lengths, block.kappa)
+    except ValueError as exc:
+        raise ConfigError(f"invalid domain: {exc}") from exc
+
+
+class ExperimentConfig(NamedTuple):
     seed: int
-    domain: DomainBlock
-    modes: ModesBlock
-    actuators: ActuatorBlock
-    control: ControlBlock
-    track: TrackBlock
-    plasmonic: PlasmonicBlock
-    tolerances: TolerancesBlock
-    restriction: RestrictionBlock | None = None
-    coercivity: CoercivityBlock | None = None
-    sweep: SweepBlock | None = None
-    canonical: str = field(default="", compare=False)
+    domain: tuple
+    modes: tuple
+    actuators: tuple
+    control: tuple
+    track: tuple
+    plasmonic: tuple
+    tolerances: tuple
+    restriction: tuple | None = None
+    coercivity: tuple | None = None
+    sweep: tuple | None = None
+    canonical: str = ""
 
     @property
     def digest(self) -> str:
@@ -402,31 +295,22 @@ class ExperimentConfig:
     def from_mapping(data: dict, seed_override: int | None = None) -> "ExperimentConfig":
         if not isinstance(data, dict):
             raise ConfigError("config root must be a mapping of blocks")
-        unknown = sorted(set(data) - set(_BLOCK_PARSERS) - {"seed"})
+        unknown = sorted(set(data) - set(_SCHEMA) - {"seed"})
         if unknown:
             raise ConfigError(f"unknown top-level block(s) {unknown}")
-        seed = data.get("seed")
-        if seed_override is not None:
-            seed = seed_override
+        seed = data.get("seed") if seed_override is None else seed_override
         if seed is None:
             raise ConfigError("a seed is required (config key or --seed)")
-        seed = _number(seed, "seed", int)
+        seed = _integer(seed, "seed")
         if seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {seed}")
         blocks = {}
-        for name, parser in _BLOCK_PARSERS.items():
+        for name in _SCHEMA:
             raw = data.get(name)
-            if raw is None:
-                blocks[name] = None
-            elif not isinstance(raw, dict):
+            if raw is not None and not isinstance(raw, dict):
                 raise ConfigError(f"block '{name}' must be a mapping")
-            else:
-                blocks[name] = parser(raw)
-        # Blocks every experiment relies on get their defaults when absent.
-        for name in ("domain", "modes", "actuators", "control", "track",
-                     "plasmonic", "tolerances"):
-            if blocks[name] is None:
-                blocks[name] = _BLOCK_PARSERS[name]({})
+            blocks[name] = (None if raw is None and name in _OPTIONAL
+                            else parse_block(name, raw or {}))
         canon_source = {k: v for k, v in data.items() if k != "seed"}
         canon_source["seed"] = seed
         # libyaml's emitter when PyYAML has it.  The pure-Python SafeDumper

@@ -11,12 +11,10 @@ tracking errors against certified budgets.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 import os
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -37,7 +35,8 @@ from ..plasmonic import (PlasmonicConfig, calibrate_k0, invert_actuation,
 from ..restriction import restriction_gap_report
 from ..spectral import (DomainSpec, ModeTable, enumerate_modes, eval_modes,
                         line_fit, march_forced)
-from .config import CoercivityBlock, ExperimentConfig, profile_samples
+from .config import (ExperimentConfig, build_domain, parse_block,
+                     profile_samples)
 from .manifest import RunManifest, write_csv
 
 __all__ = [
@@ -99,7 +98,7 @@ def _emit(out_dir: str | None, command: str, config: ExperimentConfig,
         os.makedirs(out_dir, exist_ok=True)
         manifest = RunManifest(
             command, config.digest, config.seed,
-            dataclasses.asdict(config.tolerances) if tolerances else {})
+            config.tolerances._asdict() if tolerances else {})
         tables = {**tables, "summary.csv": (
             ["key", "value"], [[k, float(v)] for k, v in summary])}
         for name, (header, rows) in tables.items():
@@ -119,7 +118,7 @@ def _emit(out_dir: str | None, command: str, config: ExperimentConfig,
 
 def _layout(config: ExperimentConfig):
     """Domain, mode table and actuator placement of one config."""
-    domain = config.domain.build()
+    domain = build_domain(config.domain)
     table = enumerate_modes(domain, config.modes.count)
     return domain, table, build_actuators(config, domain, table)
 
@@ -148,8 +147,7 @@ def build_actuators(config: ExperimentConfig, domain: DomainSpec,
     return greedy_placement(candidates, table, n, count)
 
 
-@dataclass
-class LoopSetup:
+class LoopSetup(NamedTuple):
     """Everything the closed loop needs, resolved from one config."""
 
     domain: DomainSpec
@@ -277,8 +275,7 @@ def _series_l2(w: np.ndarray, series: np.ndarray) -> float:
     return float(np.sqrt(np.sum(w * np.sum(series ** 2, axis=1))))
 
 
-@dataclass(frozen=True)
-class ProfileDecomposition:
+class ProfileDecomposition(NamedTuple):
     """Split of an input record into its profile component and the rest."""
 
     beta: np.ndarray        # profile coefficient per actuator channel
@@ -327,8 +324,7 @@ def certified_input_constant(table: ModeTable, actuators: ActuatorSet,
 # tracking driver
 
 
-@dataclass(frozen=True)
-class BudgetRow:
+class BudgetRow(NamedTuple):
     """Measured errors and certified budgets at one contrast scale."""
 
     delta: float
@@ -346,8 +342,7 @@ class BudgetRow:
     within_total: bool
 
 
-@dataclass
-class TrackResult:
+class TrackResult(NamedTuple):
     """Everything the tracking driver measured, plus its assertions."""
 
     config: ExperimentConfig
@@ -369,7 +364,7 @@ class TrackResult:
     cross_deviation: float
     convergence_gap: float
     assertions: dict
-    headline: BudgetRow = None
+    headline: BudgetRow
     manifest: RunManifest | None = None
 
 
@@ -553,9 +548,9 @@ def run_track(config: ExperimentConfig, out_dir: str | None = None,
         err_total=headline_curves["total"], budget_rows=budget_rows,
         remainder_slope=remainder_slope, tail=tail, cross_deviation=cross,
         convergence_gap=gap, assertions=assertions, headline=headline_row)
-    result.manifest = _emit(out_dir, "track", config,
-                            *_track_artifacts(result), assertions,
-                            tolerances=True)
+    result = result._replace(manifest=_emit(
+        out_dir, "track", config, *_track_artifacts(result), assertions,
+        tolerances=True))
     check_assertions(assertions, strict)
     return result
 
@@ -725,7 +720,7 @@ def run_restriction(config: ExperimentConfig, out_dir: str | None = None,
         raise ConfigError("a restriction block is required for this command")
     blk = config.restriction
     with _stage("build"):
-        domain = config.domain.build()
+        domain = build_domain(config.domain)
         if blk.sources is not None:
             sources = np.asarray(blk.sources, dtype=float)
         else:
@@ -808,8 +803,7 @@ def coercivity_constant(domain: DomainSpec, cells: int, n_modes: int) -> float:
     return float(np.min(lo))
 
 
-@dataclass(frozen=True)
-class CoercivityReport:
+class CoercivityReport(NamedTuple):
     cells: tuple
     spacings: np.ndarray
     constants: np.ndarray
@@ -832,11 +826,23 @@ def coercivity_profile(domain: DomainSpec, cells_list,
     return CoercivityReport(cells_list, spacings, constants, slope, r_squared)
 
 
+def _mesh_study(config: ExperimentConfig, what: str):
+    """Domain and coercivity block of a mesh study.
+
+    Mesh coercivity is defined on an interval, so a box config cannot run
+    the study: that is a config error, raised before any stage.
+    """
+    if config.domain.kind != "interval":
+        raise ConfigError(f"{what} needs an interval domain, got "
+                          f"{config.domain.kind!r}")
+    with _stage("build"):
+        domain = build_domain(config.domain)
+    return domain, config.coercivity or parse_block("coercivity", {})
+
+
 def run_coercivity(config: ExperimentConfig, out_dir: str | None = None):
     """Mesh sweep of the constrained coercivity constant."""
-    blk = config.coercivity or CoercivityBlock.parse({})
-    with _stage("build"):
-        domain = config.domain.build()
+    domain, blk = _mesh_study(config, "coercivity")
     with _stage("sweep"):
         report = coercivity_profile(domain, blk.cells, blk.modes_per_cell)
     rows = ([report.cells[i], float(report.spacings[i]),
@@ -854,8 +860,7 @@ def run_coercivity(config: ExperimentConfig, out_dir: str | None = None):
 # parameter sweeps
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(NamedTuple):
     kind: str
     values: tuple
     metrics: tuple          # primary metric per value, nan where failed
@@ -907,9 +912,7 @@ def run_sweep(config: ExperimentConfig, out_dir: str | None = None):
                 metrics.append(float("nan"))
                 statuses.append(type(exc).__name__)
     else:  # mesh
-        blk = config.coercivity or CoercivityBlock.parse({})
-        with _stage("build"):
-            domain = config.domain.build()
+        domain, blk = _mesh_study(config, "a mesh sweep")
         for cells in values:
             try:
                 metrics.append(coercivity_constant(

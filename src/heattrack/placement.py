@@ -10,6 +10,7 @@ a seeded Monte-Carlo probes how rare rank deficiency is for random points.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -106,8 +107,7 @@ def _row_sigma_min(mat: np.ndarray) -> float:
     return float(s[rows - 1])
 
 
-@dataclass(frozen=True)
-class SamplingMatrices:
+class SamplingMatrices(NamedTuple):
     """Sampling data tying a mode table to an actuator set.
 
     ``phi`` has entries phi_k(x_j) for the first ``n_modes`` modes (rows)
@@ -200,8 +200,7 @@ def greedy_placement(candidates, table: ModeTable, n_modes: int,
     return ActuatorSet(table.domain, pts[sorted(chosen)])
 
 
-@dataclass(frozen=True)
-class GenericityReport:
+class GenericityReport(NamedTuple):
     trials: int
     failures: int
     threshold: float

@@ -23,6 +23,7 @@ unit response does too only when ``perturb_interaction`` is set.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -264,8 +265,7 @@ def _l2_inner(times: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
     return float(np.trapezoid(a * b, times))
 
 
-@dataclass(frozen=True)
-class ActuationMap:
+class ActuationMap(NamedTuple):
     """Calibrated linear compression of the pipeline onto one profile.
 
     ``k0[i, l]`` is the profile coefficient of heat input i when the

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -163,8 +163,7 @@ def images_point_solution(domain: DomainSpec, sources, times, inputs, probes,
     return np.einsum("pjs,sj->p", kern, weighted)
 
 
-@dataclass(frozen=True)
-class RestrictionReport:
+class RestrictionReport(NamedTuple):
     """Gap measurements across horizons plus the exponential fit."""
 
     margin: float

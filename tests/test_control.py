@@ -366,3 +366,45 @@ def test_doubling_search_raises_at_the_cap(matrices4):
     with pytest.raises(NonConvergenceError) as err:
         doubling_gain_search(matrices4, 1e6, cap=64.0)
     assert len(err.value.best) >= 1  # trace travels with the error
+
+
+def _collocated_and_input_norm(domain, points, counts):
+    """Per truncation: max_j sum_k phi_k(x_j)^2 / (1 + lambda_k), the
+    collocated term the feedback puts in a_cl, and ||W E||_2^2."""
+    out = []
+    for count in counts:
+        table = enumerate_modes(domain, count)
+        w = 1.0 / (1.0 + table.eigenvalues)
+        e_mat = eval_modes(table, points)              # (M, K)
+        out.append((float(np.max(np.sum(e_mat ** 2 * w, axis=1))),
+                    float(np.linalg.norm(w[:, None] * e_mat.T, 2) ** 2)))
+    return np.array(out).T
+
+
+def test_collocated_term_grows_in_3d_and_converges_in_1d(dct4):
+    """The feedback samples W z at the actuators, so the loop holds the
+    resolvent's Green function at its own pole.  On a box that sum grows
+    like K^(1/3) (each doubling adds 2^(1/3) times the last increment)
+    while ||W E|| converges; on the interval the sum converges, its
+    increments halving."""
+    counts = [64, 128, 256, 512, 1024, 2048]
+    box = DomainSpec.box((1.0, 0.8, 0.6))
+    actuators = dct_grid_box((1, 1, 1), box)
+    assert actuators.count == 8
+    colloc, input_norm = _collocated_and_input_norm(box, actuators.points,
+                                                    counts)
+    assert colloc[0] == pytest.approx(3.0391, abs=1e-4)
+    assert colloc[-1] == pytest.approx(5.2130, abs=1e-4)
+    growth = np.diff(colloc)[1:] / np.diff(colloc)[:-1]
+    assert_allclose(growth, 2.0 ** (1.0 / 3.0), atol=0.05)
+    steps = np.diff(input_norm)
+    assert np.all(steps > 0.0)
+    assert np.all(steps < 5e-5 * input_norm[1:])
+    assert steps[-1] < steps[0]
+    assert input_norm[-1] == pytest.approx(16.6705, abs=1e-4)
+
+    line, _ = _collocated_and_input_norm(dct4.domain, dct4.points, counts)
+    assert line[0] == pytest.approx(1.20574, abs=1e-5)
+    assert line[-1] == pytest.approx(1.20730, abs=1e-5)
+    halving = np.diff(line)[1:] / np.diff(line)[:-1]
+    assert_allclose(halving, 0.5, atol=0.01)

@@ -24,7 +24,9 @@ from heattrack.errors import (
 from heattrack.harness import cli
 from heattrack.harness import experiments as exp
 from heattrack.harness.config import (
+    _SCHEMA,
     MAX_CELLS,
+    MAX_MODES,
     MAX_MODES_PER_CELL,
     MAX_QUAD_ORDER,
     MAX_SAMPLES,
@@ -851,7 +853,9 @@ def test_cli_mesh_sweep_rejects_bad_cell_counts(tmp_path, capsys, values):
     ("restriction", "amplitudes", [float("inf"), 1.0]),
     ("control", "reference", [float("nan"), 0.2, -0.1, 0.1]),
     ("actuators", "points", [[float("inf")]]),
-], ids=lambda v: str(v))
+    ("modes", "count", MAX_MODES + 1),
+] + [(block, key, {}) for block, keys in _SCHEMA.items() for key in keys],
+    ids=lambda v: str(v))
 def test_cli_rejects_malformed_values_as_config_errors(tmp_path, capsys,
                                                        block, key, value):
     # valid restriction and sweep blocks, so that only the bad value can
@@ -865,6 +869,18 @@ def test_cli_rejects_malformed_values_as_config_errors(tmp_path, capsys,
         data[block] = dict(data.get(block, {}), **{key: value})
     path = _write_yaml(tmp_path / "bad.yaml", data)
     assert cli.main(["simulate", "--config", path, "--check"]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,sweep", [
+    ("coercivity", None), ("sweep", {"kind": "mesh", "values": [8, 16]})])
+def test_cli_rejects_interval_only_runs_on_a_box(tmp_path, capsys, command,
+                                                 sweep):
+    data = _mapping(domain={"kind": "box3", "lengths": [1.0, 0.8, 0.6]},
+                    actuators={"kind": "dct", "counts": [1, 1, 1]},
+                    sweep=sweep)
+    path = _write_yaml(tmp_path / "box.yaml", data)
+    assert cli.main([command, "--config", path, "--check"]) == 2
     assert "config error" in capsys.readouterr().err
 
 
