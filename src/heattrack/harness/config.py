@@ -214,7 +214,7 @@ _SCHEMA = {
 }
 
 # Blocks a config may leave out entirely; the others get their defaults.
-_OPTIONAL = ("restriction", "coercivity", "sweep")
+_OPTIONAL = ("restriction", "sweep")
 
 _BLOCKS = {name: namedtuple(f"{name.title()}Block", keys)
            for name, keys in _SCHEMA.items()}

@@ -15,6 +15,7 @@ import functools
 import math
 import os
 from contextlib import contextmanager, nullcontext
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -35,8 +36,7 @@ from ..plasmonic import (PlasmonicConfig, calibrate_k0, invert_actuation,
 from ..restriction import restriction_gap_report
 from ..spectral import (DomainSpec, ModeTable, enumerate_modes, eval_modes,
                         line_fit, march_forced)
-from .config import (ExperimentConfig, build_domain, parse_block,
-                     profile_samples)
+from .config import ExperimentConfig, build_domain, profile_samples
 from .manifest import RunManifest, write_csv
 
 __all__ = [
@@ -324,8 +324,13 @@ def certified_input_constant(table: ModeTable, actuators: ActuatorSet,
 # tracking driver
 
 
-class BudgetRow(NamedTuple):
-    """Measured errors and certified budgets at one contrast scale."""
+@dataclass(frozen=True)
+class BudgetRow:
+    """Measured errors and certified budgets at one contrast scale.
+
+    A dataclass, not a NamedTuple: ``perfbench/make_reference.py`` reads
+    each row through ``__dict__``.
+    """
 
     delta: float
     orth: float
@@ -837,7 +842,7 @@ def _mesh_study(config: ExperimentConfig, what: str):
                           f"{config.domain.kind!r}")
     with _stage("build"):
         domain = build_domain(config.domain)
-    return domain, config.coercivity or parse_block("coercivity", {})
+    return domain, config.coercivity
 
 
 def run_coercivity(config: ExperimentConfig, out_dir: str | None = None):
