@@ -25,7 +25,7 @@ from .control import (ClosedLoopSystem, assemble_bias_matrix,
                       fixed_point_reference, simulate_closed_loop,
                       tail_mismatch_report)
 from .plasmonic import (PlasmonicConfig, calibrate_k0, invert_actuation,
-                        realized_remainder, volterra_solve)
+                        volterra_solve)
 from .restriction import (boundary_distance, images_point_solution,
                           restriction_gap_report)
 from .harness.config import ExperimentConfig, load_config, profile_samples

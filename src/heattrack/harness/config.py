@@ -85,6 +85,15 @@ def _number(value, name: str, kind=float, finite: bool = False):
     return number
 
 
+def _signed(value, name: str, kind=float, zero: bool = False):
+    """A finite ``kind`` above zero, or at least zero when ``zero`` is set."""
+    number = _number(value, name, kind, finite=True)
+    if number < 0 or (number == 0 and not zero):
+        sign = "nonnegative" if zero else "positive"
+        raise ConfigError(f"{name} must be {sign}, got {value!r}")
+    return number
+
+
 def _list(values, name: str):
     if not isinstance(values, (list, tuple)):
         raise ConfigError(f"{name} must be a list, got {values!r}")
@@ -107,9 +116,11 @@ def _capped(top: int):
     return convert
 
 
-_integer = partial(_number, kind=int)
 _finite = partial(_number, finite=True)
-_numbers, _integers, _finites = _each(_number), _each(_integer), _each(_finite)
+_positive, _count = _signed, partial(_signed, kind=int)
+_nonnegative = partial(_signed, zero=True)
+_numbers, _finites = _each(_number), _each(_finite)
+_positives, _nonnegatives = _each(_positive), _each(_nonnegative)
 _table = _each(_finites)                    # one finite list per row
 _cell_counts = _each(_capped(MAX_CELLS))
 
@@ -161,15 +172,15 @@ _SCHEMA = {
     "actuators": {
         "kind": ("dct", _choice("actuator kind",
                                 ("dct", "explicit", "greedy"))),
-        "count": (None, _opt(_integer)),
-        "counts": (None, _opt(_integers)),
+        "count": (None, _opt(_count)),
+        "counts": (None, _opt(_each(partial(_count, zero=True)))),
         "points": (None, _opt(_rows)),
-        "candidates_per_axis": (64, _integer),
-        "select": (None, _opt(_integer)),
+        "candidates_per_axis": (64, _count),
+        "select": (None, _opt(_count)),
     },
     "control": {
-        "gain": (None, _opt(_finite)),
-        "target_rate": (None, _opt(_finite)),
+        "gain": (None, _opt(_nonnegative)),
+        "target_rate": (None, _opt(_positive)),
         "horizon": (1.0, _finite),
         "dt": (0.002, _finite),
         "reference": (None, _opt(_finites)),
@@ -177,14 +188,14 @@ _SCHEMA = {
         "initial": (None, _opt(_finites)),
     },
     "track": {
-        "delta": (0.05, _finite),
-        "mu": (1.0, _finite),
-        "deltas": ((0.2, 0.1, 0.05, 0.025), _finites),
+        "delta": (0.05, _nonnegative),
+        "mu": (1.0, _positive),
+        "deltas": ((0.2, 0.1, 0.05, 0.025), _nonnegatives),
         "profile": ("sine-bump", _choice("profile", PROFILE_NAMES)),
     },
     "plasmonic": {
-        "c_m": (1.0, _finite),
-        "kappa": (None, _opt(_finite)),
+        "c_m": (1.0, _positive),
+        "kappa": (None, _opt(_positive)),
         "contrasts": ("ones", _or_word("ones", _finites)),
         "coupling_scale": (0.05, _finite),
         "dictionary": ("identity", _or_word("identity", _table)),
@@ -192,7 +203,7 @@ _SCHEMA = {
     },
     "restriction": {
         "probes": (_REQUIRED, _rows),
-        "horizons": (_REQUIRED, _finites),
+        "horizons": (_REQUIRED, _positives),
         "sources": (None, _opt(_rows)),
         "amplitudes": (None, _opt(_finites)),
         "samples": (48, _capped(MAX_SAMPLES)),
@@ -237,8 +248,16 @@ def _control(block):
     return block
 
 
+def _track(block):
+    if block.delta not in block.deltas:
+        raise ConfigError(f"track.deltas must be nonempty and contain "
+                          f"track.delta ({block.delta:g})")
+    return block
+
+
 def _sweep(block):
-    convert = _cell_counts if block.kind == "mesh" else _finites
+    # a gain and a contrast scale are both at least zero
+    convert = _cell_counts if block.kind == "mesh" else _nonnegatives
     values = convert(block.values, "sweep.values")
     if len(values) < 1:
         raise ConfigError("sweep.values must be nonempty")
@@ -246,7 +265,8 @@ def _sweep(block):
 
 
 # Rules that tie keys of one block together, run after every key parsed.
-_RULES = {"modes": _modes, "control": _control, "sweep": _sweep}
+_RULES = {"modes": _modes, "control": _control, "track": _track,
+          "sweep": _sweep}
 
 
 def parse_block(name: str, raw: dict):
@@ -301,9 +321,7 @@ class ExperimentConfig(NamedTuple):
         seed = data.get("seed") if seed_override is None else seed_override
         if seed is None:
             raise ConfigError("a seed is required (config key or --seed)")
-        seed = _integer(seed, "seed")
-        if seed < 0:
-            raise ConfigError(f"seed must be nonnegative, got {seed}")
+        seed = _signed(seed, "seed", int, zero=True)
         blocks = {}
         for name in _SCHEMA:
             raw = data.get(name)

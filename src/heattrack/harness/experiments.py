@@ -32,7 +32,7 @@ from ..placement import (ActuatorSet, dct_grid_box, dct_nodes_interval,
                          genericity_monte_carlo, greedy_placement,
                          sampling_matrix, uniform_candidates)
 from ..plasmonic import (PlasmonicConfig, calibrate_k0, invert_actuation,
-                         realize_profile, unit_heat_inputs)
+                         realize_profile, unit_amplitudes, unit_heat_inputs)
 from ..restriction import restriction_gap_report
 from ..spectral import (DomainSpec, ModeTable, enumerate_modes, eval_modes,
                         line_fit, march_forced)
@@ -385,17 +385,19 @@ class _Tracking(NamedTuple):
     u_des: np.ndarray
     err_proj: np.ndarray    # resolvent-metric gap of the two replays
     realize: Callable       # delta -> (actuation, {"real": .., "total": ..})
+    sigma: np.ndarray       # the particles' unit amplitudes
 
 
 def _project(config: ExperimentConfig, actuators: ActuatorSet, record,
-             units: dict, stage=_stage):
+             sigma: np.ndarray | None = None, stage=_stage):
     """Split recorded inputs on the command profile; realize the profile part.
 
-    Returns the decomposition, the profile component ``u_des`` and
+    Returns the decomposition, the profile component ``u_des``, the
+    particles' unit amplitudes ``sigma`` under the profile and
     ``actuate(delta)``, which calibrates, inverts and realizes ``u_des``
-    through the particles at one contrast scale.  ``units`` holds the
-    particles' unit heat inputs, built on first use: one batched march for
-    the run, or one per contrast scale when the coupling depends on it.
+    through the particles at one contrast scale.  ``sigma`` depends on
+    neither the contrast scale nor the truncation, so it is marched here
+    only when not given.
     """
     times = record.times
     with stage("project"):
@@ -406,25 +408,27 @@ def _project(config: ExperimentConfig, actuators: ActuatorSet, record,
         if deco.projected_norm <= 0.0:
             raise InsufficientSignalError(
                 "recorded inputs have no component on the command profile")
+        if sigma is None:
+            sigma = unit_amplitudes(
+                build_plasmonic(config, actuators, config.track.delta),
+                times, phi)
     w = _trapezoid_weights(times)
 
     def actuate(delta):
         pconf = build_plasmonic(config, actuators, delta)
-        key = pconf.delta if pconf.perturb_interaction else None
-        if key not in units:
-            units[key] = unit_heat_inputs(pconf, times, phi)
-        amap = calibrate_k0(pconf, times, phi, units[key])
+        g, g_c = unit_heat_inputs(pconf, times, sigma)
+        amap = calibrate_k0(pconf, times, phi, g)
         p, residual = invert_actuation(amap, deco.beta)
-        g_real, remainder = realize_profile(pconf, times, phi, units[key], p)
+        g_real, _, remainder = realize_profile(pconf, times, g, g_c, p)
         return {"amap": amap, "inversion_residual": residual,
                 "g_real": g_real, "mismatch": _series_l2(w, g_real - u_des),
                 "remainder": remainder}
 
-    return deco, u_des, actuate
+    return deco, u_des, sigma, actuate
 
 
 def _track_core(config: ExperimentConfig, system: ClosedLoopSystem,
-                y0: np.ndarray, record, units: dict,
+                y0: np.ndarray, record, sigma: np.ndarray | None = None,
                 stage=_stage) -> _Tracking:
     """Project a recorded closed-loop run on the command profile; replay it.
 
@@ -432,10 +436,11 @@ def _track_core(config: ExperimentConfig, system: ClosedLoopSystem,
     open loop from ``y0``.  ``realize(delta)`` actuates ``u_des`` (see
     ``_project``), replays the result and returns the actuation with its
     error curves against the projected (``real``) and the recorded
-    (``total``) replay.  Cores on the same time grid can share ``units``.
+    (``total``) replay.  Cores on the same time grid can share ``sigma``.
     """
     table, actuators = system.table, system.matrices.actuators
-    deco, u_des, actuate = _project(config, actuators, record, units, stage)
+    deco, u_des, sigma, actuate = _project(config, actuators, record, sigma,
+                                           stage)
     with stage("replay"):
         replay = functools.partial(march_forced, table, actuators.points, y0,
                                    dt=config.control.dt, hold="linear")
@@ -449,7 +454,7 @@ def _track_core(config: ExperimentConfig, system: ClosedLoopSystem,
         return act, {"real": _vdual_curve(table, y_phys - y_proj),
                      "total": _vdual_curve(table, y_phys - y_ideal)}
 
-    return _Tracking(deco, u_des, err_proj, realize)
+    return _Tracking(deco, u_des, err_proj, realize, sigma)
 
 
 def run_track(config: ExperimentConfig, out_dir: str | None = None,
@@ -475,8 +480,7 @@ def run_track(config: ExperimentConfig, out_dir: str | None = None,
         assertions["cross_integrator"] = (cross <= tol.cross_integrator,
                                           cross)
 
-    units: dict = {}
-    core = _track_core(config, setup.system, y0, record, units)
+    core = _track_core(config, setup.system, y0, record)
     deco = core.deco
     assertions["pythagoras"] = (deco.pythagoras_gap <= 1e-10,
                                 deco.pythagoras_gap)
@@ -540,7 +544,8 @@ def run_track(config: ExperimentConfig, out_dir: str | None = None,
         assertions["tail_bound"] = (tail.satisfied, tail.bound - tail.tail_vdual)
 
     with _stage("convergence"):
-        gap = _doubled_truncation_gap(config, setup, headline_row, units)
+        gap = _doubled_truncation_gap(config, setup, headline_row,
+                                      core.sigma)
         assertions["convergence"] = (gap <= tol.convergence, gap)
 
     result = TrackResult(
@@ -561,10 +566,11 @@ def run_track(config: ExperimentConfig, out_dir: str | None = None,
 
 
 def _doubled_truncation_gap(config: ExperimentConfig, setup: LoopSetup,
-                            base_row: BudgetRow, units: dict) -> float:
+                            base_row: BudgetRow,
+                            sigma: np.ndarray) -> float:
     """Repeat the headline metrics at twice the truncation; return the move.
 
-    The run's placement, gain and unit heat inputs (``units``; the time
+    The run's placement, gain and unit amplitudes (``sigma``; the time
     grid and profile do not change with the truncation) are reused, and
     the tracking core runs once more at 2K modes.
     """
@@ -575,7 +581,7 @@ def _doubled_truncation_gap(config: ExperimentConfig, setup: LoopSetup,
     system2 = _close_loop(config, matrices2, setup.gain, setup.a_target,
                           stage=_no_stage)[3]
     y0, _, record2 = _run_loop(config, system2)
-    core2 = _track_core(config, system2, y0, record2, units, stage=_no_stage)
+    core2 = _track_core(config, system2, y0, record2, sigma, stage=_no_stage)
     _, curves2 = core2.realize(config.track.delta)
     return max(abs(float(np.max(core2.err_proj)) - base_row.proj_sup),
                abs(float(np.max(curves2["real"])) - base_row.real_sup),
@@ -705,7 +711,9 @@ def run_calibrate(config: ExperimentConfig, out_dir: str | None = None):
         times = time_grid(ctl.horizon, ctl.dt)
         phi = profile_samples(config.track.profile, times, ctl.horizon)
         pconf = build_plasmonic(config, actuators, config.track.delta)
-        amap = calibrate_k0(pconf, times, phi)
+        g, _ = unit_heat_inputs(pconf, times,
+                                unit_amplitudes(pconf, times, phi))
+        amap = calibrate_k0(pconf, times, phi, g)
     rows = ([i, l, float(amap.k0[i, l])]
             for i in range(amap.k0.shape[0])
             for l in range(amap.k0.shape[1]))
@@ -886,46 +894,41 @@ def run_sweep(config: ExperimentConfig, out_dir: str | None = None):
     if config.sweep is None:
         raise ConfigError("a sweep block is required for this command")
     kind, values = config.sweep.kind, config.sweep.values
-    metrics, statuses = [], []
 
     if kind == "delta":
         setup = build_loop(config)
         with _stage("simulate"):
             _, _, record = _run_loop(config, setup.system)
-        actuate = _project(config, setup.actuators, record, {})[2]
-        for value in values:
-            try:
-                metrics.append(actuate(value)["remainder"])
-                statuses.append("ok")
-            except HeattrackError as exc:
-                metrics.append(float("nan"))
-                statuses.append(type(exc).__name__)
+        actuate = _project(config, setup.actuators, record)[3]
+
+        def metric(delta):
+            return actuate(delta)["remainder"]
     elif kind == "gain":
         with _stage("build"):
             _, table, actuators = _layout(config)
             matrices = sampling_matrix(actuators, table,
                                        config.modes.controlled)
             a_target = _padded(config, "reference", config.modes.controlled)
-        for value in values:
-            try:
-                bias, _, _, system = _close_loop(config, matrices, value,
-                                                 a_target, stage=_no_stage)
-                tail = tail_mismatch_report(system, bias, a_target)
-                metrics.append(tail.tail_vdual)
-                statuses.append("ok")
-            except HeattrackError as exc:
-                metrics.append(float("nan"))
-                statuses.append(type(exc).__name__)
+
+        def metric(gain):
+            bias, _, _, system = _close_loop(config, matrices, gain,
+                                             a_target, stage=_no_stage)
+            return tail_mismatch_report(system, bias, a_target).tail_vdual
     else:  # mesh
         domain, blk = _mesh_study(config, "a mesh sweep")
-        for cells in values:
-            try:
-                metrics.append(coercivity_constant(
-                    domain, cells, blk.modes_per_cell * cells))
-                statuses.append("ok")
-            except HeattrackError as exc:
-                metrics.append(float("nan"))
-                statuses.append(type(exc).__name__)
+
+        def metric(cells):
+            return coercivity_constant(domain, cells,
+                                       blk.modes_per_cell * cells)
+
+    metrics, statuses = [], []
+    for value in values:
+        try:
+            metrics.append(metric(value))
+            statuses.append("ok")
+        except HeattrackError as exc:
+            metrics.append(float("nan"))
+            statuses.append(type(exc).__name__)
 
     good = [(v, m) for v, m, s in zip(values, metrics, statuses)
             if s == "ok" and m > 0.0]

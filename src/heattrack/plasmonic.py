@@ -7,17 +7,20 @@ the full pipeline into one matrix acting on illumination coefficients, and
 the remainder quantifies everything the compression drops.
 
 The pipeline is linear, so one batched march of the M unit forcings
-``profile * e_j`` (``unit_heat_inputs``, giving ``g[t, i, j]``) serves
-every consumer that drives the particles with one temporal profile:
+``profile * e_j`` at the base coupling (``unit_amplitudes``, giving
+``sigma[t, i, j]``) serves every consumer that drives the particles with
+one temporal profile.  It depends on neither the contrast scale ``delta``
+nor the dictionary.  At one contrast scale (``unit_heat_inputs``) the
+unit heat inputs are ``g = (alpha / c_m) sigma``; a perturbed coupling
+adds its correction ``g_c = (alpha / c_m) dsigma``, one march of the
+coupling perturbation's history of ``sigma``.  From ``g``:
 
 - calibration: ``k0 = K_unit @ D_eff``, with ``K_unit`` the profile
   coefficients of ``g``, and the probe of column l is ``g @ D_eff[:, l]``;
 - realization: ``g_real = g @ (D_eff p)``;
-- remainder: ``g @ ((D_eff - D) p)``, formed directly rather than as the
-  difference of two nearly equal pipeline outputs.
-
-Only the seeded dictionary depends on the contrast scale ``delta``; the
-unit response does too only when ``perturb_interaction`` is set.
+- remainder: ``g @ ((D_eff - D) p) + g_c @ (D p)``, every term of order
+  ``delta**mu``, formed directly rather than as the difference of two
+  nearly equal pipeline outputs.
 """
 
 from __future__ import annotations
@@ -36,10 +39,10 @@ __all__ = [
     "ActuationMap",
     "volterra_solve",
     "effective_dictionary",
+    "unit_amplitudes",
     "unit_heat_inputs",
     "calibrate_k0",
     "invert_actuation",
-    "realized_remainder",
     "realize_profile",
 ]
 
@@ -163,8 +166,12 @@ def effective_dictionary(config: PlasmonicConfig) -> np.ndarray:
     return config.dictionary + config.delta ** config.mu * pert
 
 
+def _perturbs_coupling(config: PlasmonicConfig) -> bool:
+    return config.perturb_interaction and config.delta != 0.0
+
+
 def _effective_coupling(config: PlasmonicConfig) -> np.ndarray:
-    if not config.perturb_interaction or config.delta == 0.0:
+    if not _perturbs_coupling(config):
         return config.coupling.copy()
     pert = _seeded_unit(config.coupling.shape, config.seed, 1)
     return config.coupling + config.delta ** config.mu * pert
@@ -234,31 +241,66 @@ def volterra_solve(centers, coupling, kappa: float, times,
     return sigma.reshape(forcing.shape)
 
 
-def _dictionary_forcing(config: PlasmonicConfig, intensities,
-                        dictionary: np.ndarray) -> np.ndarray:
-    intensities = np.asarray(intensities, dtype=float)
-    if intensities.ndim != 2 or intensities.shape[1] != config.n_intensities:
-        raise ValueError("intensities must have shape (samples, P)")
-    return intensities @ dictionary.T
+def unit_amplitudes(config: PlasmonicConfig, times,
+                    profile: np.ndarray) -> np.ndarray:
+    """Amplitudes under the unit forcings ``profile * e_j``, one march.
 
-
-def unit_heat_inputs(config: PlasmonicConfig, times,
-                     profile: np.ndarray) -> np.ndarray:
-    """Heat inputs under the unit forcings ``profile * e_j``, one march.
-
-    Returns ``g[t, i, j]``, the heat input ``(alpha_i / c_m) * sigma_i``
-    of particle i when only particle j is forced, with the profile.  It
-    does not involve the dictionary, so it depends on ``delta`` only
-    through the coupling, that is only when ``perturb_interaction`` is set.
+    Returns ``sigma[t, i, j]``, the amplitude of particle i when only
+    particle j is forced, with the profile, at the base coupling.  It
+    involves neither the dictionary nor the contrast scale, so one march
+    serves every ``delta`` (see ``unit_heat_inputs``).
     """
     times = np.asarray(times, dtype=float)
     profile = np.asarray(profile, dtype=float)
     if profile.shape != times.shape:
         raise ValueError("profile must be sampled on the time grid")
     forcing = profile[:, None, None] * np.eye(config.count)[None]
-    sigma = volterra_solve(config.centers, _effective_coupling(config),
-                           config.kappa, times, forcing)
-    return sigma * (config.contrasts / config.c_m)[:, None]
+    return volterra_solve(config.centers, config.coupling, config.kappa,
+                          times, forcing)
+
+
+def _coupling_forcing(config: PlasmonicConfig, times: np.ndarray,
+                      sigma: np.ndarray) -> np.ndarray:
+    """Forcing whose effective-coupling march is the coupling correction.
+
+    The effective-coupling amplitudes of a forcing exceed its base-coupling
+    amplitudes ``sigma`` (shape (Q + 1, M, R)) by the effective-coupling
+    march of ``h[q] = -dt * sum_{s<q} w_s (W_eff - W)[q-s] sigma[s]``, the
+    trapezoid history of the coupling perturbation; this returns h.
+    ``sigma`` is known in full, so h is one causal convolution over the
+    lags, taken by zero-padded FFT.
+    """
+    dt = uniform_step(times)
+    samples = times.shape[0]
+    table = _memory_table(
+        config.centers, _effective_coupling(config) - config.coupling,
+        config.kappa, dt, samples - 1)
+    weighted = np.concatenate([0.5 * sigma[:1], sigma[1:]])
+    size = 2 * samples
+    spectrum = (np.fft.rfft(table, size, axis=0)
+                @ np.fft.rfft(weighted, size, axis=0))
+    return -dt * np.fft.irfft(spectrum, size, axis=0)[:samples]
+
+
+def unit_heat_inputs(config: PlasmonicConfig, times, sigma: np.ndarray):
+    """Heat inputs of the unit forcings at this config's contrast scale.
+
+    ``sigma`` is the ``unit_amplitudes`` of this particle array.  Returns
+    ``(g, g_c)``: ``g[t, i, j]`` is the heat input ``(alpha_i / c_m) *
+    amplitude_i`` of particle i when only particle j is forced, and
+    ``g_c`` the part of it due to the coupling perturbation.  Without one
+    (``perturb_interaction`` unset, or ``delta = 0``) ``g`` is ``sigma``
+    scaled and ``g_c`` is None; with one, the amplitudes gain ``dsigma``,
+    one effective-coupling march of ``_coupling_forcing``.
+    """
+    scale = (config.contrasts / config.c_m)[:, None]
+    if not _perturbs_coupling(config):
+        return sigma * scale, None
+    times = np.asarray(times, dtype=float)
+    dsigma = volterra_solve(config.centers, _effective_coupling(config),
+                            config.kappa, times,
+                            _coupling_forcing(config, times, sigma))
+    return (sigma + dsigma) * scale, dsigma * scale
 
 
 def _l2_inner(times: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
@@ -280,13 +322,13 @@ class ActuationMap(NamedTuple):
 
 
 def calibrate_k0(config: PlasmonicConfig, times, profile: np.ndarray,
-                 units: np.ndarray | None = None) -> ActuationMap:
+                 units: np.ndarray) -> ActuationMap:
     """Probe every dictionary column and project outputs on the profile.
 
-    The probes are superposed from the unit heat inputs ``units`` (built
-    here when not given): the output of column l is ``g @ D_eff[:, l]``,
-    so ``k0 = K_unit @ D_eff`` with ``K_unit`` the profile coefficients
-    of ``g``.
+    The probes are superposed from the unit heat inputs ``units``, the
+    ``g`` of ``unit_heat_inputs``: the output of column l is
+    ``g @ D_eff[:, l]``, so ``k0 = K_unit @ D_eff`` with ``K_unit`` the
+    profile coefficients of ``g``.
     """
     times = np.asarray(times, dtype=float)
     profile = np.asarray(profile, dtype=float)
@@ -295,8 +337,6 @@ def calibrate_k0(config: PlasmonicConfig, times, profile: np.ndarray,
     denom = _l2_inner(times, profile, profile)
     if denom <= 0.0:
         raise ValueError("profile must be nonzero")
-    if units is None:
-        units = unit_heat_inputs(config, times, profile)
     d_eff = effective_dictionary(config)
     k_unit = np.trapezoid(units * profile[:, None, None], times,
                           axis=0) / denom
@@ -332,83 +372,30 @@ def invert_actuation(amap: ActuationMap, u_des: np.ndarray,
     return p, residual
 
 
-def _coupling_forcing(config: PlasmonicConfig, times: np.ndarray,
-                      intensities: np.ndarray) -> np.ndarray:
-    """Forcing whose effective-coupling march is the coupling remainder.
-
-    With ``sigma`` the leading amplitudes (base coupling and dictionary),
-    the effective-coupling amplitudes of the same forcing exceed them by
-    the effective-coupling march of
-    ``h[q] = -dt * sum_{s<q} w_s (W_eff - W)[q-s] sigma[s]``, the
-    trapezoid history of the coupling perturbation; this returns h.
-    ``sigma`` is known in full, so h is one causal convolution over the
-    lags, taken by zero-padded FFT.
-    """
-    leading = volterra_solve(
-        config.centers, config.coupling, config.kappa, times,
-        _dictionary_forcing(config, intensities, config.dictionary))
-    dt = uniform_step(times)
-    samples = times.shape[0]
-    table = _memory_table(
-        config.centers, _effective_coupling(config) - config.coupling,
-        config.kappa, dt, samples - 1)
-    weighted = np.concatenate([0.5 * leading[:1], leading[1:]])
-    size = 2 * samples
-    spectrum = np.einsum("fij,fj->fi", np.fft.rfft(table, size, axis=0),
-                         np.fft.rfft(weighted, size, axis=0))
-    return -dt * np.fft.irfft(spectrum, size, axis=0)[:samples]
-
-
 def _series_norm(times: np.ndarray, series: np.ndarray) -> float:
     norm2 = sum(_l2_inner(times, series[:, i], series[:, i])
                 for i in range(series.shape[1]))
     return float(np.sqrt(max(norm2, 0.0)))
 
 
-def realized_remainder(config: PlasmonicConfig, times,
-                       intensities: np.ndarray):
-    """Pipeline output minus its leading (delta = 0) model prediction.
-
-    Formed directly, as one effective-coupling march of the forcing
-    ``I (D_eff - D)^T``, never as the difference of two nearly equal
-    pipeline outputs.  With ``perturb_interaction`` set, the forcing also
-    carries the coupling term (``_coupling_forcing``).  At ``delta = 0``
-    the forcing, hence the remainder, is exactly zero.
-
-    Returns ``(rho, norm)`` where rho is the per-particle time series of
-    the mismatch and norm is its aggregate L2 size over all particles.
-    """
-    times = np.asarray(times, dtype=float)
-    intensities = np.asarray(intensities, dtype=float)
-    gap = effective_dictionary(config) - config.dictionary
-    forcing = _dictionary_forcing(config, intensities, gap)
-    if config.perturb_interaction:
-        forcing = forcing + _coupling_forcing(config, times, intensities)
-    sigma = volterra_solve(config.centers, _effective_coupling(config),
-                           config.kappa, times, forcing)
-    rho = sigma * (config.contrasts / config.c_m)
-    return rho, _series_norm(times, rho)
-
-
-def realize_profile(config: PlasmonicConfig, times, profile: np.ndarray,
-                    units: np.ndarray, coeffs: np.ndarray):
+def realize_profile(config: PlasmonicConfig, times, units: np.ndarray,
+                    coupling_units: np.ndarray | None, coeffs: np.ndarray):
     """Heat inputs and remainder of the intensities ``profile * coeffs``.
 
-    Superposed from the unit heat inputs ``units`` of this config:
-    ``g_real = g @ (D_eff p)`` and the remainder ``g @ ((D_eff - D) p)``.
-    With ``perturb_interaction`` set the remainder also has a coupling
-    term, so it comes from ``realized_remainder`` instead.
+    Superposed from the unit heat inputs ``(units, coupling_units)`` of
+    this config, the ``(g, g_c)`` of ``unit_heat_inputs``:
+    ``g_real = g @ (D_eff p)`` and the remainder, the output minus its
+    leading (``delta = 0``) prediction,
+    ``rho = g @ ((D_eff - D) p) + g_c @ (D p)``.
 
-    Returns ``(g_real, norm)`` with norm the remainder's aggregate L2 size.
+    Returns ``(g_real, rho, norm)`` with norm the remainder's aggregate
+    L2 size over all particles.
     """
     times = np.asarray(times, dtype=float)
     coeffs = np.asarray(coeffs, dtype=float)
     d_eff = effective_dictionary(config)
     g_real = units @ (d_eff @ coeffs)
-    if config.perturb_interaction:
-        intensities = np.asarray(profile, dtype=float)[:, None] * coeffs[None]
-        _, norm = realized_remainder(config, times, intensities)
-    else:
-        norm = _series_norm(
-            times, units @ ((d_eff - config.dictionary) @ coeffs))
-    return g_real, norm
+    rho = units @ ((d_eff - config.dictionary) @ coeffs)
+    if coupling_units is not None:
+        rho = rho + coupling_units @ (config.dictionary @ coeffs)
+    return g_real, rho, _series_norm(times, rho)

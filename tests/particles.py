@@ -2,7 +2,7 @@
 
 The free-space heat kernel and its time derivative at one pair of points
 and two times, the intensities -> forcing -> amplitudes -> heat inputs
-pipeline marched once per call, and the coupling-remainder forcing summed
+pipeline marched once per call, and the coupling-correction forcing summed
 step by step: the forms that the library's kernel table, batched
 unit-forcing march and history convolution replace, kept here as their
 oracles.
@@ -57,8 +57,7 @@ def kernel_time_derivative(x, t: float, y, tau: float, kappa: float) -> float:
 
 def forcing_from_intensities(config, intensities: np.ndarray) -> np.ndarray:
     """Per-particle forcing samples from illumination intensity samples."""
-    return plasmonic._dictionary_forcing(
-        config, intensities, plasmonic.effective_dictionary(config))
+    return np.asarray(intensities) @ plasmonic.effective_dictionary(config).T
 
 
 def run_pipeline(config, times, intensities: np.ndarray) -> np.ndarray:
@@ -70,25 +69,21 @@ def run_pipeline(config, times, intensities: np.ndarray) -> np.ndarray:
     return sigma * (config.contrasts / config.c_m)[None, :]
 
 
-def coupling_forcing_steps(config, times, intensities: np.ndarray) -> np.ndarray:
-    """The coupling-remainder forcing summed step by step.
+def coupling_forcing_steps(config, times, sigma: np.ndarray) -> np.ndarray:
+    """The coupling-correction forcing summed step by step.
 
     ``h[q] = -dt * sum_{s<q} w_s (W_eff - W)[q-s] sigma[s]`` with the
-    leading amplitudes ``sigma``, one history sum per step: the form the
-    library's FFT convolution replaces.
+    base-coupling amplitudes ``sigma`` (shape (Q + 1, M, R)), one history
+    sum per step: the form the library's FFT convolution replaces.
     """
-    leading = plasmonic.volterra_solve(
-        config.centers, config.coupling, config.kappa, times,
-        plasmonic._dictionary_forcing(config, intensities,
-                                      config.dictionary))
     dt = times[1] - times[0]
     q_steps = times.shape[0] - 1
     flat = plasmonic._lag_reversed(plasmonic._memory_table(
         config.centers,
         plasmonic._effective_coupling(config) - config.coupling,
         config.kappa, dt, q_steps))
-    stacked = leading.reshape(-1, 1)
-    h = np.zeros_like(leading)
+    stacked = sigma.reshape(-1, sigma.shape[2])
+    h = np.zeros_like(sigma)
     for q in range(1, q_steps + 1):
-        h[q] = -dt * plasmonic._history(flat, stacked, q)[:, 0]
+        h[q] = -dt * plasmonic._history(flat, stacked, q)
     return h

@@ -474,6 +474,26 @@ def test_particles_are_marched_once_per_run(monkeypatch, run):
     assert calls == {"volterra_solve": 1}
 
 
+def test_perturbed_track_marches_once_per_contrast_scale(monkeypatch):
+    """One unit march at the base coupling serves every contrast scale;
+    each scale adds one coupling-correction march, and the doubled
+    truncation one more for its headline."""
+    config = load_config("default")
+    config = config._replace(plasmonic=config.plasmonic._replace(
+        perturb_interaction=True))
+    marches = []
+    original = plasmonic.volterra_solve
+
+    def counting(*args, **kwargs):
+        marches.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(plasmonic, "volterra_solve", counting)
+    exp.run_track(config)
+    assert len(config.track.deltas) == 4
+    assert len(marches) == 6
+
+
 def test_track_samples_the_modes_once_per_march(monkeypatch):
     """Every open-loop replay evaluates the modes once, not once per step."""
     calls = []
@@ -495,21 +515,9 @@ def _trapezoid_l2(times, series):
     return float(np.sqrt(np.sum(np.trapezoid(series ** 2, times, axis=0))))
 
 
-def test_track_with_perturbed_interaction_matches_the_difference_path(
-        monkeypatch):
+def test_track_with_perturbed_interaction_matches_the_difference_path():
     config = _config(plasmonic={"perturb_interaction": True})
-    built = []
-    original = exp.unit_heat_inputs
-
-    def recording(pconf, *args):
-        built.append(pconf.delta)
-        return original(pconf, *args)
-
-    monkeypatch.setattr(exp, "unit_heat_inputs", recording)
     result = exp.run_track(config)
-    # the coupling depends on delta, so each contrast scale has its own
-    # unit response; the doubled truncation reuses the headline one
-    assert sorted(built) == sorted(set(config.track.deltas))
 
     # reference path: one pipeline probe per dictionary column, and the
     # remainder as the difference of the full and leading pipelines
@@ -854,6 +862,23 @@ def test_cli_mesh_sweep_rejects_bad_cell_counts(tmp_path, capsys, values):
     ("control", "reference", [float("nan"), 0.2, -0.1, 0.1]),
     ("actuators", "points", [[float("inf")]]),
     ("modes", "count", MAX_MODES + 1),
+    # signs the numerical stages would reject only later
+    ("actuators", "count", 0),
+    ("actuators", "select", 0),
+    ("actuators", "candidates_per_axis", 0),
+    ("track", "delta", -0.1),
+    ("track", "mu", 0),
+    ("track", "deltas", [0.1, 0.05, -0.05]),
+    ("plasmonic", "c_m", 0),
+    ("plasmonic", "kappa", -1),
+    ("control", "gain", -1),
+    ("control", "target_rate", -5),
+    ("restriction", "horizons", [0.02, -0.01, 0.005]),
+    ("sweep", "values", [-4.0, 8.0]),
+    (None, "sweep", {"kind": "delta", "values": [0.1, -0.05]}),
+    # the headline contrast scale is one of the budget rows
+    ("track", "deltas", []),
+    ("track", "deltas", [0.1, 0.2]),
 ] + [(block, key, {}) for block, keys in _SCHEMA.items() for key in keys],
     ids=lambda v: str(v))
 def test_cli_rejects_malformed_values_as_config_errors(tmp_path, capsys,

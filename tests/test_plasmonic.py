@@ -17,7 +17,7 @@ from heattrack.plasmonic import (
     effective_dictionary,
     invert_actuation,
     realize_profile,
-    realized_remainder,
+    unit_amplitudes,
     unit_heat_inputs,
     volterra_solve,
 )
@@ -37,6 +37,22 @@ def _config(**overrides):
                 dictionary=np.eye(2), delta=0.05, mu=1.0, seed=7)
     base.update(overrides)
     return PlasmonicConfig(**base)
+
+
+def _unit_inputs(config, times, profile):
+    return unit_heat_inputs(config, times,
+                            unit_amplitudes(config, times, profile))
+
+
+def _realize(config, times, profile, coeffs):
+    """``realize_profile`` from this config's unit response."""
+    g, g_c = _unit_inputs(config, times, profile)
+    return realize_profile(config, times, g, g_c, coeffs)
+
+
+def _calibrate(config, times, profile):
+    return calibrate_k0(config, times, profile,
+                        _unit_inputs(config, times, profile)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -274,11 +290,13 @@ def test_pipeline_is_linear_in_the_intensities():
 @pytest.mark.parametrize("perturb", [False, True])
 def test_direct_remainder_matches_the_difference_of_pipelines(perturb):
     config = _config(coupling=0.5 * (np.ones((2, 2)) - np.eye(2)),
+                     dictionary=np.array([[1.0, 0.3, 0.2], [0.0, 1.0, 0.5]]),
                      perturb_interaction=perturb)
     times = np.linspace(0.0, 0.4, 81)
-    intensities = np.stack([np.sin(np.pi * times / 0.4) ** 2,
-                            0.5 * np.cos(np.pi * times / 0.4) + 0.5], axis=1)
-    rho, norm = realized_remainder(config, times, intensities)
+    profile = np.sin(np.pi * times / 0.4) ** 2
+    coeffs = np.array([0.7, -0.4, 0.25])
+    _, rho, norm = _realize(config, times, profile, coeffs)
+    intensities = profile[:, None] * coeffs[None, :]
     full = run_pipeline(config, times, intensities)
     leading = run_pipeline(dataclasses.replace(config, delta=0.0), times,
                            intensities)
@@ -288,10 +306,10 @@ def test_direct_remainder_matches_the_difference_of_pipelines(perturb):
     assert norm > 1e-3
     if perturb:   # the coupling term is really there
         plain = dataclasses.replace(config, perturb_interaction=False)
-        rho_plain, _ = realized_remainder(plain, times, intensities)
+        _, rho_plain, _ = _realize(plain, times, profile, coeffs)
         assert np.max(np.abs(rho - rho_plain)) > 1e3 * tol
-    rho0, norm0 = realized_remainder(dataclasses.replace(config, delta=0.0),
-                                     times, intensities)
+    _, rho0, norm0 = _realize(dataclasses.replace(config, delta=0.0),
+                              times, profile, coeffs)
     assert norm0 == 0.0
     assert not np.any(rho0)
 
@@ -308,10 +326,9 @@ def test_coupling_forcing_matches_the_step_loop(centers, samples):
                      dictionary=np.eye(m), delta=0.1,
                      perturb_interaction=True)
     times = np.linspace(0.0, 0.4, samples)
-    phase = np.pi * times[:, None] / 0.4 * np.arange(1, m + 1)[None, :]
-    intensities = np.sin(phase) ** 2
-    want = coupling_forcing_steps(config, times, intensities)
-    got = plasmonic._coupling_forcing(config, times, intensities)
+    sigma = unit_amplitudes(config, times, np.sin(np.pi * times / 0.4) ** 2)
+    want = coupling_forcing_steps(config, times, sigma)
+    got = plasmonic._coupling_forcing(config, times, sigma)
     assert np.max(np.abs(want)) > 0.0
     assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
 
@@ -324,15 +341,19 @@ def test_profile_realization_superposes_the_unit_inputs(perturb):
     times = np.linspace(0.0, 0.4, 81)
     profile = np.sin(np.pi * times / 0.4) ** 2
     coeffs = np.array([0.7, -0.4, 0.25])
-    units = unit_heat_inputs(config, times, profile)
-    assert units.shape == (81, 2, 2)
-    g_real, norm = realize_profile(config, times, profile, units, coeffs)
-    intensities = profile[:, None] * coeffs[None, :]
-    full = run_pipeline(config, times, intensities)
+    g, g_c = _unit_inputs(config, times, profile)
+    assert g.shape == (81, 2, 2)
+    assert (g_c is None) == (not perturb)
+    # the unit inputs are those of the effective coupling, marched directly
+    direct = volterra_solve(config.centers, plasmonic._effective_coupling(
+        config), KAPPA, times, profile[:, None, None] * np.eye(2)[None])
+    assert_allclose(g, direct, rtol=0, atol=1e-14 * np.max(np.abs(direct)))
+    g_real, rho, norm = realize_profile(config, times, g, g_c, coeffs)
+    full = run_pipeline(config, times, profile[:, None] * coeffs[None, :])
     assert_allclose(g_real, full, rtol=0,
                     atol=1e-14 * np.max(np.abs(full)))
-    _, want_norm = realized_remainder(config, times, intensities)
-    assert norm == pytest.approx(want_norm, rel=1e-13)
+    want = np.sqrt(np.sum(np.trapezoid(rho * rho, times, axis=0)))
+    assert norm == pytest.approx(want, rel=1e-13)
 
 
 def test_heat_inputs_scale_by_contrast_over_heat_capacity():
@@ -341,16 +362,19 @@ def test_heat_inputs_scale_by_contrast_over_heat_capacity():
     profile = np.ones(21)
     sigma = volterra_solve(config.centers, config.coupling, KAPPA, times,
                            profile[:, None, None] * np.eye(2)[None])
-    inputs = unit_heat_inputs(config, times, profile)
+    assert_allclose(unit_amplitudes(config, times, profile), sigma,
+                    rtol=1e-14)
+    inputs, coupling_part = unit_heat_inputs(config, times, sigma)
     assert_allclose(inputs, sigma * np.array([0.5, 0.75])[None, :, None],
                     rtol=1e-14)
+    assert coupling_part is None
 
 
 def test_remainder_vanishes_at_zero_contrast_scale():
     config = _config(delta=0.0)
     times = np.linspace(0.0, 0.4, 41)
-    intensities = np.sin(np.pi * times / 0.4)[:, None] ** 2 * np.ones((1, 2))
-    rho, norm = realized_remainder(config, times, intensities)
+    profile = np.sin(np.pi * times / 0.4) ** 2
+    _, rho, norm = _realize(config, times, profile, np.ones(2))
     assert norm == 0.0
     assert np.max(np.abs(rho)) == 0.0
 
@@ -359,22 +383,21 @@ def test_remainder_formula_without_interaction():
     """beta = 0 makes the remainder the perturbed-dictionary response."""
     config = _config(coupling=np.zeros((2, 2)), delta=0.1, mu=1.0)
     times = np.linspace(0.0, 0.4, 41)
-    intensities = np.stack([np.sin(np.pi * times / 0.4) ** 2,
-                            0.5 * np.cos(np.pi * times / 0.4) + 0.5], axis=1)
-    rho, _ = realized_remainder(config, times, intensities)
+    profile = np.sin(np.pi * times / 0.4) ** 2
+    coeffs = np.array([1.0, 0.5])
+    _, rho, _ = _realize(config, times, profile, coeffs)
     gap = effective_dictionary(config) - config.dictionary
+    intensities = profile[:, None] * coeffs[None, :]
     expected = intensities @ gap.T  # contrasts = c_m = 1
     assert_allclose(rho, expected, atol=1e-12)
 
 
 def test_remainder_scales_like_delta_to_mu():
     times = np.linspace(0.0, 0.4, 41)
-    intensities = np.sin(np.pi * times / 0.4)[:, None] ** 2 * np.ones((1, 2))
+    profile = np.sin(np.pi * times / 0.4) ** 2
     deltas = np.array([0.2, 0.1, 0.05, 0.025])
-    norms = []
-    for d in deltas:
-        _, n = realized_remainder(_config(delta=d), times, intensities)
-        norms.append(n)
+    norms = [_realize(_config(delta=d), times, profile, np.ones(2))[2]
+             for d in deltas]
     design = np.stack([np.log(deltas), np.ones(4)], axis=1)
     coef, *_ = np.linalg.lstsq(design, np.log(norms), rcond=None)
     assert coef[0] == pytest.approx(1.0, abs=0.1)
@@ -404,7 +427,7 @@ def test_calibration_without_interaction_recovers_the_dictionary():
                      dictionary=np.array([[1.0, 0.3], [0.0, 1.0]]))
     times = np.linspace(0.0, 0.4, 81)
     profile = np.sin(np.pi * times / 0.4) ** 2
-    amap = calibrate_k0(config, times, profile)
+    amap = _calibrate(config, times, profile)
     expected = config.dictionary * (config.contrasts / config.c_m)[:, None]
     assert_allclose(amap.k0, expected, atol=1e-12)
     assert_allclose(amap.residuals, np.zeros(2), atol=1e-12)
@@ -418,7 +441,7 @@ def test_calibration_equals_the_per_column_probes():
                      dictionary=np.array([[1.0, 0.3, 0.2], [0.0, 1.0, 0.5]]))
     times = np.linspace(0.0, 0.4, 81)
     profile = np.sin(np.pi * times / 0.4) ** 2
-    amap = calibrate_k0(config, times, profile)
+    amap = _calibrate(config, times, profile)
     denom = np.trapezoid(profile * profile, times)
     for col in range(3):
         intensities = np.zeros((81, 3))
@@ -429,16 +452,13 @@ def test_calibration_equals_the_per_column_probes():
         residual = np.sqrt(np.sum(np.trapezoid(tail * tail, times, axis=0)))
         assert_allclose(amap.k0[:, col], k0, rtol=1e-13)
         assert amap.residuals[col] == pytest.approx(residual, rel=1e-13)
-    units = unit_heat_inputs(config, times, profile)
-    again = calibrate_k0(config, times, profile, units)
-    assert np.array_equal(again.k0, amap.k0)
 
 
 def test_calibration_with_interaction_leaves_residual_mass():
     config = _config(coupling=0.5 * (np.ones((2, 2)) - np.eye(2)))
     times = np.linspace(0.0, 0.4, 81)
     profile = np.sin(np.pi * times / 0.4) ** 2
-    amap = calibrate_k0(config, times, profile)
+    amap = _calibrate(config, times, profile)
     assert np.all(amap.residuals > 1e-8)
 
 
@@ -446,7 +466,7 @@ def test_signed_inversion_consistency():
     config = _config()
     times = np.linspace(0.0, 0.4, 81)
     profile = np.sin(np.pi * times / 0.4) ** 2
-    amap = calibrate_k0(config, times, profile)
+    amap = _calibrate(config, times, profile)
     u_des = np.array([0.4, -0.2])
     p, residual = invert_actuation(amap, u_des)
     assert residual <= 1e-9
