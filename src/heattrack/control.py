@@ -170,8 +170,8 @@ class TrajectoryRecord(NamedTuple):
     z_inf: np.ndarray | None    # None when the generator is singular
 
 
-def time_grid(horizon: float, dt: float) -> np.ndarray:
-    """Sample times 0, dt, ..., horizon; ValueError unless dt divides it."""
+def _grid_steps(horizon: float, dt: float) -> int:
+    """Steps of ``time_grid``, checked without forming the grid."""
     if not (dt > 0 and horizon > 0):
         raise ValueError("horizon and dt must be positive")
     if not np.isfinite(horizon / dt):
@@ -179,7 +179,12 @@ def time_grid(horizon: float, dt: float) -> np.ndarray:
     steps = int(round(horizon / dt))
     if steps < 1 or abs(steps * dt - horizon) > 1e-9 * max(1.0, horizon):
         raise ValueError("horizon must be an integer number of steps")
-    return np.arange(steps + 1) * dt
+    return steps
+
+
+def time_grid(horizon: float, dt: float) -> np.ndarray:
+    """Sample times 0, dt, ..., horizon; ValueError unless dt divides it."""
+    return np.arange(_grid_steps(horizon, dt) + 1) * dt
 
 
 def simulate_closed_loop(system: ClosedLoopSystem, z0: np.ndarray,

@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 import yaml
 
-from ..control import time_grid
+from ..control import _grid_steps
 from ..errors import ConfigError
 from ..spectral import DomainSpec
 
@@ -35,6 +35,11 @@ MAX_MODES = 2048
 # Largest mesh a coercivity run or a mesh sweep accepts: n cells ask for
 # modes_per_cell * n interval modes, about 20 ms at n = 4096 and 8 per cell.
 MAX_CELLS = 4096
+# Largest greedy grid, candidates_per_axis ** dim: on box3's 128 modes the
+# search takes about 20 us per candidate and step (0.35 s for 4096 and 4
+# actuators) and 3 KB per candidate, so its default 64 per axis would take
+# 0.8 GB and about 20 s.
+MAX_CANDIDATES = 4096
 # Largest modes_per_cell a coercivity run accepts: at MAX_CELLS it asks for
 # 64 * 4096 = 262,144 modes, about 0.12 s per mesh.
 MAX_MODES_PER_CELL = 64
@@ -218,9 +223,9 @@ _SCHEMA = {
         "values": (_REQUIRED, _list),     # converted by kind, see _sweep
     },
     "tolerances": {
-        "cross_integrator": (1e-8, _finite),
-        "convergence": (1e-6, _finite),
-        "low_mode": (1e-8, _finite),
+        "cross_integrator": (1e-8, _positive),
+        "convergence": (1e-6, _positive),
+        "low_mode": (1e-8, _positive),
     },
 }
 
@@ -242,7 +247,7 @@ def _control(block):
     if block.gain is None and block.target_rate is None:
         raise ConfigError("control needs either gain or target_rate")
     try:
-        time_grid(block.horizon, block.dt)
+        _grid_steps(block.horizon, block.dt)
     except ValueError as exc:
         raise ConfigError(f"control (dt={block.dt:g}): {exc}") from None
     return block

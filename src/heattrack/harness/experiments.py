@@ -14,9 +14,9 @@ from __future__ import annotations
 import functools
 import math
 import os
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,11 +32,12 @@ from ..placement import (ActuatorSet, dct_grid_box, dct_nodes_interval,
                          genericity_monte_carlo, greedy_placement,
                          sampling_matrix, uniform_candidates)
 from ..plasmonic import (PlasmonicConfig, calibrate_k0, invert_actuation,
-                         realize_profile, unit_amplitudes, unit_heat_inputs)
+                         realize_profile, unit_amplitudes)
 from ..restriction import restriction_gap_report
 from ..spectral import (DomainSpec, ModeTable, enumerate_modes, eval_modes,
                         line_fit, march_forced)
-from .config import ExperimentConfig, build_domain, profile_samples
+from .config import (MAX_CANDIDATES, ExperimentConfig, build_domain,
+                     profile_samples)
 from .manifest import RunManifest, write_csv
 
 __all__ = [
@@ -64,10 +65,11 @@ __all__ = [
 
 @contextmanager
 def _stage(name: str):
+    """Name a failure in the block after the outermost open stage."""
     try:
         yield
-    except StageError:
-        raise
+    except StageError as exc:
+        raise StageError(name, exc.cause) from exc
     except Exception as exc:
         raise StageError(name, exc) from exc
 
@@ -143,6 +145,11 @@ def build_actuators(config: ExperimentConfig, domain: DomainSpec,
         return ActuatorSet(domain, np.asarray(blk.points, dtype=float))
     count = blk.select if blk.select is not None else (
         n if blk.count is None else blk.count)
+    size = blk.candidates_per_axis ** domain.dim
+    if size > MAX_CANDIDATES:
+        raise ConfigError(f"actuators.candidates_per_axis gives {size} greedy "
+                          f"candidates on a {domain.kind}; at most "
+                          f"{MAX_CANDIDATES}")
     candidates = uniform_candidates(domain, blk.candidates_per_axis)
     return greedy_placement(candidates, table, n, count)
 
@@ -175,31 +182,24 @@ def _padded(config: ExperimentConfig, key: str, n: int) -> np.ndarray:
 
 
 def _close_loop(config: ExperimentConfig, matrices, gain: float,
-                a_target: np.ndarray, picard: bool = False, stage=_stage):
+                a_target: np.ndarray, picard: bool = False):
     """Bias matrix, reference pre-compensation and the closed loop.
 
     With ``control.fixed_point`` the loop runs on the solution ``a_star``
     of ``(I + T_N) a_star = a_target`` (tracing Picard when ``picard`` is
     set and the bias is contractive), otherwise on ``a_target`` itself.
     Returns ``(bias, fixed_point, a_star, system)``; ``fixed_point`` is
-    None without pre-compensation.
+    None without pre-compensation.  It opens no stage, so a gain sweep
+    sees the raw failure.
     """
-    with stage("reference"):
-        bias = assemble_bias_matrix(matrices, gain)
-        fp = None
-        a_star = a_target.copy()
-        if config.control.fixed_point:
-            fp = fixed_point_reference(bias, a_target,
-                                       picard=picard and bias.norm < 1.0)
-            a_star = fp.a_star
-    with stage("assemble"):
-        system = assemble_closed_loop(matrices, gain, a_star)
-    return bias, fp, a_star, system
-
-
-def _no_stage(_name: str):
-    """Stage stand-in for passes whose failures the caller names."""
-    return nullcontext()
+    bias = assemble_bias_matrix(matrices, gain)
+    fp = None
+    a_star = a_target.copy()
+    if config.control.fixed_point:
+        fp = fixed_point_reference(bias, a_target,
+                                   picard=picard and bias.norm < 1.0)
+        a_star = fp.a_star
+    return bias, fp, a_star, assemble_closed_loop(matrices, gain, a_star)
 
 
 def build_loop(config: ExperimentConfig) -> LoopSetup:
@@ -216,8 +216,8 @@ def build_loop(config: ExperimentConfig) -> LoopSetup:
                 matrices, config.control.target_rate)
     with _stage("reference"):
         a_target = _padded(config, "reference", config.modes.controlled)
-    bias, fp, a_star, system = _close_loop(config, matrices, gain, a_target,
-                                           picard=True)
+        bias, fp, a_star, system = _close_loop(config, matrices, gain,
+                                               a_target, picard=True)
     return LoopSetup(domain, table, actuators, matrices, gain, gain_trace,
                      a_target, bias, fp, a_star, system)
 
@@ -291,17 +291,21 @@ def project_onto_profile(times: np.ndarray, samples: np.ndarray,
 
     The projection uses the trapezoid inner product of the grid, so the
     residual is exactly orthogonal to the profile in that inner product
-    and the Pythagoras identity holds to roundoff.
+    and the Pythagoras identity holds to roundoff.  A profile without mass
+    and samples without a profile component are both too little signal.
     """
     w = _trapezoid_weights(times)
     denom = float(np.sum(w * phi * phi))
     if denom <= 0.0:
         raise InsufficientSignalError("profile has no mass on the grid")
     beta = (samples.T @ (w * phi)) / denom
+    projected_norm = float(np.linalg.norm(beta) * np.sqrt(denom))
+    if projected_norm <= 0.0:
+        raise InsufficientSignalError(
+            "recorded inputs have no component on the command profile")
     resid = samples - phi[:, None] * beta[None, :]
     orth = _series_l2(w, resid)
     sample_norm = _series_l2(w, samples)
-    projected_norm = float(np.linalg.norm(beta) * np.sqrt(denom))
     gap = abs(sample_norm ** 2 - projected_norm ** 2 - orth ** 2)
     gap /= max(sample_norm ** 2, 1e-300)
     return ProfileDecomposition(beta, orth, sample_norm, projected_norm, gap)
@@ -378,83 +382,68 @@ def _vdual_curve(table: ModeTable, diff: np.ndarray) -> np.ndarray:
     return np.linalg.norm(diff * w[None, :], axis=1)
 
 
-class _Tracking(NamedTuple):
-    """Projection and replays of one closed-loop run, plus its realization."""
+def _unit_response(config: ExperimentConfig, actuators: ActuatorSet,
+                   times: np.ndarray):
+    """The command profile on ``times`` and the particles' unit amplitudes,
+    which depend on neither the contrast scale nor the truncation."""
+    phi = profile_samples(config.track.profile, times, config.control.horizon)
+    pconf = build_plasmonic(config, actuators, config.track.delta)
+    return phi, unit_amplitudes(pconf, times, phi)
 
-    deco: ProfileDecomposition
-    u_des: np.ndarray
-    err_proj: np.ndarray    # resolvent-metric gap of the two replays
-    realize: Callable       # delta -> (actuation, {"real": .., "total": ..})
-    sigma: np.ndarray       # the particles' unit amplitudes
+
+def _calibrate(config: ExperimentConfig, actuators: ActuatorSet,
+               times: np.ndarray, phi: np.ndarray, sigma: np.ndarray,
+               delta: float):
+    """The particle array at contrast scale ``delta`` and its calibrated map."""
+    pconf = build_plasmonic(config, actuators, delta)
+    return pconf, calibrate_k0(pconf, times, phi, sigma)
 
 
-def _project(config: ExperimentConfig, actuators: ActuatorSet, record,
-             sigma: np.ndarray | None = None, stage=_stage):
-    """Split recorded inputs on the command profile; realize the profile part.
+def _actuate(pconf: PlasmonicConfig, amap, times: np.ndarray,
+             beta: np.ndarray):
+    """Inversion residual, realized heat inputs and remainder size of the
+    profile weights ``beta`` actuated through one map."""
+    p, residual = invert_actuation(amap, beta)
+    g_real, _, remainder = realize_profile(pconf, times, amap, p)
+    return residual, g_real, remainder
 
-    Returns the decomposition, the profile component ``u_des``, the
-    particles' unit amplitudes ``sigma`` under the profile and
-    ``actuate(delta)``, which calibrates, inverts and realizes ``u_des``
-    through the particles at one contrast scale.  ``sigma`` depends on
-    neither the contrast scale nor the truncation, so it is marched here
-    only when not given.
+
+def _track_pass(config: ExperimentConfig, system: ClosedLoopSystem,
+                y0: np.ndarray, record, phi: np.ndarray, maps: list):
+    """Project a recorded closed-loop run on the profile ``phi``; realize it.
+
+    The recorded inputs, their profile component ``u_des`` and its
+    actuation through each ``(particles, map)`` pair of ``maps`` are
+    replayed open loop from ``y0``.  Returns the decomposition, ``u_des``,
+    the resolvent-metric gap ``err_proj`` of the first two replays and per
+    map ``_actuate``'s values, the ``mismatch`` of ``g_real`` to ``u_des``
+    and the error curves against the projected (``real``) and the
+    recorded (``total``) replay.
     """
-    times = record.times
-    with stage("project"):
-        phi = profile_samples(config.track.profile, times,
-                              config.control.horizon)
+    times, table = record.times, system.table
+    with _stage("project"):
         deco = project_onto_profile(times, record.inputs, phi)
         u_des = phi[:, None] * deco.beta[None, :]
-        if deco.projected_norm <= 0.0:
-            raise InsufficientSignalError(
-                "recorded inputs have no component on the command profile")
-        if sigma is None:
-            sigma = unit_amplitudes(
-                build_plasmonic(config, actuators, config.track.delta),
-                times, phi)
-    w = _trapezoid_weights(times)
-
-    def actuate(delta):
-        pconf = build_plasmonic(config, actuators, delta)
-        g, g_c = unit_heat_inputs(pconf, times, sigma)
-        amap = calibrate_k0(pconf, times, phi, g)
-        p, residual = invert_actuation(amap, deco.beta)
-        g_real, _, remainder = realize_profile(pconf, times, g, g_c, p)
-        return {"amap": amap, "inversion_residual": residual,
-                "g_real": g_real, "mismatch": _series_l2(w, g_real - u_des),
-                "remainder": remainder}
-
-    return deco, u_des, sigma, actuate
-
-
-def _track_core(config: ExperimentConfig, system: ClosedLoopSystem,
-                y0: np.ndarray, record, sigma: np.ndarray | None = None,
-                stage=_stage) -> _Tracking:
-    """Project a recorded closed-loop run on the command profile; replay it.
-
-    The recorded inputs and their profile component ``u_des`` are replayed
-    open loop from ``y0``.  ``realize(delta)`` actuates ``u_des`` (see
-    ``_project``), replays the result and returns the actuation with its
-    error curves against the projected (``real``) and the recorded
-    (``total``) replay.  Cores on the same time grid can share ``sigma``.
-    """
-    table, actuators = system.table, system.matrices.actuators
-    deco, u_des, sigma, actuate = _project(config, actuators, record, sigma,
-                                           stage)
-    with stage("replay"):
-        replay = functools.partial(march_forced, table, actuators.points, y0,
+    with _stage("replay"):
+        replay = functools.partial(march_forced, table,
+                                   system.matrices.actuators.points, y0,
                                    dt=config.control.dt, hold="linear")
         y_ideal = replay(record.inputs)
         y_proj = replay(u_des)
         err_proj = _vdual_curve(table, y_proj - y_ideal)
-
-    def realize(delta):
-        act = actuate(delta)
-        y_phys = replay(act["g_real"])
-        return act, {"real": _vdual_curve(table, y_phys - y_proj),
-                     "total": _vdual_curve(table, y_phys - y_ideal)}
-
-    return _Tracking(deco, u_des, err_proj, realize, sigma)
+    w = _trapezoid_weights(times)
+    acts = []
+    with _stage("actuation"):
+        for pconf, amap in maps:
+            residual, g_real, remainder = _actuate(pconf, amap, times,
+                                                   deco.beta)
+            y_phys = replay(g_real)
+            acts.append({"inversion_residual": residual, "g_real": g_real,
+                         "mismatch": _series_l2(w, g_real - u_des),
+                         "remainder": remainder,
+                         "real": _vdual_curve(table, y_phys - y_proj),
+                         "total": _vdual_curve(table, y_phys - y_ideal)})
+    return deco, u_des, err_proj, acts
 
 
 def run_track(config: ExperimentConfig, out_dir: str | None = None,
@@ -462,14 +451,17 @@ def run_track(config: ExperimentConfig, out_dir: str | None = None,
     """Track a prescribed stationary profile and certify the error budget.
 
     Stages: close the loop on the fixed-point-corrected reference, record
-    the applied inputs, split them into the command profile component and
-    the rest, realize the profile component through the particle pipeline
-    at every requested contrast scale, then march the three resulting
-    trajectories with one exact integrator and compare their gaps in the
-    resolvent metric against certified input-to-state budgets.
+    the applied inputs, calibrate the particle pipeline once per requested
+    contrast scale, split the inputs into the command profile component
+    and the rest, realize the profile component through every calibrated
+    map, then march the three resulting trajectories with one exact
+    integrator and compare their gaps in the resolvent metric against
+    certified input-to-state budgets.
     """
     setup = build_loop(config)
     tol = config.tolerances
+    deltas = config.track.deltas
+    head = deltas.index(config.track.delta)
     assertions: dict = {}
 
     with _stage("simulate"):
@@ -480,21 +472,27 @@ def run_track(config: ExperimentConfig, out_dir: str | None = None,
         assertions["cross_integrator"] = (cross <= tol.cross_integrator,
                                           cross)
 
-    core = _track_core(config, setup.system, y0, record)
-    deco = core.deco
+    times = record.times
+    with _stage("calibrate"):
+        phi, sigma = _unit_response(config, setup.actuators, times)
+        maps = [_calibrate(config, setup.actuators, times, phi, sigma, delta)
+                for delta in deltas]
+
+    deco, u_des, err_proj, acts = _track_pass(config, setup.system, y0,
+                                              record, phi, maps)
     assertions["pythagoras"] = (deco.pythagoras_gap <= 1e-10,
                                 deco.pythagoras_gap)
 
-    with _stage("actuation"):
+    with _stage("budget"):
         c_cert = certified_input_constant(setup.table, setup.actuators,
                                           config.control.horizon)
-        proj_sup = float(np.max(core.err_proj))
+        proj_sup = float(np.max(err_proj))
         budget_proj = c_cert * deco.orth
-
-        def measure(delta):
-            act, curves = core.realize(delta)
-            real_sup = float(np.max(curves["real"]))
-            total_sup = float(np.max(curves["total"]))
+        within_proj = proj_sup <= budget_proj + 1e-12 * max(1.0, budget_proj)
+        budget_rows = []
+        for delta, act in zip(deltas, acts):
+            real_sup = float(np.max(act["real"]))
+            total_sup = float(np.max(act["total"]))
             budget_real = c_cert * act["mismatch"]
             row = BudgetRow(
                 delta=float(delta), orth=deco.orth, mismatch=act["mismatch"],
@@ -502,21 +500,11 @@ def run_track(config: ExperimentConfig, out_dir: str | None = None,
                 eta=act["remainder"] / deco.projected_norm,
                 proj_sup=proj_sup, real_sup=real_sup, total_sup=total_sup,
                 budget_proj=budget_proj, budget_real=budget_real,
-                within_proj=(proj_sup <= budget_proj
-                             + 1e-12 * max(1.0, budget_proj)),
+                within_proj=within_proj,
                 within_real=(real_sup <= budget_real
                              + 1e-12 * max(1.0, budget_real)),
                 within_total=total_sup <= budget_proj + budget_real + 1e-12)
-            return act, curves, row
-
-        headline_act, headline_curves, headline_row = measure(
-            config.track.delta)
-        budget_rows = [headline_row if delta == config.track.delta
-                       else measure(delta)[2]
-                       for delta in config.track.deltas]
-
-    with _stage("budget"):
-        for row in budget_rows:
+            budget_rows.append(row)
             tag = f"{row.delta:g}"
             assertions[f"budget_proj[{tag}]"] = (row.within_proj,
                                                  row.budget_proj - row.proj_sup)
@@ -544,48 +532,39 @@ def run_track(config: ExperimentConfig, out_dir: str | None = None,
         assertions["tail_bound"] = (tail.satisfied, tail.bound - tail.tail_vdual)
 
     with _stage("convergence"):
-        gap = _doubled_truncation_gap(config, setup, headline_row,
-                                      core.sigma)
+        # The headline metrics again at twice the truncation, from the
+        # same placement, gain and headline map: the time grid and the
+        # profile do not change with the truncation.
+        matrices2 = sampling_matrix(
+            setup.actuators, enumerate_modes(setup.domain,
+                                             2 * config.modes.count),
+            config.modes.controlled)
+        system2 = _close_loop(config, matrices2, setup.gain,
+                              setup.a_target)[3]
+        y0_2, _, record2 = _run_loop(config, system2)
+        _, _, err_proj2, (act2,) = _track_pass(config, system2, y0_2,
+                                               record2, phi, [maps[head]])
+        row = budget_rows[head]
+        gap = max(abs(float(np.max(err_proj2)) - row.proj_sup),
+                  abs(float(np.max(act2["real"])) - row.real_sup),
+                  abs(float(np.max(act2["total"])) - row.total_sup))
         assertions["convergence"] = (gap <= tol.convergence, gap)
 
     result = TrackResult(
-        config=config, setup=setup, times=record.times,
-        u_ideal=record.inputs, decomposition=deco, u_des=core.u_des,
-        c_cert=c_cert, amap_sigma_min=headline_act["amap"].sigma_min,
-        inversion_residual=headline_act["inversion_residual"],
-        g_real=headline_act["g_real"], err_proj=core.err_proj,
-        err_real=headline_curves["real"],
-        err_total=headline_curves["total"], budget_rows=budget_rows,
-        remainder_slope=remainder_slope, tail=tail, cross_deviation=cross,
-        convergence_gap=gap, assertions=assertions, headline=headline_row)
+        config=config, setup=setup, times=times, u_ideal=record.inputs,
+        decomposition=deco, u_des=u_des, c_cert=c_cert,
+        amap_sigma_min=maps[head][1].sigma_min,
+        inversion_residual=acts[head]["inversion_residual"],
+        g_real=acts[head]["g_real"], err_proj=err_proj,
+        err_real=acts[head]["real"], err_total=acts[head]["total"],
+        budget_rows=budget_rows, remainder_slope=remainder_slope, tail=tail,
+        cross_deviation=cross, convergence_gap=gap, assertions=assertions,
+        headline=budget_rows[head])
     result = result._replace(manifest=_emit(
         out_dir, "track", config, *_track_artifacts(result), assertions,
         tolerances=True))
     check_assertions(assertions, strict)
     return result
-
-
-def _doubled_truncation_gap(config: ExperimentConfig, setup: LoopSetup,
-                            base_row: BudgetRow,
-                            sigma: np.ndarray) -> float:
-    """Repeat the headline metrics at twice the truncation; return the move.
-
-    The run's placement, gain and unit amplitudes (``sigma``; the time
-    grid and profile do not change with the truncation) are reused, and
-    the tracking core runs once more at 2K modes.
-    """
-    table2 = enumerate_modes(setup.domain, 2 * config.modes.count)
-    matrices2 = sampling_matrix(setup.actuators, table2,
-                                config.modes.controlled)
-    # The caller's "convergence" stage names any failure of this pass.
-    system2 = _close_loop(config, matrices2, setup.gain, setup.a_target,
-                          stage=_no_stage)[3]
-    y0, _, record2 = _run_loop(config, system2)
-    core2 = _track_core(config, system2, y0, record2, sigma, stage=_no_stage)
-    _, curves2 = core2.realize(config.track.delta)
-    return max(abs(float(np.max(core2.err_proj)) - base_row.proj_sup),
-               abs(float(np.max(curves2["real"])) - base_row.real_sup),
-               abs(float(np.max(curves2["total"])) - base_row.total_sup))
 
 
 def _track_artifacts(result: TrackResult):
@@ -707,13 +686,10 @@ def run_calibrate(config: ExperimentConfig, out_dir: str | None = None):
     with _stage("build"):
         _, _, actuators = _layout(config)
     with _stage("calibrate"):
-        ctl = config.control
-        times = time_grid(ctl.horizon, ctl.dt)
-        phi = profile_samples(config.track.profile, times, ctl.horizon)
-        pconf = build_plasmonic(config, actuators, config.track.delta)
-        g, _ = unit_heat_inputs(pconf, times,
-                                unit_amplitudes(pconf, times, phi))
-        amap = calibrate_k0(pconf, times, phi, g)
+        times = time_grid(config.control.horizon, config.control.dt)
+        phi, sigma = _unit_response(config, actuators, times)
+        amap = _calibrate(config, actuators, times, phi, sigma,
+                          config.track.delta)[1]
     rows = ([i, l, float(amap.k0[i, l])]
             for i in range(amap.k0.shape[0])
             for l in range(amap.k0.shape[1]))
@@ -899,10 +875,15 @@ def run_sweep(config: ExperimentConfig, out_dir: str | None = None):
         setup = build_loop(config)
         with _stage("simulate"):
             _, _, record = _run_loop(config, setup.system)
-        actuate = _project(config, setup.actuators, record)[3]
+        times = record.times
+        with _stage("project"):
+            phi, sigma = _unit_response(config, setup.actuators, times)
+            beta = project_onto_profile(times, record.inputs, phi).beta
 
         def metric(delta):
-            return actuate(delta)["remainder"]
+            pconf, amap = _calibrate(config, setup.actuators, times, phi,
+                                     sigma, delta)
+            return _actuate(pconf, amap, times, beta)[2]
     elif kind == "gain":
         with _stage("build"):
             _, table, actuators = _layout(config)
@@ -912,7 +893,7 @@ def run_sweep(config: ExperimentConfig, out_dir: str | None = None):
 
         def metric(gain):
             bias, _, _, system = _close_loop(config, matrices, gain,
-                                             a_target, stage=_no_stage)
+                                             a_target)
             return tail_mismatch_report(system, bias, a_target).tail_vdual
     else:  # mesh
         domain, blk = _mesh_study(config, "a mesh sweep")

@@ -10,10 +10,11 @@ The pipeline is linear, so one batched march of the M unit forcings
 ``profile * e_j`` at the base coupling (``unit_amplitudes``, giving
 ``sigma[t, i, j]``) serves every consumer that drives the particles with
 one temporal profile.  It depends on neither the contrast scale ``delta``
-nor the dictionary.  At one contrast scale (``unit_heat_inputs``) the
-unit heat inputs are ``g = (alpha / c_m) sigma``; a perturbed coupling
-adds its correction ``g_c = (alpha / c_m) dsigma``, one march of the
-coupling perturbation's history of ``sigma``.  From ``g``:
+nor the dictionary.  At one contrast scale the unit heat inputs are
+``g = (alpha / c_m) sigma``; a perturbed coupling adds its correction
+``g_c = (alpha / c_m) dsigma``, one march of the coupling perturbation's
+history of ``sigma``.  ``calibrate_k0`` keeps both and ``D_eff`` in the
+``ActuationMap`` that every consumer reads:
 
 - calibration: ``k0 = K_unit @ D_eff``, with ``K_unit`` the profile
   coefficients of ``g``, and the probe of column l is ``g @ D_eff[:, l]``;
@@ -40,7 +41,6 @@ __all__ = [
     "volterra_solve",
     "effective_dictionary",
     "unit_amplitudes",
-    "unit_heat_inputs",
     "calibrate_k0",
     "invert_actuation",
     "realize_profile",
@@ -147,10 +147,6 @@ class PlasmonicConfig:
     def count(self) -> int:
         return self.centers.shape[0]
 
-    @property
-    def n_intensities(self) -> int:
-        return self.dictionary.shape[1]
-
 
 def _seeded_unit(shape, seed: int, index: int) -> np.ndarray:
     gen = rng.stream(seed, rng.PURPOSE_PERTURBATION, index)
@@ -248,7 +244,7 @@ def unit_amplitudes(config: PlasmonicConfig, times,
     Returns ``sigma[t, i, j]``, the amplitude of particle i when only
     particle j is forced, with the profile, at the base coupling.  It
     involves neither the dictionary nor the contrast scale, so one march
-    serves every ``delta`` (see ``unit_heat_inputs``).
+    serves every ``delta`` (see ``calibrate_k0``).
     """
     times = np.asarray(times, dtype=float)
     profile = np.asarray(profile, dtype=float)
@@ -282,7 +278,7 @@ def _coupling_forcing(config: PlasmonicConfig, times: np.ndarray,
     return -dt * np.fft.irfft(spectrum, size, axis=0)[:samples]
 
 
-def unit_heat_inputs(config: PlasmonicConfig, times, sigma: np.ndarray):
+def _unit_heat_inputs(config: PlasmonicConfig, times, sigma: np.ndarray):
     """Heat inputs of the unit forcings at this config's contrast scale.
 
     ``sigma`` is the ``unit_amplitudes`` of this particle array.  Returns
@@ -312,21 +308,27 @@ class ActuationMap(NamedTuple):
 
     ``k0[i, l]`` is the profile coefficient of heat input i when the
     dictionary is probed with unit intensity l; ``residuals[l]`` is the
-    L2 mass the probe left outside the profile span.
+    L2 mass the probe left outside the profile span.  The unit heat
+    inputs ``(g, g_c)`` it was calibrated from (``units`` and
+    ``coupling_units``) and ``d_eff`` realize any intensities.
     """
 
     k0: np.ndarray
     pinv: np.ndarray
     sigma_min: float
     residuals: np.ndarray
+    units: np.ndarray
+    coupling_units: np.ndarray | None
+    d_eff: np.ndarray
 
 
 def calibrate_k0(config: PlasmonicConfig, times, profile: np.ndarray,
-                 units: np.ndarray) -> ActuationMap:
+                 sigma: np.ndarray) -> ActuationMap:
     """Probe every dictionary column and project outputs on the profile.
 
-    The probes are superposed from the unit heat inputs ``units``, the
-    ``g`` of ``unit_heat_inputs``: the output of column l is
+    ``sigma`` is the ``unit_amplitudes`` of this particle array under
+    ``profile``.  The probes are superposed from its unit heat inputs
+    ``g`` at this config's contrast scale: the output of column l is
     ``g @ D_eff[:, l]``, so ``k0 = K_unit @ D_eff`` with ``K_unit`` the
     profile coefficients of ``g``.
     """
@@ -337,6 +339,7 @@ def calibrate_k0(config: PlasmonicConfig, times, profile: np.ndarray,
     denom = _l2_inner(times, profile, profile)
     if denom <= 0.0:
         raise ValueError("profile must be nonzero")
+    units, coupling_units = _unit_heat_inputs(config, times, sigma)
     d_eff = effective_dictionary(config)
     k_unit = np.trapezoid(units * profile[:, None, None], times,
                           axis=0) / denom
@@ -350,7 +353,8 @@ def calibrate_k0(config: PlasmonicConfig, times, profile: np.ndarray,
     if sigma_min <= 1e-12 * max(float(s[0]), 1.0):
         raise RankDeficiencyError("calibrated map is rank deficient",
                                   sigma_min)
-    return ActuationMap(k0, np.linalg.pinv(k0), sigma_min, residuals)
+    return ActuationMap(k0, np.linalg.pinv(k0), sigma_min, residuals,
+                        units, coupling_units, d_eff)
 
 
 def invert_actuation(amap: ActuationMap, u_des: np.ndarray,
@@ -372,18 +376,12 @@ def invert_actuation(amap: ActuationMap, u_des: np.ndarray,
     return p, residual
 
 
-def _series_norm(times: np.ndarray, series: np.ndarray) -> float:
-    norm2 = sum(_l2_inner(times, series[:, i], series[:, i])
-                for i in range(series.shape[1]))
-    return float(np.sqrt(max(norm2, 0.0)))
-
-
-def realize_profile(config: PlasmonicConfig, times, units: np.ndarray,
-                    coupling_units: np.ndarray | None, coeffs: np.ndarray):
+def realize_profile(config: PlasmonicConfig, times, amap: ActuationMap,
+                    coeffs: np.ndarray):
     """Heat inputs and remainder of the intensities ``profile * coeffs``.
 
-    Superposed from the unit heat inputs ``(units, coupling_units)`` of
-    this config, the ``(g, g_c)`` of ``unit_heat_inputs``:
+    Superposed from the unit heat inputs ``g = amap.units`` and
+    ``g_c = amap.coupling_units`` of this config's calibrated map:
     ``g_real = g @ (D_eff p)`` and the remainder, the output minus its
     leading (``delta = 0``) prediction,
     ``rho = g @ ((D_eff - D) p) + g_c @ (D p)``.
@@ -393,9 +391,10 @@ def realize_profile(config: PlasmonicConfig, times, units: np.ndarray,
     """
     times = np.asarray(times, dtype=float)
     coeffs = np.asarray(coeffs, dtype=float)
-    d_eff = effective_dictionary(config)
-    g_real = units @ (d_eff @ coeffs)
-    rho = units @ ((d_eff - config.dictionary) @ coeffs)
-    if coupling_units is not None:
-        rho = rho + coupling_units @ (config.dictionary @ coeffs)
-    return g_real, rho, _series_norm(times, rho)
+    g_real = amap.units @ (amap.d_eff @ coeffs)
+    rho = amap.units @ ((amap.d_eff - config.dictionary) @ coeffs)
+    if amap.coupling_units is not None:
+        rho = rho + amap.coupling_units @ (config.dictionary @ coeffs)
+    norm2 = sum(_l2_inner(times, rho[:, i], rho[:, i])
+                for i in range(rho.shape[1]))
+    return g_real, rho, float(np.sqrt(max(norm2, 0.0)))

@@ -20,11 +20,13 @@ from heattrack.errors import (
     ConfigError,
     DegenerateNodesError,
     InsufficientDataError,
+    StageError,
 )
 from heattrack.harness import cli
 from heattrack.harness import experiments as exp
 from heattrack.harness.config import (
     _SCHEMA,
+    MAX_CANDIDATES,
     MAX_CELLS,
     MAX_MODES,
     MAX_MODES_PER_CELL,
@@ -477,7 +479,7 @@ def test_particles_are_marched_once_per_run(monkeypatch, run):
 def test_perturbed_track_marches_once_per_contrast_scale(monkeypatch):
     """One unit march at the base coupling serves every contrast scale;
     each scale adds one coupling-correction march, and the doubled
-    truncation one more for its headline."""
+    truncation reuses the headline's calibrated map."""
     config = load_config("default")
     config = config._replace(plasmonic=config.plasmonic._replace(
         perturb_interaction=True))
@@ -491,7 +493,30 @@ def test_perturbed_track_marches_once_per_contrast_scale(monkeypatch):
     monkeypatch.setattr(plasmonic, "volterra_solve", counting)
     exp.run_track(config)
     assert len(config.track.deltas) == 4
-    assert len(marches) == 6
+    assert len(marches) == 5
+
+
+@pytest.mark.parametrize("failing_call,stage", [(1, "project"),
+                                                (2, "convergence")])
+def test_track_failures_name_the_outermost_stage(monkeypatch, failing_call,
+                                                 stage):
+    """The doubled truncation reruns the tracking pass, whose own stages
+    the enclosing ``convergence`` stage names."""
+    calls = []
+    original = exp.project_onto_profile
+
+    def failing(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == failing_call:
+            raise ZeroDivisionError("injected")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(exp, "project_onto_profile", failing)
+    with pytest.raises(StageError) as info:
+        exp.run_track(_config())
+    assert info.value.stage == stage
+    assert isinstance(info.value.cause, ZeroDivisionError)
+    assert len(calls) == failing_call
 
 
 def test_track_samples_the_modes_once_per_march(monkeypatch):
@@ -876,6 +901,12 @@ def test_cli_mesh_sweep_rejects_bad_cell_counts(tmp_path, capsys, values):
     ("restriction", "horizons", [0.02, -0.01, 0.005]),
     ("sweep", "values", [-4.0, 8.0]),
     (None, "sweep", {"kind": "delta", "values": [0.1, -0.05]}),
+    ("tolerances", "cross_integrator", -1),
+    ("tolerances", "cross_integrator", 0),
+    ("tolerances", "convergence", -1),
+    ("tolerances", "convergence", 0),
+    ("tolerances", "low_mode", -1),
+    ("tolerances", "low_mode", 0),
     # the headline contrast scale is one of the budget rows
     ("track", "deltas", []),
     ("track", "deltas", [0.1, 0.2]),
@@ -936,7 +967,10 @@ def test_manifest_names_exactly_the_files_written(tmp_path, command):
 
 
 def test_doubled_truncation_reuses_the_placement_and_the_gain(monkeypatch):
-    calls = {"greedy_placement": 0, "doubling_gain_search": 0}
+    """The 2K pass reuses the placement, the gain and the calibrated maps:
+    one calibration per contrast scale."""
+    calls = {"greedy_placement": 0, "doubling_gain_search": 0,
+             "calibrate_k0": 0}
     for name in calls:
         original = getattr(exp, name)
 
@@ -952,22 +986,45 @@ def test_doubled_truncation_reuses_the_placement_and_the_gain(monkeypatch):
     result = exp.run_track(config, strict=False)
     assert result.setup.gain_trace
     assert np.isfinite(result.convergence_gap)
-    assert calls == {"greedy_placement": 1, "doubling_gain_search": 1}
+    assert calls == {"greedy_placement": 1, "doubling_gain_search": 1,
+                     "calibrate_k0": len(config.track.deltas)}
+
+
+def _cli_process(path: str, command: str = "simulate"):
+    """Run the CLI on ``path`` in a child interpreter, bounded to 30 s."""
+    package_root = os.path.dirname(os.path.dirname(heattrack.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-m", "heattrack.harness.cli", command,
+         "--config", path, "--check"],
+        capture_output=True, text=True, env=env, timeout=30)
 
 
 def test_cli_nan_diffusivity_exits_promptly(tmp_path):
     data = _mapping(domain={"kind": "interval", "lengths": [1.0],
                             "kappa": float("nan")})
-    path = _write_yaml(tmp_path / "nan.yaml", data)
-    package_root = os.path.dirname(os.path.dirname(heattrack.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "heattrack.harness.cli", "simulate",
-         "--config", path, "--check"],
-        capture_output=True, text=True, env=env, timeout=30)
+    proc = _cli_process(_write_yaml(tmp_path / "nan.yaml", data))
     assert proc.returncode == 2, proc.stderr
     assert "kappa" in proc.stderr
+
+
+def test_cli_oversized_greedy_grid_exits_promptly(tmp_path):
+    """The box3 default of 64 candidates per axis is 64**3 candidates."""
+    assert 64 ** 3 > MAX_CANDIDATES >= 64
+    data = _mapping(domain={"kind": "box3", "lengths": [1.0, 0.8, 0.6]},
+                    actuators={"kind": "greedy", "count": 4})
+    proc = _cli_process(_write_yaml(tmp_path / "greedy.yaml", data), "place")
+    assert proc.returncode == 2, proc.stderr
+    assert "candidates_per_axis" in proc.stderr
+
+
+def test_a_fine_time_step_is_checked_without_forming_the_grid():
+    """A step that divides the horizon into 8e10 steps parses; the check
+    forms no grid (it would take 610 GiB)."""
+    config = _config(control=dict(BASE["control"], horizon=1.0,
+                                  dt=1.2212040485206336e-11))
+    assert config.control.dt == 1.2212040485206336e-11
 
 
 def test_track_runs_without_importing_scipy(tmp_path):

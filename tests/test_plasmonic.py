@@ -18,7 +18,6 @@ from heattrack.plasmonic import (
     invert_actuation,
     realize_profile,
     unit_amplitudes,
-    unit_heat_inputs,
     volterra_solve,
 )
 from heattrack.rng import PURPOSE_TEST, stream
@@ -39,20 +38,15 @@ def _config(**overrides):
     return PlasmonicConfig(**base)
 
 
-def _unit_inputs(config, times, profile):
-    return unit_heat_inputs(config, times,
-                            unit_amplitudes(config, times, profile))
+def _calibrate(config, times, profile):
+    return calibrate_k0(config, times, profile,
+                        unit_amplitudes(config, times, profile))
 
 
 def _realize(config, times, profile, coeffs):
-    """``realize_profile`` from this config's unit response."""
-    g, g_c = _unit_inputs(config, times, profile)
-    return realize_profile(config, times, g, g_c, coeffs)
-
-
-def _calibrate(config, times, profile):
-    return calibrate_k0(config, times, profile,
-                        _unit_inputs(config, times, profile)[0])
+    """``realize_profile`` through this config's calibrated map."""
+    return realize_profile(config, times, _calibrate(config, times, profile),
+                           coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -341,14 +335,15 @@ def test_profile_realization_superposes_the_unit_inputs(perturb):
     times = np.linspace(0.0, 0.4, 81)
     profile = np.sin(np.pi * times / 0.4) ** 2
     coeffs = np.array([0.7, -0.4, 0.25])
-    g, g_c = _unit_inputs(config, times, profile)
+    amap = _calibrate(config, times, profile)
+    g, g_c = amap.units, amap.coupling_units
     assert g.shape == (81, 2, 2)
     assert (g_c is None) == (not perturb)
     # the unit inputs are those of the effective coupling, marched directly
     direct = volterra_solve(config.centers, plasmonic._effective_coupling(
         config), KAPPA, times, profile[:, None, None] * np.eye(2)[None])
     assert_allclose(g, direct, rtol=0, atol=1e-14 * np.max(np.abs(direct)))
-    g_real, rho, norm = realize_profile(config, times, g, g_c, coeffs)
+    g_real, rho, norm = realize_profile(config, times, amap, coeffs)
     full = run_pipeline(config, times, profile[:, None] * coeffs[None, :])
     assert_allclose(g_real, full, rtol=0,
                     atol=1e-14 * np.max(np.abs(full)))
@@ -364,7 +359,7 @@ def test_heat_inputs_scale_by_contrast_over_heat_capacity():
                            profile[:, None, None] * np.eye(2)[None])
     assert_allclose(unit_amplitudes(config, times, profile), sigma,
                     rtol=1e-14)
-    inputs, coupling_part = unit_heat_inputs(config, times, sigma)
+    inputs, coupling_part = plasmonic._unit_heat_inputs(config, times, sigma)
     assert_allclose(inputs, sigma * np.array([0.5, 0.75])[None, :, None],
                     rtol=1e-14)
     assert coupling_part is None
