@@ -228,14 +228,13 @@ def simulate_closed_loop(system: ClosedLoopSystem, z0: np.ndarray,
                             z_inf)
 
 
-def decay_rate_fit(record: TrajectoryRecord, norm: str = "Vdual",
-                   floor: float = 1e-12, min_samples: int = 10):
+def decay_rate_fit(record: TrajectoryRecord, norm: str = "Vdual"):
     """Least-squares exponential rate of the recorded norm decay.
 
     Returns ``(mu_hat, residual)`` where ``mu_hat`` is the negated slope of
-    log-norm against time over the samples above ``floor`` and ``residual``
-    is the rms misfit of that line.  Fewer than ``min_samples`` usable
-    samples raise an insufficient-signal error.
+    log-norm against time over the samples above 1e-12 and ``residual``
+    is the rms misfit of that line.  Fewer than 10 usable samples raise an
+    insufficient-signal error.
     """
     if norm == "H":
         values = record.norms_h
@@ -243,10 +242,10 @@ def decay_rate_fit(record: TrajectoryRecord, norm: str = "Vdual",
         values = record.norms_vdual
     else:
         raise ValueError("norm must be 'H' or 'Vdual'")
-    mask = values > floor
-    if int(np.sum(mask)) < min_samples:
+    mask = values > 1e-12
+    if int(np.sum(mask)) < 10:
         raise InsufficientSignalError(
-            f"only {int(np.sum(mask))} samples above {floor:g}")
+            f"only {int(np.sum(mask))} samples above 1e-12")
     slope, _, residual, _ = line_fit(record.times[mask],
                                      np.log(values[mask]))
     return -slope, residual
@@ -289,14 +288,15 @@ class FixedPointResult(NamedTuple):
     picard_errors: np.ndarray  # distance of each iterate to the direct solve
 
 
-def fixed_point_reference(bias: BiasMatrix, a_target, picard: bool = False,
-                          tol: float = 1e-14, max_iter: int = 200) -> FixedPointResult:
+def fixed_point_reference(bias: BiasMatrix, a_target,
+                          picard: bool = False) -> FixedPointResult:
     """Solve (I + T_N) a_star = a_target, optionally tracing Picard.
 
     The direct solve is always performed.  With ``picard=True`` and a
-    contractive bias matrix the iterates a -> a_target - T_N a are run and
-    their distances to the direct solution recorded; a non-contractive
-    bias matrix downgrades to the direct result with a warning.
+    contractive bias matrix the iterates a -> a_target - T_N a are run, to
+    1e-14 relative in at most 200 steps, and their distances to the direct
+    solution recorded; a non-contractive bias matrix downgrades to the
+    direct result with a warning.
     """
     a_target = np.asarray(a_target, dtype=float)
     n = bias.matrix.shape[0]
@@ -312,9 +312,9 @@ def fixed_point_reference(bias: BiasMatrix, a_target, picard: bool = False,
         return FixedPointResult(a_star, False, np.empty(0))
     errors = []
     y = a_target.copy()
-    for _ in range(max_iter):
+    for _ in range(200):
         errors.append(float(np.linalg.norm(y - a_star)))
-        if errors[-1] <= tol * max(1.0, float(np.linalg.norm(a_target))):
+        if errors[-1] <= 1e-14 * max(1.0, float(np.linalg.norm(a_target))):
             break
         y = a_target - bias.matrix @ y
     else:
@@ -486,18 +486,18 @@ def cross_integrator_check(system: ClosedLoopSystem, z0: np.ndarray,
 
 
 def doubling_gain_search(matrices: SamplingMatrices, target_mu: float,
-                         gain0: float = 1.0, cap: float = 2.0 ** 16,
-                         samples: int = 80):
+                         cap: float = 2.0 ** 16):
     """Double the feedback gain until the fitted decay rate reaches target.
 
-    Each probe assembles the homogeneous loop, starts it on its slowest
-    decaying mode and fits the Vdual log-norm slope.  Returns
+    Each probe, at gain 1, 2, 4, ..., assembles the homogeneous loop,
+    starts it on its slowest decaying mode and fits the Vdual log-norm
+    slope over 80 steps to twice its decay time.  Returns
     ``(system, gain, mu_hat, residual, trace)`` with the per-gain history.
     Hitting the gain cap raises a non-convergence error carrying the trace.
     """
     if target_mu <= 0:
         raise ValueError("target rate must be positive")
-    gain = float(gain0)
+    gain = 1.0
     trace = []
     zeros = np.zeros(matrices.n_modes)
     while gain <= cap:
@@ -513,7 +513,7 @@ def doubling_gain_search(matrices: SamplingMatrices, target_mu: float,
         z0 = spec.vecs[:, -1] / spec.root_w
         z0 = z0 / np.linalg.norm(z0 / (1.0 + matrices.table.eigenvalues))
         horizon = 2.0 / rate
-        dt = horizon / samples
+        dt = horizon / 80
         record = simulate_closed_loop(system, z0, horizon, dt)
         mu_hat, residual = decay_rate_fit(record, "Vdual")
         trace.append((gain, mu_hat, residual))

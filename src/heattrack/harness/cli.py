@@ -56,7 +56,7 @@ def _dispatch(args) -> int:
         head = result.headline
         return _report(result.assertions,
                        f"track: total_sup={head.total_sup:.6e} "
-                       f"budget={head.budget_proj + head.budget_real:.6e} "
+                       f"budget={head.budget_total:.6e} "
                        f"eta={head.eta:.6e}")
     if args.command == "simulate":
         _, record, (mu_hat, residual), diag, assertions, _ = exp.run_simulate(

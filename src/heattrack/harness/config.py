@@ -40,6 +40,10 @@ MAX_CELLS = 4096
 # actuators) and 3 KB per candidate, so its default 64 per axis would take
 # 0.8 GB and about 20 s.
 MAX_CANDIDATES = 4096
+# Most track.deltas entries: each adds about 1.3 ms and 90 KB, kept to the
+# end, to a default track run (1024 take 1.4 s and 132 MB RSS on a 2-core
+# host); 200,000 crashed the interpreter under a 3 GB address-space limit.
+MAX_DELTAS = 64
 # Largest modes_per_cell a coercivity run accepts: at MAX_CELLS it asks for
 # 64 * 4096 = 262,144 modes, about 0.12 s per mesh.
 MAX_MODES_PER_CELL = 64
@@ -254,6 +258,13 @@ def _control(block):
 
 
 def _track(block):
+    if len(block.deltas) > MAX_DELTAS:
+        raise ConfigError(f"track.deltas has {len(block.deltas)} entries; "
+                          f"at most {MAX_DELTAS}")
+    # Budget assertions are tagged ``{delta:g}``; abs gives -0.0 0.0's tag.
+    if len({f"{abs(d):g}" for d in block.deltas}) < len(block.deltas):
+        raise ConfigError(f"track.deltas must be distinct at 6 significant "
+                          f"digits, got {list(block.deltas)}")
     if block.delta not in block.deltas:
         raise ConfigError(f"track.deltas must be nonempty and contain "
                           f"track.delta ({block.delta:g})")

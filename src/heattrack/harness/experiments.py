@@ -15,7 +15,7 @@ import functools
 import math
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -223,14 +223,11 @@ def build_loop(config: ExperimentConfig) -> LoopSetup:
 
 
 def _run_loop(config: ExperimentConfig, system: ClosedLoopSystem):
-    """March the closed loop from the configured initial coefficients.
-
-    Returns the coefficients ``y0``, the initial error state and the record.
-    """
-    y0 = _padded(config, "initial", system.table.size)
-    z0 = y0 - system.reference
+    """The initial error state of the configured initial coefficients and
+    the closed loop's record marched from it."""
+    z0 = _padded(config, "initial", system.table.size) - system.reference
     ctl = config.control
-    return y0, z0, simulate_closed_loop(system, z0, ctl.horizon, ctl.dt)
+    return z0, simulate_closed_loop(system, z0, ctl.horizon, ctl.dt)
 
 
 def build_plasmonic(config: ExperimentConfig, actuators: ActuatorSet,
@@ -280,7 +277,6 @@ class ProfileDecomposition(NamedTuple):
 
     beta: np.ndarray        # profile coefficient per actuator channel
     orth: float             # weighted L2 size of the off-profile part
-    sample_norm: float
     projected_norm: float
     pythagoras_gap: float   # relative defect of the weighted Pythagoras split
 
@@ -308,7 +304,7 @@ def project_onto_profile(times: np.ndarray, samples: np.ndarray,
     sample_norm = _series_l2(w, samples)
     gap = abs(sample_norm ** 2 - projected_norm ** 2 - orth ** 2)
     gap /= max(sample_norm ** 2, 1e-300)
-    return ProfileDecomposition(beta, orth, sample_norm, projected_norm, gap)
+    return ProfileDecomposition(beta, orth, projected_norm, gap)
 
 
 def certified_input_constant(table: ModeTable, actuators: ActuatorSet,
@@ -346,6 +342,7 @@ class BudgetRow:
     total_sup: float
     budget_proj: float
     budget_real: float
+    budget_total: float
     within_proj: bool
     within_real: bool
     within_total: bool
@@ -408,41 +405,42 @@ def _actuate(pconf: PlasmonicConfig, amap, times: np.ndarray,
     return residual, g_real, remainder
 
 
-def _track_pass(config: ExperimentConfig, system: ClosedLoopSystem,
-                y0: np.ndarray, record, phi: np.ndarray, maps: list):
+def _track_pass(config: ExperimentConfig, system: ClosedLoopSystem, record,
+                phi: np.ndarray, maps: list):
     """Project a recorded closed-loop run on the profile ``phi``; realize it.
 
-    The recorded inputs, their profile component ``u_des`` and its
-    actuation through each ``(particles, map)`` pair of ``maps`` are
-    replayed open loop from ``y0``.  Returns the decomposition, ``u_des``,
-    the resolvent-metric gap ``err_proj`` of the first two replays and per
-    map ``_actuate``'s values, the ``mismatch`` of ``g_real`` to ``u_des``
-    and the error curves against the projected (``real``) and the
-    recorded (``total``) replay.
+    The open loop is linear, so each error is the zero-state march of an
+    input difference: ``e_proj`` of ``u_des - u``, with ``u`` the recorded
+    inputs and ``u_des`` their profile component, and ``e_real`` of
+    ``g_real - u_des`` for each ``(particles, map)`` pair of ``maps``.
+    Returns the decomposition, ``u_des``, the resolvent-metric curve
+    ``err_proj`` of ``e_proj`` and, per map, ``_actuate``'s values, the
+    ``mismatch`` of ``g_real`` to ``u_des`` and the curves of ``e_real``
+    (``real``) and ``e_proj + e_real`` (``total``).
     """
     times, table = record.times, system.table
     with _stage("project"):
         deco = project_onto_profile(times, record.inputs, phi)
         u_des = phi[:, None] * deco.beta[None, :]
     with _stage("replay"):
-        replay = functools.partial(march_forced, table,
-                                   system.matrices.actuators.points, y0,
-                                   dt=config.control.dt, hold="linear")
-        y_ideal = replay(record.inputs)
-        y_proj = replay(u_des)
-        err_proj = _vdual_curve(table, y_proj - y_ideal)
+        march = functools.partial(march_forced, table,
+                                  system.matrices.actuators.points,
+                                  np.zeros(table.size), dt=config.control.dt,
+                                  hold="linear")
+        e_proj = march(u_des - record.inputs)
+        err_proj = _vdual_curve(table, e_proj)
     w = _trapezoid_weights(times)
     acts = []
     with _stage("actuation"):
         for pconf, amap in maps:
             residual, g_real, remainder = _actuate(pconf, amap, times,
                                                    deco.beta)
-            y_phys = replay(g_real)
+            e_real = march(g_real - u_des)
             acts.append({"inversion_residual": residual, "g_real": g_real,
                          "mismatch": _series_l2(w, g_real - u_des),
                          "remainder": remainder,
-                         "real": _vdual_curve(table, y_phys - y_proj),
-                         "total": _vdual_curve(table, y_phys - y_ideal)})
+                         "real": _vdual_curve(table, e_real),
+                         "total": _vdual_curve(table, e_proj + e_real)})
     return deco, u_des, err_proj, acts
 
 
@@ -465,7 +463,7 @@ def run_track(config: ExperimentConfig, out_dir: str | None = None,
     assertions: dict = {}
 
     with _stage("simulate"):
-        y0, z0, record = _run_loop(config, setup.system)
+        z0, record = _run_loop(config, setup.system)
 
     with _stage("verify"):
         cross = cross_integrator_check(setup.system, z0)
@@ -478,8 +476,8 @@ def run_track(config: ExperimentConfig, out_dir: str | None = None,
         maps = [_calibrate(config, setup.actuators, times, phi, sigma, delta)
                 for delta in deltas]
 
-    deco, u_des, err_proj, acts = _track_pass(config, setup.system, y0,
-                                              record, phi, maps)
+    deco, u_des, err_proj, acts = _track_pass(config, setup.system, record,
+                                              phi, maps)
     assertions["pythagoras"] = (deco.pythagoras_gap <= 1e-10,
                                 deco.pythagoras_gap)
 
@@ -494,16 +492,17 @@ def run_track(config: ExperimentConfig, out_dir: str | None = None,
             real_sup = float(np.max(act["real"]))
             total_sup = float(np.max(act["total"]))
             budget_real = c_cert * act["mismatch"]
+            budget_total = budget_proj + budget_real
             row = BudgetRow(
                 delta=float(delta), orth=deco.orth, mismatch=act["mismatch"],
                 remainder=act["remainder"],
                 eta=act["remainder"] / deco.projected_norm,
                 proj_sup=proj_sup, real_sup=real_sup, total_sup=total_sup,
                 budget_proj=budget_proj, budget_real=budget_real,
-                within_proj=within_proj,
+                budget_total=budget_total, within_proj=within_proj,
                 within_real=(real_sup <= budget_real
                              + 1e-12 * max(1.0, budget_real)),
-                within_total=total_sup <= budget_proj + budget_real + 1e-12)
+                within_total=total_sup <= budget_total + 1e-12)
             budget_rows.append(row)
             tag = f"{row.delta:g}"
             assertions[f"budget_proj[{tag}]"] = (row.within_proj,
@@ -511,8 +510,7 @@ def run_track(config: ExperimentConfig, out_dir: str | None = None,
             assertions[f"budget_real[{tag}]"] = (row.within_real,
                                                  row.budget_real - row.real_sup)
             assertions[f"budget_total[{tag}]"] = (
-                row.within_total,
-                row.budget_proj + row.budget_real - row.total_sup)
+                row.within_total, row.budget_total - row.total_sup)
         by_delta = sorted(budget_rows, key=lambda r: r.delta)
         eta_diffs = np.diff([r.eta for r in by_delta])
         assertions["eta_monotone"] = (bool(np.all(eta_diffs >= -1e-12)),
@@ -541,9 +539,9 @@ def run_track(config: ExperimentConfig, out_dir: str | None = None,
             config.modes.controlled)
         system2 = _close_loop(config, matrices2, setup.gain,
                               setup.a_target)[3]
-        y0_2, _, record2 = _run_loop(config, system2)
-        _, _, err_proj2, (act2,) = _track_pass(config, system2, y0_2,
-                                               record2, phi, [maps[head]])
+        _, record2 = _run_loop(config, system2)
+        _, _, err_proj2, (act2,) = _track_pass(config, system2, record2, phi,
+                                               [maps[head]])
         row = budget_rows[head]
         gap = max(abs(float(np.max(err_proj2)) - row.proj_sup),
                   abs(float(np.max(act2["real"])) - row.real_sup),
@@ -578,15 +576,6 @@ def _track_artifacts(result: TrackResult):
     rows = np.column_stack([result.times, result.u_ideal, result.u_des,
                             result.g_real, result.err_proj, result.err_real,
                             result.err_total])
-    budget_header = ["delta", "orth", "mismatch", "remainder", "eta",
-                     "proj_sup", "real_sup", "total_sup", "budget_proj",
-                     "budget_real", "budget_total", "within_proj",
-                     "within_real", "within_total"]
-    budget_rows = ([r.delta, r.orth, r.mismatch, r.remainder, r.eta,
-                    r.proj_sup, r.real_sup, r.total_sup, r.budget_proj,
-                    r.budget_real, r.budget_proj + r.budget_real,
-                    r.within_proj, r.within_real, r.within_total]
-                   for r in result.budget_rows)
     head = result.headline
     summary = [
         ("gain", result.setup.gain),
@@ -615,7 +604,8 @@ def _track_artifacts(result: TrackResult):
         ("convergence_gap", result.convergence_gap),
     ]
     return ({"trajectory.csv": (header, rows),
-             "budget.csv": (budget_header, budget_rows)}, summary)
+             "budget.csv": ([f.name for f in fields(BudgetRow)],
+                            map(astuple, result.budget_rows))}, summary)
 
 
 # ---------------------------------------------------------------------------
@@ -628,7 +618,7 @@ def run_simulate(config: ExperimentConfig, out_dir: str | None = None,
     setup = build_loop(config)
     assertions: dict = {}
     with _stage("simulate"):
-        _, z0, record = _run_loop(config, setup.system)
+        z0, record = _run_loop(config, setup.system)
     with _stage("verify"):
         cross = cross_integrator_check(setup.system, z0)
         assertions["cross_integrator"] = (
@@ -874,7 +864,7 @@ def run_sweep(config: ExperimentConfig, out_dir: str | None = None):
     if kind == "delta":
         setup = build_loop(config)
         with _stage("simulate"):
-            _, _, record = _run_loop(config, setup.system)
+            _, record = _run_loop(config, setup.system)
         times = record.times
         with _stage("project"):
             phi, sigma = _unit_response(config, setup.actuators, times)

@@ -357,19 +357,18 @@ def calibrate_k0(config: PlasmonicConfig, times, profile: np.ndarray,
                         units, coupling_units, d_eff)
 
 
-def invert_actuation(amap: ActuationMap, u_des: np.ndarray,
-                     consistency_tol: float = 1e-9):
+def invert_actuation(amap: ActuationMap, u_des: np.ndarray):
     """Recover intensity coefficients realizing desired profile weights.
 
     Returns the minimum-norm solution of ``k0 p = u_des`` and its residual
-    norm, after verifying the reconstruction to ``consistency_tol``.
+    norm, after verifying the reconstruction to 1e-9 relative.
     """
     u_des = np.asarray(u_des, dtype=float).reshape(-1)
     if u_des.shape[0] != amap.k0.shape[0]:
         raise ValueError("one desired weight per particle is required")
     p = amap.pinv @ u_des
     residual = float(np.linalg.norm(amap.k0 @ p - u_des))
-    if residual > consistency_tol * max(1.0, float(np.linalg.norm(u_des))):
+    if residual > 1e-9 * max(1.0, float(np.linalg.norm(u_des))):
         raise RankDeficiencyError(
             f"signed inversion inconsistent (residual {residual:.3e})",
             amap.sigma_min)

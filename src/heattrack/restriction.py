@@ -177,14 +177,14 @@ class RestrictionReport(NamedTuple):
 
 
 def restriction_gap_report(domain: DomainSpec, sources, probes, horizons,
-                           amplitudes=None, profile=None, samples: int = 48,
+                           amplitudes=None, samples: int = 48,
                            quad_order: int = 12) -> RestrictionReport:
     """Measure |free-space - insulated| at probes across several horizons.
 
-    The per-source input is ``amplitude * profile(t / T)`` so the forcing
-    shape follows the horizon.  The gap is computed from the reflected
-    images only and summarized by a least-squares fit of ``log(gap)``
-    against ``d^2 / T``; at least three horizons are required.
+    The per-source input is ``amplitude * sin(pi t / T) ** 2`` so the
+    forcing shape follows the horizon.  The gap is computed from the
+    reflected images only and summarized by a least-squares fit of
+    ``log(gap)`` against ``d^2 / T``; at least three horizons are required.
     """
     src = np.atleast_2d(np.asarray(sources, dtype=float))
     prb = np.atleast_2d(np.asarray(probes, dtype=float))
@@ -199,13 +199,11 @@ def restriction_gap_report(domain: DomainSpec, sources, probes, horizons,
     if amplitudes is None:
         amplitudes = np.ones(src.shape[0])
     amplitudes = np.asarray(amplitudes, dtype=float).reshape(-1)
-    if profile is None:
-        profile = lambda s: np.sin(np.pi * np.clip(s, 0.0, 1.0)) ** 2
 
     gaps = np.empty(horizons.shape[0])
     for row, horizon in enumerate(horizons):
         times = np.linspace(0.0, horizon, samples + 1)
-        shape = np.asarray(profile(times / horizon), dtype=float)
+        shape = np.sin(np.pi * (times / horizon)) ** 2
         inputs = shape[:, None] * amplitudes[None, :]
         reflected = images_point_solution(domain, src, times, inputs, prb,
                                           quad_order=quad_order,

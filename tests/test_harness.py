@@ -28,6 +28,7 @@ from heattrack.harness.config import (
     _SCHEMA,
     MAX_CANDIDATES,
     MAX_CELLS,
+    MAX_DELTAS,
     MAX_MODES,
     MAX_MODES_PER_CELL,
     MAX_QUAD_ORDER,
@@ -162,6 +163,12 @@ def test_capped_integer_keys_accept_both_ends():
             coercivity={"cells": [4, 8], "modes_per_cell": per_cell})
         assert (config.restriction.samples, config.restriction.quad_order,
                 config.coercivity.modes_per_cell) == low_or_top
+
+
+def test_track_accepts_up_to_max_deltas_distinct_scales():
+    deltas = [0.05] + list(range(1, MAX_DELTAS))
+    config = _config(track=dict(BASE["track"], deltas=deltas))
+    assert config.track.deltas == tuple(deltas)
 
 
 def test_ascii_numeric_strings_still_convert():
@@ -307,20 +314,23 @@ def test_projection_recovers_a_planted_split():
 
 
 def test_march_agrees_with_the_one_step_integrator(track_result):
-    """The tracking run's projection-error curve, rebuilt from the step loop."""
-    config = track_result.config
-    table = track_result.setup.table
-    points = track_result.setup.actuators.points
-    assert config.control.initial is None
-    y0 = np.zeros(table.size)
-    dt = config.control.dt
-    y_ideal = step_march(table, points, y0, track_result.u_ideal, dt,
-                         "linear")
-    y_proj = step_march(table, points, y0, track_result.u_des, dt, "linear")
-    want = np.linalg.norm((y_proj - y_ideal) / (1.0 + table.eigenvalues),
-                          axis=1)
-    assert_allclose(track_result.err_proj, want, rtol=0,
-                    atol=1e-13 * np.max(want))
+    """The tracking run's error curves, rebuilt from the step loop as the
+    zero-state responses to their input differences.  The initial state
+    cancels from every error, so a nonzero one must not blur them."""
+    initial = exp.run_track(_config(control=dict(
+        BASE["control"], initial=[0.5, -0.3, 0.2, 0.1, 0.05])))
+    assert track_result.config.control.initial is None
+    for result in (track_result, initial):
+        table = result.setup.table
+        points = result.setup.actuators.points
+        dt = result.config.control.dt
+        for got, diff in [(result.err_proj, result.u_des - result.u_ideal),
+                          (result.err_real, result.g_real - result.u_des),
+                          (result.err_total, result.g_real - result.u_ideal)]:
+            states = step_march(table, points, np.zeros(table.size), diff,
+                                dt, "linear")
+            want = np.linalg.norm(states / (1.0 + table.eigenvalues), axis=1)
+            assert_allclose(got, want, rtol=0, atol=1e-14 * np.max(want))
 
 
 def test_certified_constant_bounds_every_response(table32, dct4):
@@ -519,10 +529,10 @@ def test_track_failures_name_the_outermost_stage(monkeypatch, failing_call,
     assert len(calls) == failing_call
 
 
-def test_track_samples_the_modes_once_per_march(monkeypatch):
-    """Every open-loop replay evaluates the modes once, not once per step."""
+def _count_calls(monkeypatch, original) -> list:
+    """Patch ``original`` in every heattrack module that holds it with a
+    wrapper that appends to the returned list on each call."""
     calls = []
-    original = spectral.eval_modes
 
     def counting(*args, **kwargs):
         calls.append(1)
@@ -530,10 +540,27 @@ def test_track_samples_the_modes_once_per_march(monkeypatch):
 
     for name, module in list(sys.modules.items()):
         if (name.startswith("heattrack")
-                and getattr(module, "eval_modes", None) is original):
-            monkeypatch.setattr(module, "eval_modes", counting)
+                and getattr(module, original.__name__, None) is original):
+            monkeypatch.setattr(module, original.__name__, counting)
+    return calls
+
+
+def test_track_samples_the_modes_once_per_march(monkeypatch):
+    """Every open-loop replay evaluates the modes once, not once per step."""
+    calls = _count_calls(monkeypatch, spectral.eval_modes)
     exp.run_track(load_config("default"))
     assert 0 < len(calls) <= 25
+
+
+def test_track_marches_each_input_difference_once(monkeypatch):
+    """One exact march per error input: the projection error and one
+    realization error per contrast scale, again at the doubled truncation
+    for the headline scale, plus the cross-integrator replay."""
+    calls = _count_calls(monkeypatch, spectral.march_forced)
+    config = load_config("default")
+    exp.run_track(config)
+    assert len(config.track.deltas) == 4
+    assert len(calls) == 8
 
 
 def _trapezoid_l2(times, series):
@@ -910,6 +937,12 @@ def test_cli_mesh_sweep_rejects_bad_cell_counts(tmp_path, capsys, values):
     # the headline contrast scale is one of the budget rows
     ("track", "deltas", []),
     ("track", "deltas", [0.1, 0.2]),
+    # one budget row, one assertion tag and one fitted point per entry
+    ("track", "deltas", [0.1, 0.1, 0.05]),
+    ("track", "deltas", [0.05, 0.0500000001]),
+    ("track", "deltas", [0.0, -0.0, 0.05]),
+    pytest.param("track", "deltas", [0.05] + list(range(1, MAX_DELTAS + 1)),
+                 id="track-deltas-MAX_DELTAS+1"),
 ] + [(block, key, {}) for block, keys in _SCHEMA.items() for key in keys],
     ids=lambda v: str(v))
 def test_cli_rejects_malformed_values_as_config_errors(tmp_path, capsys,
