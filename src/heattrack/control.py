@@ -40,6 +40,9 @@ __all__ = [
     "doubling_gain_search",
 ]
 
+# Largest feedback gain the doubling search probes.
+GAIN_CAP = 2 ** 16
+
 
 class _Spectrum(NamedTuple):
     """Eigen-decomposition a_cl = diag(1/root_w) @ vecs @ diag(mu) @ vecs.T
@@ -110,21 +113,20 @@ def _input_matrix(matrices: SamplingMatrices) -> np.ndarray:
 
 
 def assemble_closed_loop(matrices: SamplingMatrices, gain: float,
-                         reference=None, u_ff=None) -> ClosedLoopSystem:
+                         reference, u_ff=None) -> ClosedLoopSystem:
     """Build the closed-loop generator and its constant forcing.
 
-    ``reference`` gives the first N coefficients of the stationary target
-    (default zero).  When ``u_ff`` is omitted the minimum-norm feedforward
-    for that reference is computed, in which case the first N forcing
-    entries must cancel; that cancellation is checked to 1e-10.
+    ``reference`` gives the first N coefficients of the stationary target.
+    When ``u_ff`` is omitted the minimum-norm feedforward for that
+    reference is computed, in which case the first N forcing entries must
+    cancel; that cancellation is checked to 1e-10.
     """
     if not (np.isfinite(gain) and gain >= 0):
         raise ValueError("feedback gain must be finite and nonnegative")
     table = matrices.table
     lam = table.eigenvalues
     n = matrices.n_modes
-    a_ref = np.asarray(np.zeros(n) if reference is None else reference,
-                       dtype=float)
+    a_ref = np.asarray(reference, dtype=float)
     if a_ref.shape != (n,):
         raise ValueError("reference coefficients must have length n_modes")
 
@@ -228,20 +230,15 @@ def simulate_closed_loop(system: ClosedLoopSystem, z0: np.ndarray,
                             z_inf)
 
 
-def decay_rate_fit(record: TrajectoryRecord, norm: str = "Vdual"):
-    """Least-squares exponential rate of the recorded norm decay.
+def decay_rate_fit(record: TrajectoryRecord):
+    """Least-squares exponential rate of the recorded Vdual norm decay.
 
     Returns ``(mu_hat, residual)`` where ``mu_hat`` is the negated slope of
     log-norm against time over the samples above 1e-12 and ``residual``
     is the rms misfit of that line.  Fewer than 10 usable samples raise an
     insufficient-signal error.
     """
-    if norm == "H":
-        values = record.norms_h
-    elif norm == "Vdual":
-        values = record.norms_vdual
-    else:
-        raise ValueError("norm must be 'H' or 'Vdual'")
+    values = record.norms_vdual
     mask = values > 1e-12
     if int(np.sum(mask)) < 10:
         raise InsufficientSignalError(
@@ -339,7 +336,7 @@ class TailReport(NamedTuple):
 
 
 def tail_mismatch_report(system: ClosedLoopSystem, bias: BiasMatrix,
-                         a_target, tol: float = 1e-12) -> TailReport:
+                         a_target) -> TailReport:
     """Compare the achieved stationary state against the target and bound."""
     a_target = np.asarray(a_target, dtype=float)
     n = system.matrices.n_modes
@@ -373,7 +370,7 @@ def tail_mismatch_report(system: ClosedLoopSystem, bias: BiasMatrix,
     }
     bound = c_cl * tail_b * u_n_norm * inv_norm * y_ref_vdual
     return TailReport(low_mismatch, tail_vdual, bound, factors,
-                      tail_vdual <= bound + tol)
+                      tail_vdual <= bound + 1e-12)
 
 
 class ContractionDiagnostics(NamedTuple):
@@ -466,60 +463,47 @@ def contraction_diagnostics(system: ClosedLoopSystem) -> ContractionDiagnostics:
                                   tuple(inconclusive))
 
 
-def cross_integrator_check(system: ClosedLoopSystem, z0: np.ndarray,
-                           steps: int = 100, dt: float = 1e-7) -> float:
+def cross_integrator_check(system: ClosedLoopSystem, z0: np.ndarray) -> float:
     """Replay recorded inputs through the open-loop marcher.
 
-    The closed-loop trajectory is reconstructed in absolute coordinates by
-    the exact Duhamel march of the recorded inputs, each held over its step.
-    Both integrators agree to the input sampling error, which this check
-    returns as the maximum H-norm deviation over the horizon.  The default
-    step is small enough that this held-input sampling error stays below
-    the packaged ``tolerances.cross_integrator``.
+    The closed-loop trajectory over 100 steps of 1e-7 is reconstructed in
+    absolute coordinates by the exact Duhamel march of the recorded
+    inputs, interpolated linearly between samples.  Both integrators agree
+    to that interpolation error, second order in the step, which this
+    check returns as the maximum H-norm deviation over the horizon.
     """
+    steps, dt = 100, 1e-7
     record = simulate_closed_loop(system, z0, steps * dt, dt)
     ref = system.reference
     replay = march_forced(system.table, system.matrices.actuators.points,
-                          ref + z0, record.inputs, dt, "constant")
+                          ref + z0, record.inputs, dt)
     dev = np.linalg.norm(replay[1:] - (ref + record.states[1:]), axis=1)
     return float(np.max(dev))
 
 
-def doubling_gain_search(matrices: SamplingMatrices, target_mu: float,
-                         cap: float = 2.0 ** 16):
-    """Double the feedback gain until the fitted decay rate reaches target.
+def doubling_gain_search(matrices: SamplingMatrices, target_mu: float):
+    """Double the feedback gain until the loop's decay rate reaches target.
 
-    Each probe, at gain 1, 2, 4, ..., assembles the homogeneous loop,
-    starts it on its slowest decaying mode and fits the Vdual log-norm
-    slope over 80 steps to twice its decay time.  Returns
-    ``(system, gain, mu_hat, residual, trace)`` with the per-gain history.
-    Hitting the gain cap raises a non-convergence error carrying the trace.
+    Each probe, at gain 1, 2, 4, ... up to ``GAIN_CAP``, assembles the
+    homogeneous loop.  The loop is self-adjoint in the resolvent frame, so
+    its decay rate is read off its spectrum: the slowest mode decays at
+    exactly ``-mu[-1]``.  Returns ``(system, gain, rate, trace)`` with the
+    ``(gain, rate)`` history.  Passing the cap raises a non-convergence
+    error carrying the trace.
     """
     if target_mu <= 0:
         raise ValueError("target rate must be positive")
     gain = 1.0
     trace = []
     zeros = np.zeros(matrices.n_modes)
-    while gain <= cap:
+    while gain <= GAIN_CAP:
         system = assemble_closed_loop(matrices, gain, zeros,
                                       u_ff=np.zeros(matrices.actuators.count))
-        spec = system._spectrum
-        rate = -float(spec.mu[-1])
-        if rate <= 1e-12:
-            trace.append((gain, 0.0, np.inf))
-            gain *= 2.0
-            continue
-        # Slowest eigenvector of a_cl: W^(-1/2) times that of S.
-        z0 = spec.vecs[:, -1] / spec.root_w
-        z0 = z0 / np.linalg.norm(z0 / (1.0 + matrices.table.eigenvalues))
-        horizon = 2.0 / rate
-        dt = horizon / 80
-        record = simulate_closed_loop(system, z0, horizon, dt)
-        mu_hat, residual = decay_rate_fit(record, "Vdual")
-        trace.append((gain, mu_hat, residual))
-        if mu_hat >= target_mu:
-            return system, gain, mu_hat, residual, trace
+        rate = -float(system._spectrum.mu[-1])
+        trace.append((gain, rate))
+        if rate >= target_mu:
+            return system, gain, rate, trace
         gain *= 2.0
     raise NonConvergenceError(
-        f"gain doubling hit the cap {cap:g} before reaching rate {target_mu:g}",
-        best=trace)
+        f"gain doubling hit the cap {GAIN_CAP:g} before reaching rate "
+        f"{target_mu:g}", best=trace)

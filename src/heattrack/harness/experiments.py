@@ -212,7 +212,7 @@ def build_loop(config: ExperimentConfig) -> LoopSetup:
         if config.control.gain is not None:
             gain = float(config.control.gain)
         else:
-            _, gain, _, _, gain_trace = doubling_gain_search(
+            _, gain, _, gain_trace = doubling_gain_search(
                 matrices, config.control.target_rate)
     with _stage("reference"):
         a_target = _padded(config, "reference", config.modes.controlled)
@@ -425,8 +425,7 @@ def _track_pass(config: ExperimentConfig, system: ClosedLoopSystem, record,
     with _stage("replay"):
         march = functools.partial(march_forced, table,
                                   system.matrices.actuators.points,
-                                  np.zeros(table.size), dt=config.control.dt,
-                                  hold="linear")
+                                  np.zeros(table.size), dt=config.control.dt)
         e_proj = march(u_des - record.inputs)
         err_proj = _vdual_curve(table, e_proj)
     w = _trapezoid_weights(times)
@@ -442,6 +441,12 @@ def _track_pass(config: ExperimentConfig, system: ClosedLoopSystem, record,
                          "real": _vdual_curve(table, e_real),
                          "total": _vdual_curve(table, e_proj + e_real)})
     return deco, u_des, err_proj, acts
+
+
+def _within(sup: float, budget: float) -> bool:
+    """Whether a measured sup meets its budget, up to a relative roundoff
+    slack of 1e-12 (absolute below a budget of one)."""
+    return sup <= budget + 1e-12 * max(1.0, budget)
 
 
 def run_track(config: ExperimentConfig, out_dir: str | None = None,
@@ -486,7 +491,7 @@ def run_track(config: ExperimentConfig, out_dir: str | None = None,
                                           config.control.horizon)
         proj_sup = float(np.max(err_proj))
         budget_proj = c_cert * deco.orth
-        within_proj = proj_sup <= budget_proj + 1e-12 * max(1.0, budget_proj)
+        within_proj = _within(proj_sup, budget_proj)
         budget_rows = []
         for delta, act in zip(deltas, acts):
             real_sup = float(np.max(act["real"]))
@@ -500,9 +505,8 @@ def run_track(config: ExperimentConfig, out_dir: str | None = None,
                 proj_sup=proj_sup, real_sup=real_sup, total_sup=total_sup,
                 budget_proj=budget_proj, budget_real=budget_real,
                 budget_total=budget_total, within_proj=within_proj,
-                within_real=(real_sup <= budget_real
-                             + 1e-12 * max(1.0, budget_real)),
-                within_total=total_sup <= budget_total + 1e-12)
+                within_real=_within(real_sup, budget_real),
+                within_total=_within(total_sup, budget_total))
             budget_rows.append(row)
             tag = f"{row.delta:g}"
             assertions[f"budget_proj[{tag}]"] = (row.within_proj,
@@ -647,15 +651,15 @@ def run_simulate(config: ExperimentConfig, out_dir: str | None = None,
     return setup, record, (mu_hat, residual), diagnostics, assertions, manifest
 
 
-def run_place(config: ExperimentConfig, out_dir: str | None = None,
-              trials: int = 200):
-    """Report the configured placement and a genericity Monte-Carlo."""
+def run_place(config: ExperimentConfig, out_dir: str | None = None):
+    """Report the configured placement and a 200-trial genericity
+    Monte-Carlo."""
     with _stage("build"):
         domain, table, actuators = _layout(config)
         matrices = sampling_matrix(actuators, table, config.modes.controlled)
     with _stage("genericity"):
         count = min(config.modes.controlled, actuators.count)
-        report = genericity_monte_carlo(domain, table, count, trials,
+        report = genericity_monte_carlo(domain, table, count, 200,
                                         config.seed)
     header = ["index"] + [f"x{ax + 1}" for ax in range(domain.dim)]
     rows = ([j] + [float(v) for v in actuators.points[j]]

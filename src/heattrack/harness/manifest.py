@@ -101,8 +101,9 @@ class RunManifest:
             lines.append(f"assertion.{key}={state} value={format_value(value)}")
         return "\n".join(lines) + "\n"
 
-    def write(self, out_dir: str, name: str = "manifest.txt") -> str:
+    def write(self, out_dir: str) -> str:
+        """Write ``manifest.txt`` into ``out_dir``; returns its sha256."""
         payload = self.render().encode("utf-8")
-        with open(os.path.join(out_dir, name), "wb") as handle:
+        with open(os.path.join(out_dir, "manifest.txt"), "wb") as handle:
             handle.write(payload)
         return hashlib.sha256(payload).hexdigest()

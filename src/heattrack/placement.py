@@ -43,7 +43,7 @@ class ActuatorSet:
         pts = as_points(self.points, self.domain.dim)
         if pts.shape[0] == 0:
             raise ValueError("at least one actuator is required")
-        if not np.all(self.domain.contains(pts, tol=1e-12)):
+        if not np.all(self.domain.contains(pts)):
             raise ValueError("actuator points must lie in the domain closure")
         diff = pts[:, None, :] - pts[None, :, :]
         dist = np.sqrt(np.sum(diff ** 2, axis=2))
@@ -137,14 +137,13 @@ def sampling_matrix(actuators: ActuatorSet, table: ModeTable,
                             _row_sigma_min(phi))
 
 
-def min_norm_feedforward(y_ref, matrices: SamplingMatrices,
-                         residual_tol: float = 1e-10) -> np.ndarray:
+def min_norm_feedforward(y_ref, matrices: SamplingMatrices) -> np.ndarray:
     """Smallest input vector whose stationary low modes match a reference.
 
     Solves ``sum_j u_j phi_k(x_j) = lambda_k * a_k`` for the first
     ``n_modes`` reference coefficients ``a_k``; among all solutions the
     minimum Euclidean norm one is returned.  The sampling matrix must have
-    full row rank, and the solved system is re-checked to ``residual_tol``.
+    full row rank, and the solved system is re-checked to 1e-10 relative.
     """
     coeffs = np.asarray(y_ref, dtype=float)
     if coeffs.shape != (matrices.n_modes,):
@@ -155,7 +154,7 @@ def min_norm_feedforward(y_ref, matrices: SamplingMatrices,
     rhs = matrices.table.eigenvalues[:matrices.n_modes] * coeffs
     u, *_ = np.linalg.lstsq(matrices.phi, rhs, rcond=None)
     residual = np.linalg.norm(matrices.phi @ u - rhs)
-    if residual > residual_tol * max(1.0, np.linalg.norm(rhs)):
+    if residual > 1e-10 * max(1.0, np.linalg.norm(rhs)):
         raise RankDeficiencyError(
             f"feedforward residual {residual:.3e} exceeds tolerance",
             matrices.sigma_min)
@@ -203,21 +202,22 @@ def greedy_placement(candidates, table: ModeTable, n_modes: int,
 class GenericityReport(NamedTuple):
     trials: int
     failures: int
-    threshold: float
     min_sigma: float
-    seed: int
+
+
+# sigma_min below which a random sampling matrix counts as rank deficient.
+GENERICITY_THRESHOLD = 1e-10
 
 
 def genericity_monte_carlo(domain: DomainSpec, table: ModeTable, count: int,
-                           trials: int, seed: int,
-                           threshold: float = 1e-10) -> GenericityReport:
+                           trials: int, seed: int) -> GenericityReport:
     """Sample random point sets and count rank-deficient sampling matrices.
 
     Each trial draws ``count`` independent uniform points and checks
-    sigma_min of the square sampling matrix against ``threshold``.  Trials
-    use independent counter-keyed streams, so the count is reproducible
-    and independent of evaluation order; all trials share one mode
-    evaluation and one stacked SVD.
+    sigma_min of the square sampling matrix against
+    ``GENERICITY_THRESHOLD``.  Trials use independent counter-keyed
+    streams, so the count is reproducible and independent of evaluation
+    order; all trials share one mode evaluation and one stacked SVD.
     """
     if count < 1 or count > table.size:
         raise ValueError("count must lie in [1, table.size]")
@@ -232,5 +232,6 @@ def genericity_monte_carlo(domain: DomainSpec, table: ModeTable, count: int,
     phi = eval_modes(head, pts).reshape(trials, count, count).transpose(
         0, 2, 1)
     sigma = np.linalg.svd(phi, compute_uv=False)[:, count - 1]
-    return GenericityReport(trials, int(np.sum(sigma < threshold)),
-                            threshold, float(np.min(sigma)), seed)
+    return GenericityReport(trials,
+                            int(np.sum(sigma < GENERICITY_THRESHOLD)),
+                            float(np.min(sigma)))

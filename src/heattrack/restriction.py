@@ -96,36 +96,23 @@ def _interp_inputs(times: np.ndarray, samples: np.ndarray,
     return out
 
 
-def _resolve_time(times: np.ndarray, t) -> int:
-    """Grid index of the evaluation time ``t`` (default: the last sample)."""
-    uniform_step(times)
-    if times[0] != 0.0:
-        raise ValueError("times must start at zero")
-    if t is None:
-        return times.shape[0] - 1
-    idx = int(round(float(t) / (times[1] - times[0])))
-    if idx < 1 or idx >= times.shape[0] or abs(times[idx] - t) > 1e-12 * max(1.0, t):
-        raise ValueError("t must coincide with a positive grid time")
-    return idx
-
-
 def images_point_solution(domain: DomainSpec, sources, times, inputs, probes,
-                          t=None, quad_order: int = 12,
-                          reflected_only: bool = False) -> np.ndarray:
-    """Insulated-box field by image sums; exact up to panel quadrature.
+                          quad_order: int = 12) -> np.ndarray:
+    """Wall gap y - w at the probes at the last sample of ``times``.
 
-    With ``reflected_only`` the principal (free-space) image is dropped,
-    which returns the boundary contribution y - w directly and avoids the
-    cancellation of subtracting two nearly equal fields.
+    ``y`` is the insulated-box field of the point sources, an image sum,
+    and ``w`` their free-space field, its principal image.  The gap sums
+    the reflected images alone, exact up to panel quadrature, so it never
+    subtracts two nearly equal fields.
     """
     src = np.atleast_2d(np.asarray(sources, dtype=float))
     prb = np.atleast_2d(np.asarray(probes, dtype=float))
     times = np.asarray(times, dtype=float)
     inputs = np.asarray(inputs, dtype=float)
-    idx = _resolve_time(times, t)
-    taus, w = _gauss_panels(times, idx, quad_order)
+    uniform_step(times)
+    taus, w = _gauss_panels(times, times.shape[0] - 1, quad_order)
     weighted = w[:, None] * _interp_inputs(times, inputs, taus)
-    s = times[idx] - taus
+    s = times[-1] - taus
     kappa = domain.kappa
     lengths = np.asarray(domain.lengths, dtype=float)
     # Images |m| <= m_max per axis cover the reach of the kernel.  Every
@@ -149,17 +136,14 @@ def images_point_solution(domain: DomainSpec, sources, times, inputs, probes,
                              (prb[p] + src[j])[:, None] + shifts]).ravel()
         free, refl = np.split(
             _image_sums(offsets, groups, 2 * dim, s, kappa), 2)
-        if reflected_only:
-            # prod(free + refl) - prod(free), expanded one axis at a time:
-            # every term keeps at least one reflected factor, so nothing
-            # cancels.
-            gap, free_prod = np.zeros_like(s), np.ones_like(s)
-            for f, r in zip(free, refl):
-                gap = gap * (f + r) + free_prod * r
-                free_prod = free_prod * f
-            kern[p, j] = gap
-        else:
-            kern[p, j] = np.prod(free + refl, axis=0)
+        # prod(free + refl) - prod(free), expanded one axis at a time:
+        # every term keeps at least one reflected factor, so nothing
+        # cancels.
+        gap, free_prod = np.zeros_like(s), np.ones_like(s)
+        for f, r in zip(free, refl):
+            gap = gap * (f + r) + free_prod * r
+            free_prod = free_prod * f
+        kern[p, j] = gap
     return np.einsum("pjs,sj->p", kern, weighted)
 
 
@@ -205,10 +189,9 @@ def restriction_gap_report(domain: DomainSpec, sources, probes, horizons,
         times = np.linspace(0.0, horizon, samples + 1)
         shape = np.sin(np.pi * (times / horizon)) ** 2
         inputs = shape[:, None] * amplitudes[None, :]
-        reflected = images_point_solution(domain, src, times, inputs, prb,
-                                          quad_order=quad_order,
-                                          reflected_only=True)
-        gaps[row] = float(np.max(np.abs(reflected)))
+        gap = images_point_solution(domain, src, times, inputs, prb,
+                                    quad_order)
+        gaps[row] = float(np.max(np.abs(gap)))
     ratio = margin ** 2 / horizons
     order = np.argsort(ratio)
     monotone = bool(np.all(np.diff(gaps[order]) <= 0.0))

@@ -17,12 +17,10 @@ from numpy.random import Generator, Philox, SeedSequence
 # contract: changing them changes every seeded experiment.
 PURPOSE_GENERICITY = 1
 PURPOSE_PERTURBATION = 2
-PURPOSE_TRACK_INPUTS = 3
-PURPOSE_CANDIDATES = 4
 PURPOSE_TEST = 99
 
 __all__ = ["stream", "PURPOSE_GENERICITY", "PURPOSE_PERTURBATION",
-           "PURPOSE_TRACK_INPUTS", "PURPOSE_CANDIDATES", "PURPOSE_TEST"]
+           "PURPOSE_TEST"]
 
 
 def stream(seed: int, purpose: int, index: int = 0) -> Generator:

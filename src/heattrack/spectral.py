@@ -74,10 +74,11 @@ class DomainSpec:
     def box(lengths, kappa: float = 1.0) -> "DomainSpec":
         return DomainSpec("box3", tuple(lengths), kappa)
 
-    def contains(self, points: np.ndarray, tol: float = 0.0) -> np.ndarray:
+    def contains(self, points: np.ndarray) -> np.ndarray:
+        """Which points lie in the closure, up to 1e-12 of roundoff."""
         pts = as_points(points, self.dim)
-        lo = pts >= -tol
-        hi = pts <= np.asarray(self.lengths) + tol
+        lo = pts >= -1e-12
+        hi = pts <= np.asarray(self.lengths) + 1e-12
         return np.all(lo & hi, axis=1)
 
 
@@ -213,17 +214,13 @@ def phi2(lam: np.ndarray, dt: float) -> np.ndarray:
     return np.where(small, series, exact)
 
 
-def march_forced(table: ModeTable, points, y0, inputs, dt: float,
-                 hold: str) -> np.ndarray:
+def march_forced(table: ModeTable, points, y0, inputs, dt: float) -> np.ndarray:
     """Exact Duhamel march of the heat flow forced at point actuators.
 
     Mode k obeys ``a' = -lam_k*a + sum_j u_j(t) * phi_k(x_j)``, integrated
-    exactly for input samples ``inputs`` (Q+1, M) that are interpolated
-    linearly (``hold="linear"``) or held over each step (``"constant"``;
-    the last sample is unused).  Returns the (Q+1, K) trajectory from y0.
+    exactly for input samples ``inputs`` (Q+1, M) interpolated linearly
+    between grid times.  Returns the (Q+1, K) trajectory from y0.
     """
-    if hold not in ("linear", "constant"):
-        raise ValueError(f"hold must be 'linear' or 'constant', got {hold!r}")
     if not dt > 0:
         raise ValueError("dt must be positive")
     sampled = eval_modes(table, points)  # (M, K)
@@ -242,8 +239,7 @@ def march_forced(table: ModeTable, points, y0, inputs, dt: float,
     x = np.empty_like(b)
     x[0] = y0
     x[1:] = b[:-1] * phi1(lam, dt)
-    if hold == "linear":
-        x[1:] += (b[1:] - b[:-1]) * phi2(lam, dt)
+    x[1:] += (b[1:] - b[:-1]) * phi2(lam, dt)  # in place: one temporary less
     d = np.exp(-lam * dt)  # decay over s steps
     s = 1
     while s < x.shape[0]:

@@ -1,23 +1,38 @@
 """Independent routes to probe values of point-source heat fields.
 
-``heattrack.restriction.images_point_solution`` is checked against the
-whole-space field of the sources (its principal image alone, on the same
-panel quadrature), against the truncated cosine expansion marched
-exactly by ``march_forced``, which checks its own truncation by doubling,
-and against the same image sum taken one image at a time.
+``heattrack.restriction.images_point_solution``, the wall gap between the
+insulated and the whole-space field, is checked against the same image
+sum taken one image at a time, and, added to the whole-space field of the
+sources (the principal image alone, on the same panel quadrature),
+against the truncated cosine expansion marched exactly by
+``march_forced``, which checks its own truncation by doubling.  Every
+route here can stop at any grid time ``t``.
 """
 
 import math
 
 import numpy as np
 
-from heattrack.restriction import _gauss_panels, _interp_inputs, _resolve_time
+from heattrack.restriction import _gauss_panels, _interp_inputs
 from heattrack.spectral import (EXP_FLOOR, enumerate_modes, eval_modes,
                                 march_forced, uniform_step)
 
 
 class ResolutionError(ValueError):
     """The truncation is too coarse for the requested tolerance."""
+
+
+def _resolve_time(times: np.ndarray, t) -> int:
+    """Grid index of the evaluation time ``t`` (default: the last sample)."""
+    uniform_step(times)
+    if times[0] != 0.0:
+        raise ValueError("times must start at zero")
+    if t is None:
+        return times.shape[0] - 1
+    idx = int(round(float(t) / (times[1] - times[0])))
+    if idx < 1 or idx >= times.shape[0] or abs(times[idx] - t) > 1e-12 * max(1.0, t):
+        raise ValueError("t must coincide with a positive grid time")
+    return idx
 
 
 def _free_axis_kernel(dx: np.ndarray, s: np.ndarray, kappa: float) -> np.ndarray:
@@ -48,11 +63,12 @@ def _reflected_axis_kernel(xi: float, eta: float, length: float,
 def looped_images_point_solution(domain, sources, times, inputs, probes,
                                  t=None, quad_order: int = 12,
                                  reflected_only: bool = False) -> np.ndarray:
-    """``images_point_solution`` one probe, source, axis and image at a time.
+    """The image sum one probe, source, axis and image at a time.
 
-    Each axis sums its own images |m| <= m_max, and ``reflected_only``
-    expands prod(free + refl) - prod(free) over the nonempty sets of
-    reflected axes.
+    Each axis sums its own images |m| <= m_max.  With ``reflected_only``
+    it is the wall gap ``images_point_solution`` returns, with
+    prod(free + refl) - prod(free) expanded over the nonempty sets of
+    reflected axes; without, the whole insulated field.
     """
     src = np.atleast_2d(np.asarray(sources, dtype=float))
     prb = np.atleast_2d(np.asarray(probes, dtype=float))
@@ -144,8 +160,7 @@ def neumann_solution_probe(domain, sources, times, inputs, probes,
 
     def synthesize(k: int) -> np.ndarray:
         table = enumerate_modes(domain, k)
-        z = march_forced(table, src, np.zeros(k), inputs[:idx + 1], dt,
-                         "linear")[-1]
+        z = march_forced(table, src, np.zeros(k), inputs[:idx + 1], dt)[-1]
         return eval_modes(table, probes) @ z
 
     values = synthesize(n_modes)

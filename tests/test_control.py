@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from heattrack import control
 from heattrack.control import (
     ClosedLoopSystem,
     TrajectoryRecord,
@@ -32,7 +33,7 @@ from heattrack.placement import (ActuatorSet, dct_grid_box,
 from heattrack.spectral import (DomainSpec, enumerate_modes, eval_modes,
                                 march_forced)
 
-from stepping import expm_march
+from stepping import expm_march, fitted_slowest_decay
 
 GAIN = 8.0
 REFERENCE = np.array([0.3, 0.2, -0.1, 0.1])
@@ -85,7 +86,7 @@ def test_scalar_loop_decays_at_exactly_the_gain():
     system = assemble_closed_loop(mats, 3.0, np.zeros(1))
     assert_allclose(system.a_cl, [[-3.0]], rtol=1e-14)
     record = simulate_closed_loop(system, np.ones(1), 1.0, 0.01)
-    mu_hat, residual = decay_rate_fit(record, "H")
+    mu_hat, residual = decay_rate_fit(record)
     assert_allclose(mu_hat, 3.0, rtol=1e-10)
     assert residual < 1e-10
 
@@ -96,7 +97,7 @@ def test_closed_loop_generator_shape_and_forcing_cancellation(matrices4):
     # the controlled-mode forcing must vanish once the feedforward is added
     assert np.max(np.abs(system.forcing[:4])) < 1e-10
     with pytest.raises(ValueError):
-        assemble_closed_loop(matrices4, -1.0)
+        assemble_closed_loop(matrices4, -1.0, REFERENCE)
 
 
 def test_explicit_feedforward_is_used_verbatim(matrices4):
@@ -137,7 +138,7 @@ def test_decay_fit_recovers_a_synthetic_rate():
     times = np.linspace(0.0, 2.0, 101)
     norms = 3.0 * np.exp(-2.0 * times)
     record = TrajectoryRecord(times, None, None, norms, norms, None)
-    mu_hat, residual = decay_rate_fit(record, "H")
+    mu_hat, residual = decay_rate_fit(record)
     assert_allclose(mu_hat, 2.0, rtol=1e-12)
     assert residual < 1e-12
 
@@ -147,7 +148,7 @@ def test_decay_fit_needs_enough_signal():
     norms = np.full(11, 1e-15)
     record = TrajectoryRecord(times, None, None, norms, norms, None)
     with pytest.raises(InsufficientSignalError):
-        decay_rate_fit(record, "H")
+        decay_rate_fit(record)
 
 
 @pytest.mark.parametrize("geometry", ["interval", "box3"])
@@ -190,12 +191,14 @@ def test_eigen_solution_matches_the_expm_step_march(matrices4, geometry,
 @example(gain=5e-324, points=[0.5], seed=0)
 def test_open_loop_replay_of_the_recorded_inputs_tracks_the_loop(gain, points,
                                                                   seed):
-    """Held-input replay deviates from the loop by at most its sampling
-    error.  The replay error e obeys e' = -Lambda e + E (u_held - u), and
-    the open flow is an H contraction, so ||e|| <= ||E|| * sum of the
-    input jumps; u = u_ff - gain * E^T W z and the loop is a W-frame
-    contraction, so over one step ||u(s) - u(t_i)|| <= gain *
-    ||W^(1/2) E|| * (s - t_i) * ||z'(0)||_W."""
+    """The replay of the linearly interpolated inputs deviates from the
+    loop by at most its interpolation error.  The replay error e obeys
+    e' = -Lambda e + E (u_lin - u), and the open flow is an H contraction,
+    so ||e(T)|| <= ||E|| * T * max ||u_lin - u||, and linear interpolation
+    misses u by at most dt^2 / 8 * max ||u''||.  With u = u_ff - gain *
+    E^T W z, u'' = -gain * E^T W z'', and z'' obeys the homogeneous loop,
+    a W-frame contraction, so ||u''|| <= gain * ||W^(1/2) E|| *
+    ||z''(0)||_W with z''(0) = a_cl (a_cl z0 + forcing)."""
     table = enumerate_modes(DomainSpec.interval(1.0), 12)
     acts = ActuatorSet(table.domain, np.asarray(points)[:, None])
     mats = sampling_matrix(acts, table, len(points))
@@ -206,16 +209,16 @@ def test_open_loop_replay_of_the_recorded_inputs_tracks_the_loop(gain, points,
     steps, dt = 100, 1e-7
     record = simulate_closed_loop(system, z0, steps * dt, dt)
     ref = system.reference
-    replay = march_forced(table, acts.points, ref + z0, record.inputs,
-                          dt, "constant")
+    replay = march_forced(table, acts.points, ref + z0, record.inputs, dt)
     dev = np.max(np.linalg.norm(replay - (ref + record.states), axis=1))
 
     root_w = 1.0 / np.sqrt(1.0 + table.eigenvalues)
     e_mat = eval_modes(table, acts.points).T
-    rate0 = np.linalg.norm(root_w * (system.a_cl @ z0 + system.forcing))
+    curve0 = np.linalg.norm(
+        root_w * (system.a_cl @ (system.a_cl @ z0 + system.forcing)))
     bound = (np.linalg.norm(e_mat, 2) * gain
              * np.linalg.norm(root_w[:, None] * e_mat, 2)
-             * steps * dt ** 2 / 2.0 * rate0)
+             * steps * dt ** 3 / 8.0 * curve0)
     scale = np.max(np.linalg.norm(ref + record.states, axis=1))
     assert dev <= bound + 1e-12 * scale
 
@@ -339,7 +342,9 @@ def test_zero_gain_decouples_the_tail(matrices4):
 
 
 def test_cross_integrator_agreement_small_loop():
-    """Replaying recorded inputs through the one-step integrator agrees."""
+    """Replaying recorded inputs through the one-step integrator agrees
+    to roundoff: the linear interpolation error is second order in the
+    1e-7 step."""
     domain = DomainSpec.interval(1.0)
     table = enumerate_modes(domain, 8)
     acts = ActuatorSet(domain, dct_nodes_interval(2, 1.0))
@@ -347,25 +352,41 @@ def test_cross_integrator_agreement_small_loop():
     system = assemble_closed_loop(mats, 0.5, np.zeros(2))
     rng = np.random.default_rng(9)
     z0 = rng.standard_normal(8)
-    dev = cross_integrator_check(system, z0, steps=100, dt=1e-6)
-    assert dev <= 1e-8
+    dev = cross_integrator_check(system, z0)
+    assert dev <= 1e-12
 
 
 def test_doubling_search_reaches_a_high_target(matrices4):
-    system, gain, mu_hat, residual, trace = doubling_gain_search(
-        matrices4, 50.0)
-    assert mu_hat >= 50.0
+    system, gain, rate, trace = doubling_gain_search(matrices4, 50.0)
+    assert rate >= 50.0
     assert gain > 1.0  # must actually have doubled
-    gains = [g for g, _, _ in trace]
+    gains = [g for g, _ in trace]
     assert_allclose(gains, [2.0 ** i for i in range(len(gains))])
-    assert residual < 1e-6
+    assert trace[-1] == (gain, rate)
+    assert all(r < 50.0 for _, r in trace[:-1])
+    assert system.gain == gain
 
 
-def test_doubling_search_raises_at_the_cap(matrices4):
+def test_doubling_search_raises_at_the_cap(matrices4, monkeypatch):
     # the reachable rate saturates near the first uncontrollable mode
+    monkeypatch.setattr(control, "GAIN_CAP", 64.0)
     with pytest.raises(NonConvergenceError) as err:
-        doubling_gain_search(matrices4, 1e6, cap=64.0)
-    assert len(err.value.best) >= 1  # trace travels with the error
+        doubling_gain_search(matrices4, 1e6)
+    # the trace travels with the error, one probe per gain up to the cap
+    assert [g for g, _ in err.value.best] == [2.0 ** i for i in range(7)]
+
+
+@pytest.mark.parametrize("geometry", ["interval", "box3"])
+@pytest.mark.parametrize("target", [0.5, 5.0, 30.0])
+def test_search_rate_is_the_fitted_decay_of_the_slowest_mode(matrices4,
+                                                            geometry, target):
+    """The rate read off the loop spectrum is the decay rate that a
+    simulation started on the slowest mode measures."""
+    mats = matrices4 if geometry == "interval" else _box3_matrices()
+    system, _, rate, _ = doubling_gain_search(mats, target)
+    mu_hat, residual = fitted_slowest_decay(system)
+    assert abs(mu_hat - rate) <= 1e-10 * rate
+    assert residual <= 1e-10
 
 
 def _collocated_and_input_norm(domain, points, counts):

@@ -327,8 +327,7 @@ def test_march_agrees_with_the_one_step_integrator(track_result):
         for got, diff in [(result.err_proj, result.u_des - result.u_ideal),
                           (result.err_real, result.g_real - result.u_des),
                           (result.err_total, result.g_real - result.u_ideal)]:
-            states = step_march(table, points, np.zeros(table.size), diff,
-                                dt, "linear")
+            states = step_march(table, points, np.zeros(table.size), diff, dt)
             want = np.linalg.norm(states / (1.0 + table.eigenvalues), axis=1)
             assert_allclose(got, want, rtol=0, atol=1e-14 * np.max(want))
 
@@ -344,8 +343,7 @@ def test_certified_constant_bounds_every_response(table32, dct4):
     for trial in range(10):
         rng = stream(7, PURPOSE_TEST, 310 + trial)
         inputs = rng.standard_normal((51, 4))
-        states = march_forced(table32, dct4.points, np.zeros(32), inputs,
-                              dt, "linear")
+        states = march_forced(table32, dct4.points, np.zeros(32), inputs, dt)
         sup = float(np.max(np.linalg.norm(states * vd[None, :], axis=1)))
         l2 = float(np.sqrt(np.sum(w * np.sum(inputs ** 2, axis=1))))
         assert sup <= c_cert * l2 * (1.0 + 1e-12)
@@ -449,6 +447,48 @@ def test_track_budget_rows_follow_the_contrast_scale(track_result):
     assert rows[0].remainder < rows[1].remainder
     for row in rows:
         assert row.within_proj and row.within_real and row.within_total
+
+
+def test_budget_checks_share_one_relative_slack():
+    """Above a budget of one the slack scales with the budget, for the
+    total as for the two budgets it sums."""
+    budget = 5.6
+    assert exp._within(budget + 5e-12, budget)
+    assert not exp._within(budget + 6e-12, budget)
+    assert exp._within(0.5 + 1e-12, 0.5)
+    assert not exp._within(0.5 + 2e-12, 0.5)
+
+
+def _packaged_config(**control):
+    """The packaged default config with ``control`` entries replaced; a
+    None value drops the entry."""
+    path = os.path.join(os.path.dirname(heattrack.__file__), "configs",
+                        "default.yaml")
+    with open(path, encoding="utf-8") as fh:
+        data = yaml.safe_load(fh)
+    data["control"].update(control)
+    data["control"] = {k: v for k, v in data["control"].items()
+                       if v is not None}
+    return ExperimentConfig.from_mapping(data)
+
+
+@pytest.mark.parametrize("command,control", [
+    ("simulate", {"gain": 64.0}),
+    ("track", {"gain": None, "target_rate": 30.0}),
+])
+def test_high_gain_loops_pass_the_cross_integrator_check(command, control):
+    """The replay interpolates the recorded inputs linearly, so its error
+    is second order in the 1e-7 step even at gain 64, the gain the search
+    picks for a target rate of 30."""
+    config = _packaged_config(**control)
+    if command == "simulate":
+        setup, _, _, _, assertions, _ = exp.run_simulate(config)
+    else:
+        result = exp.run_track(config)
+        setup, assertions = result.setup, result.assertions
+    assert setup.gain == 64.0
+    ok, value = assertions["cross_integrator"]
+    assert ok and value <= 1e-12
 
 
 def test_track_writes_deterministic_outputs(tmp_path):
@@ -614,7 +654,7 @@ def test_simulate_driver_reports_the_decay(tmp_path):
 def test_place_driver_runs_the_genericity_check(tmp_path):
     out = tmp_path / "place"
     actuators, matrices, report, manifest = exp.run_place(
-        _config(), out_dir=str(out), trials=25)
+        _config(), out_dir=str(out))
     assert actuators.count == 4
     assert matrices.sigma_min > 0.1
     assert report.failures == 0

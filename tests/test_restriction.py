@@ -121,20 +121,20 @@ def test_images_reduce_to_free_space_at_short_times():
     sources = np.array([[0.4]])
     probes = np.array([[0.5]])
     free = free_space_point_solution(sources, times, inputs, probes, KAPPA)
-    full = images_point_solution(dom, sources, times, inputs, probes)
-    assert_allclose(full, free, atol=1e-14)
+    gap = images_point_solution(dom, sources, times, inputs, probes)
+    assert_allclose(free + gap, free, atol=1e-14)
 
 
 def test_reflected_only_is_the_image_correction():
+    """The gap is the whole image sum less its principal image."""
     dom = _interval()
     times = np.linspace(0.0, 0.05, 25)
     inputs = np.sin(np.pi * times / 0.05)[:, None] ** 2
     sources = np.array([[0.4]])
     probes = np.array([[0.3]])
-    full = images_point_solution(dom, sources, times, inputs, probes)
+    full = looped_images_point_solution(dom, sources, times, inputs, probes)
     free = free_space_point_solution(sources, times, inputs, probes, KAPPA)
-    refl = images_point_solution(dom, sources, times, inputs, probes,
-                                 reflected_only=True)
+    refl = images_point_solution(dom, sources, times, inputs, probes)
     assert_allclose(full - free, refl, atol=1e-14)
     assert np.all(refl > 0.0)  # insulated walls only add heat back
 
@@ -159,16 +159,24 @@ _IMAGE_CASES = {
 @pytest.mark.parametrize("mid", [False, True])
 def test_image_sum_matches_the_image_loop(case, reflected_only, quad_order,
                                           mid):
+    """The gap against the loop's reflected images, or, added to the
+    free-space field, against the loop's whole image sum; ``mid`` stops
+    the grid halfway, while the sources still fire."""
     domain, sources, probes = _IMAGE_CASES[case]
     times = np.linspace(0.0, 0.02, 25)
     shape = np.sin(np.pi * times / 0.02) ** 2
     inputs = shape[:, None] * np.linspace(1.0, 0.5, len(sources))[None, :]
-    kwargs = dict(t=times[12] if mid else None, quad_order=quad_order,
-                  reflected_only=reflected_only)
+    if mid:
+        times, inputs = times[:13], inputs[:13]
     fast = images_point_solution(domain, sources, times, inputs, probes,
-                                 **kwargs)
+                                 quad_order)
     loop = looped_images_point_solution(domain, sources, times, inputs,
-                                        probes, **kwargs)
+                                        probes, quad_order=quad_order,
+                                        reflected_only=reflected_only)
+    if not reflected_only:
+        fast = fast + free_space_point_solution(
+            sources, times, inputs, probes, domain.kappa,
+            quad_order=quad_order)
     assert fast.shape == (len(probes),)
     assert np.all(loop > 0.0)
     assert_allclose(fast, loop, rtol=1e-13, atol=0.0)
@@ -182,11 +190,9 @@ def test_image_sum_blocks_agree_with_the_image_loop(monkeypatch, case):
     inputs = np.ones((9, len(sources)))
     loop = looped_images_point_solution(domain, sources, times, inputs,
                                         probes, reflected_only=True)
-    whole = images_point_solution(domain, sources, times, inputs, probes,
-                                  reflected_only=True)
+    whole = images_point_solution(domain, sources, times, inputs, probes)
     monkeypatch.setattr(restriction, "_BLOCK_VALUES", 500)
-    blocked = images_point_solution(domain, sources, times, inputs, probes,
-                                    reflected_only=True)
+    blocked = images_point_solution(domain, sources, times, inputs, probes)
     assert_allclose(whole, loop, rtol=1e-13, atol=0.0)
     assert_allclose(blocked, loop, rtol=1e-13, atol=0.0)
 
@@ -197,8 +203,7 @@ def test_images_past_the_floor_are_exact_zeros(case):
     domain, sources, probes = _IMAGE_CASES[case]
     times = np.linspace(0.0, 1e-5, 5)
     inputs = np.ones((5, len(sources)))
-    fast = images_point_solution(domain, sources, times, inputs, probes,
-                                 reflected_only=True)
+    fast = images_point_solution(domain, sources, times, inputs, probes)
     loop = looped_images_point_solution(domain, sources, times, inputs,
                                         probes, reflected_only=True)
     assert np.all(loop == 0.0) and np.all(fast == 0.0)
@@ -212,7 +217,7 @@ def test_the_exp_floor_applies_node_by_node():
     args = (_interval(), [[0.4]], times, inputs, [[0.5]])
     loop = looped_images_point_solution(*args, reflected_only=True)
     assert 0.0 < loop[0] < 1e-290
-    assert_allclose(images_point_solution(*args, reflected_only=True), loop,
+    assert_allclose(images_point_solution(*args), loop,
                     rtol=1e-13, atol=0.0)
 
 
@@ -239,14 +244,17 @@ def test_dual_route_agreement_interval():
     inputs = np.stack([shape, 0.5 * shape], axis=1)
     sources = np.array([[0.4], [0.6]])
     probes = np.array([[0.25], [0.5], [0.7]])
-    via_images = images_point_solution(dom, sources, times, inputs, probes)
+    via_images = (
+        free_space_point_solution(sources, times, inputs, probes, KAPPA)
+        + images_point_solution(dom, sources, times, inputs, probes))
     via_modes = neumann_solution_probe(dom, sources, times, inputs, probes,
                                        n_modes=64)
     assert np.max(np.abs(via_images - via_modes)) < 1e-7
     # while the sources still fire, 64 modes only roughly resolve the spike
     mid = times[24]
-    rough_images = images_point_solution(dom, sources, times, inputs, probes,
-                                         t=mid)
+    head = (sources, times[:25], inputs[:25], probes)
+    rough_images = (free_space_point_solution(*head, KAPPA)
+                    + images_point_solution(dom, *head))
     rough_modes = neumann_solution_probe(dom, sources, times, inputs, probes,
                                          n_modes=64, t=mid, check=False)
     assert np.max(np.abs(rough_images - rough_modes)) < 1e-3
@@ -267,7 +275,9 @@ def test_dual_route_agreement_box():
     inputs = _box_bump(times, horizon)[:, None]
     sources = np.array([[0.45, 0.5, 0.5]])
     probes = np.array([[0.6, 0.45, 0.55]])
-    via_images = images_point_solution(dom, sources, times, inputs, probes)
+    via_images = (
+        free_space_point_solution(sources, times, inputs, probes, KAPPA)
+        + images_point_solution(dom, sources, times, inputs, probes))
     coarse = neumann_solution_probe(dom, sources, times, inputs, probes,
                                     n_modes=40, check=False)
     fine = neumann_solution_probe(dom, sources, times, inputs, probes,

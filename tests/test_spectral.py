@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.integrate import solve_ivp
 
-from heattrack.control import (assemble_closed_loop, decay_rate_fit,
-                               simulate_closed_loop)
+from heattrack.control import assemble_closed_loop, simulate_closed_loop
 from heattrack.placement import ActuatorSet, sampling_matrix
 from heattrack.rng import PURPOSE_TEST, stream
 from heattrack.spectral import (
@@ -200,12 +199,6 @@ def test_norm_ordering_holds_for_any_coefficients(vals):
     assert np.all(record.norms_vdual <= record.norms_h * (1.0 + 1e-9))
 
 
-def test_unknown_norm_kind_raises(table32):
-    record = _free_record(table32, np.ones(32))
-    with pytest.raises(ValueError, match="norm"):
-        decay_rate_fit(record, "L2")
-
-
 def test_as_points_coercion_rules():
     assert as_points([0.2, 0.7], 1).shape == (2, 1)
     assert as_points([0.2, 0.7, 0.4], 3).shape == (1, 3)
@@ -257,7 +250,8 @@ def test_phi_functions_across_both_branches():
 
 
 def test_forced_step_matches_ode_oracle(unit_interval):
-    """Held-input step against a tight adaptive integration of a' = -la+b."""
+    """Held-input step against a tight adaptive integration of a' = -la+b:
+    two equal samples interpolate to the held input."""
     table = enumerate_modes(unit_interval, 8)
     actuators = np.array([[0.3], [0.8]])
     u = np.array([1.3, -0.7])
@@ -266,9 +260,7 @@ def test_forced_step_matches_ode_oracle(unit_interval):
     z0 = np.arange(1.0, 9.0) / 10.0
     sol = solve_ivp(lambda s, y: -lam * y + b, (0.0, 0.05), z0,
                     rtol=1e-12, atol=1e-14)
-    # the constant hold never reads the last sample
-    inputs = np.stack([u, [9.0, 9.0]])
-    stepped = march_forced(table, actuators, z0, inputs, 0.05, "constant")
+    stepped = march_forced(table, actuators, z0, np.stack([u, u]), 0.05)
     assert_allclose(stepped[0], z0, rtol=0, atol=0)
     assert_allclose(stepped[1], sol.y[:, -1], atol=1e-12)
 
@@ -284,28 +276,25 @@ def test_linear_input_step_matches_ode_oracle(unit_interval):
     z0 = np.arange(1.0, 9.0) / 10.0
     sol = solve_ivp(lambda s, y: -lam * y + b0 + (b1 - b0) * (s / 0.05),
                     (0.0, 0.05), z0, rtol=1e-12, atol=1e-14)
-    stepped = march_forced(table, actuators, z0, np.stack([u0, u1]), 0.05,
-                           "linear")
+    stepped = march_forced(table, actuators, z0, np.stack([u0, u1]), 0.05)
     assert_allclose(stepped[1], sol.y[:, -1], atol=1e-12)
 
 
 def test_zero_input_step_is_the_semigroup(table32):
     rng = np.random.default_rng(3)
     z = rng.standard_normal(32)
-    for hold in ("linear", "constant"):
-        stepped = march_forced(table32, np.array([[0.5]]), z,
-                               np.zeros((6, 1)), 0.02, hold)
-        # rows 0 and 1 are z and exp(-lam*dt)*z, formed as semigroup_apply
-        # forms them
-        for q in (0, 1):
-            assert_array_equal(stepped[q],
-                               semigroup_apply(table32, z, 0.02 * q))
-        # later rows are powers of exp(-lam*dt), not exp(-lam*q*dt): exp
-        # carries ~ulp(lam*t) relative error, and lam*t reaches about 950
-        # on the last step of the stiffest mode
-        for q in range(2, 6):
-            assert_allclose(stepped[q], semigroup_apply(table32, z, 0.02 * q),
-                            rtol=1e-12)
+    stepped = march_forced(table32, np.array([[0.5]]), z, np.zeros((6, 1)),
+                           0.02)
+    # rows 0 and 1 are z and exp(-lam*dt)*z, formed as semigroup_apply
+    # forms them
+    for q in (0, 1):
+        assert_array_equal(stepped[q], semigroup_apply(table32, z, 0.02 * q))
+    # later rows are powers of exp(-lam*dt), not exp(-lam*q*dt): exp
+    # carries ~ulp(lam*t) relative error, and lam*t reaches about 950
+    # on the last step of the stiffest mode
+    for q in range(2, 6):
+        assert_allclose(stepped[q], semigroup_apply(table32, z, 0.02 * q),
+                        rtol=1e-12)
 
 
 _MARCH_CASES = {
@@ -317,19 +306,32 @@ _MARCH_CASES = {
 }
 
 
-@pytest.mark.parametrize("hold", ["linear", "constant"])
+# "linear" inputs draw every sample and are checked against the step loop.
+# "constant" ones hold the first sample over the grid, on which every slope
+# term is zero; they are checked against the closed form
+# exp(-lam t) y0 + phi1(lam, t) b, because the step loop's running sum of
+# the forced mean drifts by about one rounding per step (1.4e-13 of the
+# column maximum after 4000 steps).
+@pytest.mark.parametrize("inputs", ["linear", "constant"])
 @pytest.mark.parametrize("samples", [2, 6, 501, 4001])
 @pytest.mark.parametrize("case", sorted(_MARCH_CASES))
-def test_march_matches_the_step_loop(case, samples, hold):
+def test_march_matches_the_step_loop(case, samples, inputs):
     domain, count, points = _MARCH_CASES[case]
     table = enumerate_modes(domain, count)
     points = np.asarray(points)
     rng = stream(7, PURPOSE_TEST, 400 + samples)
     y0 = rng.standard_normal(count)
-    inputs = rng.standard_normal((samples, points.shape[0]))
+    u = rng.standard_normal((samples, points.shape[0]))
     dt = 0.5 / (samples - 1)
-    want = step_march(table, points, y0, inputs, dt, hold)
-    got = march_forced(table, points, y0, inputs, dt, hold)
+    if inputs == "linear":
+        want = step_march(table, points, y0, u, dt)
+    else:
+        u[1:] = u[0]
+        lam = table.eigenvalues
+        b = u[0] @ eval_modes(table, points)
+        want = np.stack([semigroup_apply(table, y0, q * dt)
+                         + phi1(lam, q * dt) * b for q in range(samples)])
+    got = march_forced(table, points, y0, u, dt)
     assert got.shape == want.shape
     column_max = np.max(np.abs(want), axis=0)
     assert np.all(np.abs(got - want) <= 1e-13 * column_max)
@@ -341,9 +343,8 @@ def test_march_matches_the_step_loop(case, samples, hold):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2 ** 16), st.floats(-4.0, 4.0, allow_subnormal=False),
        st.floats(-4.0, 4.0, allow_subnormal=False),
-       st.integers(1, 70), st.sampled_from(["linear", "constant"]))
-def test_march_is_linear_in_the_state_and_the_inputs(seed, a, b, samples,
-                                                     hold):
+       st.integers(1, 70))
+def test_march_is_linear_in_the_state_and_the_inputs(seed, a, b, samples):
     table = enumerate_modes(DomainSpec.interval(1.0), 16)
     points = np.array([[0.2], [0.45], [0.8]])
     rng = stream(seed, PURPOSE_TEST, 8)
@@ -352,7 +353,7 @@ def test_march_is_linear_in_the_state_and_the_inputs(seed, a, b, samples,
     dt = 0.01
 
     def march(y0, inputs):
-        return march_forced(table, points, y0, inputs, dt, hold)
+        return march_forced(table, points, y0, inputs, dt)
 
     one, two = march(y1, u1), march(y2, u2)
     combined = march(a * y1 + b * y2, a * u1 + b * u2)
@@ -377,16 +378,13 @@ def test_step_rejects_bad_arguments(table32):
     y0 = np.zeros(32)
     for dt in (0.0, -0.01, np.nan):
         with pytest.raises(ValueError, match="dt"):
-            march_forced(table32, points, y0, np.ones((3, 1)), dt, "linear")
+            march_forced(table32, points, y0, np.ones((3, 1)), dt)
     with pytest.raises(ValueError, match="one column per actuator"):
-        march_forced(table32, points, y0, np.ones((3, 2)), 0.01, "constant")
+        march_forced(table32, points, y0, np.ones((3, 2)), 0.01)
     with pytest.raises(ValueError, match="one column per actuator"):
-        march_forced(table32, points, y0, np.ones(3), 0.01, "linear")
+        march_forced(table32, points, y0, np.ones(3), 0.01)
     with pytest.raises(ValueError, match="table size"):
-        march_forced(table32, points, np.zeros(31), np.ones((3, 1)), 0.01,
-                     "linear")
-    with pytest.raises(ValueError, match="hold"):
-        march_forced(table32, points, y0, np.ones((3, 1)), 0.01, "cubic")
+        march_forced(table32, points, np.zeros(31), np.ones((3, 1)), 0.01)
 
 
 # ---------------------------------------------------------------------------
