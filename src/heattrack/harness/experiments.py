@@ -32,7 +32,7 @@ from ..placement import (ActuatorSet, dct_grid_box, dct_nodes_interval,
                          genericity_monte_carlo, greedy_placement,
                          sampling_matrix, uniform_candidates)
 from ..plasmonic import (PlasmonicConfig, calibrate_k0, invert_actuation,
-                         realize_profile, unit_amplitudes)
+                         realize_profile, unit_response)
 from ..restriction import restriction_gap_report
 from ..spectral import (DomainSpec, ModeTable, enumerate_modes, eval_modes,
                         line_fit, march_forced)
@@ -142,7 +142,10 @@ def build_actuators(config: ExperimentConfig, domain: DomainSpec,
         if blk.points is None:
             raise ConfigError("actuators.points is required for explicit "
                               "placement")
-        return ActuatorSet(domain, np.asarray(blk.points, dtype=float))
+        try:
+            return ActuatorSet(domain, np.asarray(blk.points, dtype=float))
+        except ValueError as exc:
+            raise ConfigError(f"invalid actuators.points: {exc}") from exc
     count = blk.select if blk.select is not None else (
         n if blk.count is None else blk.count)
     size = blk.candidates_per_axis ** domain.dim
@@ -230,9 +233,10 @@ def _run_loop(config: ExperimentConfig, system: ClosedLoopSystem):
     return z0, simulate_closed_loop(system, z0, ctl.horizon, ctl.dt)
 
 
-def build_plasmonic(config: ExperimentConfig, actuators: ActuatorSet,
-                    delta: float) -> PlasmonicConfig:
-    """Particle array matching the actuator layout at one contrast scale."""
+def build_plasmonic(config: ExperimentConfig,
+                    actuators: ActuatorSet) -> PlasmonicConfig:
+    """Particle array matching the actuator layout, at every contrast
+    scale."""
     blk = config.plasmonic
     m = actuators.count
     if blk.contrasts == "ones":
@@ -252,8 +256,7 @@ def build_plasmonic(config: ExperimentConfig, actuators: ActuatorSet,
             raise ConfigError("plasmonic.dictionary must have one row per "
                               "actuator")
     return PlasmonicConfig(actuators.points, contrasts, blk.c_m, kappa,
-                           coupling, dictionary, float(delta),
-                           config.track.mu, config.seed,
+                           coupling, dictionary, config.track.mu, config.seed,
                            blk.perturb_interaction)
 
 
@@ -379,21 +382,13 @@ def _vdual_curve(table: ModeTable, diff: np.ndarray) -> np.ndarray:
     return np.linalg.norm(diff * w[None, :], axis=1)
 
 
-def _unit_response(config: ExperimentConfig, actuators: ActuatorSet,
-                   times: np.ndarray):
-    """The command profile on ``times`` and the particles' unit amplitudes,
+def _particles(config: ExperimentConfig, actuators: ActuatorSet,
+               times: np.ndarray):
+    """The particle array and its unit response under the command profile,
     which depend on neither the contrast scale nor the truncation."""
+    pconf = build_plasmonic(config, actuators)
     phi = profile_samples(config.track.profile, times, config.control.horizon)
-    pconf = build_plasmonic(config, actuators, config.track.delta)
-    return phi, unit_amplitudes(pconf, times, phi)
-
-
-def _calibrate(config: ExperimentConfig, actuators: ActuatorSet,
-               times: np.ndarray, phi: np.ndarray, sigma: np.ndarray,
-               delta: float):
-    """The particle array at contrast scale ``delta`` and its calibrated map."""
-    pconf = build_plasmonic(config, actuators, delta)
-    return pconf, calibrate_k0(pconf, times, phi, sigma)
+    return pconf, unit_response(pconf, times, phi)
 
 
 def _actuate(pconf: PlasmonicConfig, amap, times: np.ndarray,
@@ -406,13 +401,14 @@ def _actuate(pconf: PlasmonicConfig, amap, times: np.ndarray,
 
 
 def _track_pass(config: ExperimentConfig, system: ClosedLoopSystem, record,
-                phi: np.ndarray, maps: list):
-    """Project a recorded closed-loop run on the profile ``phi``; realize it.
+                pconf: PlasmonicConfig, phi: np.ndarray, maps: list):
+    """Project a recorded closed-loop run on the profile ``phi``; realize it
+    through the particles ``pconf``.
 
     The open loop is linear, so each error is the zero-state march of an
     input difference: ``e_proj`` of ``u_des - u``, with ``u`` the recorded
     inputs and ``u_des`` their profile component, and ``e_real`` of
-    ``g_real - u_des`` for each ``(particles, map)`` pair of ``maps``.
+    ``g_real - u_des`` for each calibrated map of ``maps``.
     Returns the decomposition, ``u_des``, the resolvent-metric curve
     ``err_proj`` of ``e_proj`` and, per map, ``_actuate``'s values, the
     ``mismatch`` of ``g_real`` to ``u_des`` and the curves of ``e_real``
@@ -431,7 +427,7 @@ def _track_pass(config: ExperimentConfig, system: ClosedLoopSystem, record,
     w = _trapezoid_weights(times)
     acts = []
     with _stage("actuation"):
-        for pconf, amap in maps:
+        for amap in maps:
             residual, g_real, remainder = _actuate(pconf, amap, times,
                                                    deco.beta)
             e_real = march(g_real - u_des)
@@ -477,12 +473,12 @@ def run_track(config: ExperimentConfig, out_dir: str | None = None,
 
     times = record.times
     with _stage("calibrate"):
-        phi, sigma = _unit_response(config, setup.actuators, times)
-        maps = [_calibrate(config, setup.actuators, times, phi, sigma, delta)
-                for delta in deltas]
+        pconf, response = _particles(config, setup.actuators, times)
+        maps = [calibrate_k0(pconf, response, delta) for delta in deltas]
 
+    phi = response.profile
     deco, u_des, err_proj, acts = _track_pass(config, setup.system, record,
-                                              phi, maps)
+                                              pconf, phi, maps)
     assertions["pythagoras"] = (deco.pythagoras_gap <= 1e-10,
                                 deco.pythagoras_gap)
 
@@ -544,8 +540,8 @@ def run_track(config: ExperimentConfig, out_dir: str | None = None,
         system2 = _close_loop(config, matrices2, setup.gain,
                               setup.a_target)[3]
         _, record2 = _run_loop(config, system2)
-        _, _, err_proj2, (act2,) = _track_pass(config, system2, record2, phi,
-                                               [maps[head]])
+        _, _, err_proj2, (act2,) = _track_pass(config, system2, record2,
+                                               pconf, phi, [maps[head]])
         row = budget_rows[head]
         gap = max(abs(float(np.max(err_proj2)) - row.proj_sup),
                   abs(float(np.max(act2["real"])) - row.real_sup),
@@ -555,7 +551,7 @@ def run_track(config: ExperimentConfig, out_dir: str | None = None,
     result = TrackResult(
         config=config, setup=setup, times=times, u_ideal=record.inputs,
         decomposition=deco, u_des=u_des, c_cert=c_cert,
-        amap_sigma_min=maps[head][1].sigma_min,
+        amap_sigma_min=maps[head].sigma_min,
         inversion_residual=acts[head]["inversion_residual"],
         g_real=acts[head]["g_real"], err_proj=err_proj,
         err_real=acts[head]["real"], err_total=acts[head]["total"],
@@ -681,9 +677,8 @@ def run_calibrate(config: ExperimentConfig, out_dir: str | None = None):
         _, _, actuators = _layout(config)
     with _stage("calibrate"):
         times = time_grid(config.control.horizon, config.control.dt)
-        phi, sigma = _unit_response(config, actuators, times)
-        amap = _calibrate(config, actuators, times, phi, sigma,
-                          config.track.delta)[1]
+        pconf, response = _particles(config, actuators, times)
+        amap = calibrate_k0(pconf, response, config.track.delta)
     rows = ([i, l, float(amap.k0[i, l])]
             for i in range(amap.k0.shape[0])
             for l in range(amap.k0.shape[1]))
@@ -704,15 +699,17 @@ def run_restriction(config: ExperimentConfig, out_dir: str | None = None,
     blk = config.restriction
     with _stage("build"):
         domain = build_domain(config.domain)
-        if blk.sources is not None:
-            sources = np.asarray(blk.sources, dtype=float)
-        else:
-            sources = _layout(config)[2].points
+        sources = (_layout(config)[2].points if blk.sources is None
+                   else blk.sources)
     with _stage("gaps"):
-        report = restriction_gap_report(
-            domain, sources, np.asarray(blk.probes, dtype=float),
-            blk.horizons, amplitudes=blk.amplitudes, samples=blk.samples,
-            quad_order=blk.quad_order)
+        try:
+            report = restriction_gap_report(
+                domain, sources, blk.probes, blk.horizons, blk.samples,
+                blk.quad_order, amplitudes=blk.amplitudes)
+        except HeattrackError:
+            raise
+        except ValueError as exc:  # the geometry or the amplitude count
+            raise ConfigError(f"invalid restriction block: {exc}") from exc
     assertions = {
         "gap_monotone": (report.monotone, float(report.rate)),
         "gap_fit": (report.r_squared >= 0.95, report.r_squared),
@@ -871,12 +868,12 @@ def run_sweep(config: ExperimentConfig, out_dir: str | None = None):
             _, record = _run_loop(config, setup.system)
         times = record.times
         with _stage("project"):
-            phi, sigma = _unit_response(config, setup.actuators, times)
-            beta = project_onto_profile(times, record.inputs, phi).beta
+            pconf, response = _particles(config, setup.actuators, times)
+            beta = project_onto_profile(times, record.inputs,
+                                        response.profile).beta
 
         def metric(delta):
-            pconf, amap = _calibrate(config, setup.actuators, times, phi,
-                                     sigma, delta)
+            amap = calibrate_k0(pconf, response, delta)
             return _actuate(pconf, amap, times, beta)[2]
     elif kind == "gain":
         with _stage("build"):

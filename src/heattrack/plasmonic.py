@@ -6,22 +6,22 @@ centers, which yields a Volterra system in time.  Calibration compresses
 the full pipeline into one matrix acting on illumination coefficients, and
 the remainder quantifies everything the compression drops.
 
-The pipeline is linear, so one batched march of the M unit forcings
-``profile * e_j`` at the base coupling (``unit_amplitudes``, giving
-``sigma[t, i, j]``) serves every consumer that drives the particles with
-one temporal profile.  It depends on neither the contrast scale ``delta``
-nor the dictionary.  At one contrast scale the unit heat inputs are
-``g = (alpha / c_m) sigma``; a perturbed coupling adds its correction
+The particle array (``PlasmonicConfig``) is free of the contrast scale
+``delta`` and the pipeline is linear, so one batched march of the M unit
+forcings ``profile * e_j`` at the base coupling (``unit_response``: the
+amplitudes ``sigma[t, i, j]`` and unit heat inputs ``g = (alpha / c_m)
+sigma``) serves every contrast scale.  ``calibrate_k0`` takes ``delta``
+and adds only what it changes, each formed directly rather than as a
+difference of perturbed and base data: the dictionary perturbation
+``dD = delta**mu E_0`` and, with a perturbed coupling, the correction
 ``g_c = (alpha / c_m) dsigma``, one march of the coupling perturbation's
-history of ``sigma``.  ``calibrate_k0`` keeps both and ``D_eff`` in the
-``ActuationMap`` that every consumer reads:
+history of ``sigma``.  The ``ActuationMap`` keeps them for every consumer:
 
-- calibration: ``k0 = K_unit @ D_eff``, with ``K_unit`` the profile
-  coefficients of ``g``, and the probe of column l is ``g @ D_eff[:, l]``;
-- realization: ``g_real = g @ (D_eff p)``;
-- remainder: ``g @ ((D_eff - D) p) + g_c @ (D p)``, every term of order
-  ``delta**mu``, formed directly rather than as the difference of two
-  nearly equal pipeline outputs.
+- calibration: ``k0 = K_unit @ (D + dD)``, with ``K_unit`` the profile
+  coefficients of ``g`` (``g + g_c`` with a perturbed coupling);
+- realization: ``g_real = g @ ((D + dD) p)``;
+- remainder: ``g @ (dD p) + g_c @ (D p)``, every term of order
+  ``delta**mu``.
 """
 
 from __future__ import annotations
@@ -38,9 +38,9 @@ from .spectral import EXP_FLOOR, uniform_step
 __all__ = [
     "PlasmonicConfig",
     "ActuationMap",
+    "UnitResponse",
     "volterra_solve",
-    "effective_dictionary",
-    "unit_amplitudes",
+    "unit_response",
     "calibrate_k0",
     "invert_actuation",
     "realize_profile",
@@ -88,9 +88,10 @@ class PlasmonicConfig:
 
     ``dictionary`` (shape M x P, full row rank) maps P illumination
     intensities to per-particle forcing; ``coupling`` holds the pairwise
-    interaction weights with an ignored diagonal.  ``delta`` scales the
-    seeded dictionary perturbation by ``delta**mu`` and, when
-    ``perturb_interaction`` is set, the coupling perturbation too.
+    interaction weights with an ignored diagonal.  A contrast scale
+    ``delta`` (an argument of ``calibrate_k0``) perturbs the dictionary by
+    ``delta**mu`` times a seeded unit matrix and, when
+    ``perturb_interaction`` is set, the coupling too.
     """
 
     centers: np.ndarray
@@ -99,7 +100,6 @@ class PlasmonicConfig:
     kappa: float
     coupling: np.ndarray
     dictionary: np.ndarray
-    delta: float
     mu: float
     seed: int
     perturb_interaction: bool = False
@@ -134,8 +134,6 @@ class PlasmonicConfig:
         if s[m - 1] <= 1e-12 * max(s[0], 1.0):
             raise RankDeficiencyError("dictionary is not full row rank",
                                       float(s[m - 1]))
-        if self.delta < 0:
-            raise ValueError("delta must be nonnegative")
         if self.mu <= 0:
             raise ValueError("mu must be positive")
         for name, arr in (("centers", centers), ("contrasts", contrasts),
@@ -148,29 +146,14 @@ class PlasmonicConfig:
         return self.centers.shape[0]
 
 
-def _seeded_unit(shape, seed: int, index: int) -> np.ndarray:
-    gen = rng.stream(seed, rng.PURPOSE_PERTURBATION, index)
-    raw = gen.standard_normal(shape)
-    return raw / np.linalg.norm(raw, 2)
-
-
-def effective_dictionary(config: PlasmonicConfig) -> np.ndarray:
-    """Dictionary with the seeded O(delta**mu) perturbation applied."""
-    if config.delta == 0.0:
-        return config.dictionary.copy()
-    pert = _seeded_unit(config.dictionary.shape, config.seed, 0)
-    return config.dictionary + config.delta ** config.mu * pert
-
-
-def _perturbs_coupling(config: PlasmonicConfig) -> bool:
-    return config.perturb_interaction and config.delta != 0.0
-
-
-def _effective_coupling(config: PlasmonicConfig) -> np.ndarray:
-    if not _perturbs_coupling(config):
-        return config.coupling.copy()
-    pert = _seeded_unit(config.coupling.shape, config.seed, 1)
-    return config.coupling + config.delta ** config.mu * pert
+def _perturbation(config: PlasmonicConfig, delta: float,
+                  index: int) -> np.ndarray:
+    """``delta**mu`` times the seeded unit-norm perturbation of the
+    dictionary (``index`` 0) or of the coupling (``index`` 1)."""
+    shape = (config.dictionary, config.coupling)[index].shape
+    raw = rng.stream(config.seed, rng.PURPOSE_PERTURBATION,
+                     index).standard_normal(shape)
+    return delta ** config.mu * (raw / np.linalg.norm(raw, 2))
 
 
 def _memory_table(centers, coupling, kappa: float, dt: float,
@@ -237,70 +220,68 @@ def volterra_solve(centers, coupling, kappa: float, times,
     return sigma.reshape(forcing.shape)
 
 
-def unit_amplitudes(config: PlasmonicConfig, times,
-                    profile: np.ndarray) -> np.ndarray:
-    """Amplitudes under the unit forcings ``profile * e_j``, one march.
+def _l2_inner(times: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
+    return float(np.trapezoid(a * b, times))
 
-    Returns ``sigma[t, i, j]``, the amplitude of particle i when only
-    particle j is forced, with the profile, at the base coupling.  It
-    involves neither the dictionary nor the contrast scale, so one march
-    serves every ``delta`` (see ``calibrate_k0``).
+
+class UnitResponse(NamedTuple):
+    """The particle array's response to the unit forcings of one profile.
+
+    ``sigma[t, i, j]`` is the amplitude of particle i when only particle j
+    is forced with ``profile`` at the base coupling, and ``units`` the
+    heat inputs ``(alpha_i / c_m) sigma``; both are read-only, since every
+    unperturbed ``ActuationMap`` shares them.
+    """
+
+    times: np.ndarray
+    profile: np.ndarray
+    sigma: np.ndarray
+    units: np.ndarray
+
+
+def unit_response(config: PlasmonicConfig, times,
+                  profile: np.ndarray) -> UnitResponse:
+    """Amplitudes and heat inputs under the unit forcings, one march.
+
+    It involves neither the dictionary nor the contrast scale, so one
+    march serves every ``delta`` (see ``calibrate_k0``).
     """
     times = np.asarray(times, dtype=float)
     profile = np.asarray(profile, dtype=float)
     if profile.shape != times.shape:
         raise ValueError("profile must be sampled on the time grid")
+    if _l2_inner(times, profile, profile) <= 0.0:
+        raise ValueError("profile must be nonzero")
     forcing = profile[:, None, None] * np.eye(config.count)[None]
-    return volterra_solve(config.centers, config.coupling, config.kappa,
-                          times, forcing)
+    sigma = volterra_solve(config.centers, config.coupling, config.kappa,
+                           times, forcing)
+    units = sigma * (config.contrasts / config.c_m)[:, None]
+    for arr in (sigma, units):
+        arr.setflags(write=False)
+    return UnitResponse(times, profile, sigma, units)
 
 
-def _coupling_forcing(config: PlasmonicConfig, times: np.ndarray,
-                      sigma: np.ndarray) -> np.ndarray:
+def _coupling_forcing(config: PlasmonicConfig, d_coupling: np.ndarray,
+                      times: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """Forcing whose effective-coupling march is the coupling correction.
 
-    The effective-coupling amplitudes of a forcing exceed its base-coupling
-    amplitudes ``sigma`` (shape (Q + 1, M, R)) by the effective-coupling
-    march of ``h[q] = -dt * sum_{s<q} w_s (W_eff - W)[q-s] sigma[s]``, the
-    trapezoid history of the coupling perturbation; this returns h.
-    ``sigma`` is known in full, so h is one causal convolution over the
-    lags, taken by zero-padded FFT.
+    The amplitudes of a forcing at the coupling ``W + d_coupling`` exceed
+    its base-coupling amplitudes ``sigma`` (shape (Q + 1, M, R)) by the
+    effective-coupling march of
+    ``h[q] = -dt * sum_{s<q} w_s d_coupling[q-s] sigma[s]``, the trapezoid
+    history of the coupling perturbation; this returns h.  ``sigma`` is
+    known in full, so h is one causal convolution over the lags, taken by
+    zero-padded FFT.
     """
     dt = uniform_step(times)
     samples = times.shape[0]
-    table = _memory_table(
-        config.centers, _effective_coupling(config) - config.coupling,
-        config.kappa, dt, samples - 1)
+    table = _memory_table(config.centers, d_coupling, config.kappa, dt,
+                          samples - 1)
     weighted = np.concatenate([0.5 * sigma[:1], sigma[1:]])
     size = 2 * samples
     spectrum = (np.fft.rfft(table, size, axis=0)
                 @ np.fft.rfft(weighted, size, axis=0))
     return -dt * np.fft.irfft(spectrum, size, axis=0)[:samples]
-
-
-def _unit_heat_inputs(config: PlasmonicConfig, times, sigma: np.ndarray):
-    """Heat inputs of the unit forcings at this config's contrast scale.
-
-    ``sigma`` is the ``unit_amplitudes`` of this particle array.  Returns
-    ``(g, g_c)``: ``g[t, i, j]`` is the heat input ``(alpha_i / c_m) *
-    amplitude_i`` of particle i when only particle j is forced, and
-    ``g_c`` the part of it due to the coupling perturbation.  Without one
-    (``perturb_interaction`` unset, or ``delta = 0``) ``g`` is ``sigma``
-    scaled and ``g_c`` is None; with one, the amplitudes gain ``dsigma``,
-    one effective-coupling march of ``_coupling_forcing``.
-    """
-    scale = (config.contrasts / config.c_m)[:, None]
-    if not _perturbs_coupling(config):
-        return sigma * scale, None
-    times = np.asarray(times, dtype=float)
-    dsigma = volterra_solve(config.centers, _effective_coupling(config),
-                            config.kappa, times,
-                            _coupling_forcing(config, times, sigma))
-    return (sigma + dsigma) * scale, dsigma * scale
-
-
-def _l2_inner(times: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.trapezoid(a * b, times))
 
 
 class ActuationMap(NamedTuple):
@@ -309,8 +290,9 @@ class ActuationMap(NamedTuple):
     ``k0[i, l]`` is the profile coefficient of heat input i when the
     dictionary is probed with unit intensity l; ``residuals[l]`` is the
     L2 mass the probe left outside the profile span.  The unit heat
-    inputs ``(g, g_c)`` it was calibrated from (``units`` and
-    ``coupling_units``) and ``d_eff`` realize any intensities.
+    inputs ``g`` and ``g_c`` it was calibrated from (``units`` and
+    ``coupling_units``) and the dictionary perturbation ``d_pert`` realize
+    any intensities.
     """
 
     k0: np.ndarray
@@ -319,30 +301,38 @@ class ActuationMap(NamedTuple):
     residuals: np.ndarray
     units: np.ndarray
     coupling_units: np.ndarray | None
-    d_eff: np.ndarray
+    d_pert: np.ndarray
 
 
-def calibrate_k0(config: PlasmonicConfig, times, profile: np.ndarray,
-                 sigma: np.ndarray) -> ActuationMap:
+def calibrate_k0(config: PlasmonicConfig, response: UnitResponse,
+                 delta: float) -> ActuationMap:
     """Probe every dictionary column and project outputs on the profile.
 
-    ``sigma`` is the ``unit_amplitudes`` of this particle array under
-    ``profile``.  The probes are superposed from its unit heat inputs
-    ``g`` at this config's contrast scale: the output of column l is
-    ``g @ D_eff[:, l]``, so ``k0 = K_unit @ D_eff`` with ``K_unit`` the
-    profile coefficients of ``g``.
+    ``response`` is the ``unit_response`` of this particle array.  The
+    probes at contrast scale ``delta`` are superposed from the unit heat
+    inputs ``g`` at that scale, which are ``response.units`` itself
+    unless the coupling is perturbed: the output of column l is
+    ``g @ (D + dD)[:, l]``, so ``k0 = K_unit @ (D + dD)`` with ``K_unit``
+    the profile coefficients of ``g``.
     """
-    times = np.asarray(times, dtype=float)
-    profile = np.asarray(profile, dtype=float)
-    if profile.shape != times.shape:
-        raise ValueError("profile must be sampled on the time grid")
+    if delta < 0:
+        raise ValueError("delta must be nonnegative")
+    times, profile = response.times, response.profile
+    units, coupling_units = response.units, None
+    if config.perturb_interaction and delta != 0.0:
+        d_coupling = _perturbation(config, delta, 1)
+        dsigma = volterra_solve(
+            config.centers, config.coupling + d_coupling, config.kappa,
+            times, _coupling_forcing(config, d_coupling, times,
+                                     response.sigma))
+        scale = (config.contrasts / config.c_m)[:, None]
+        units = (response.sigma + dsigma) * scale
+        coupling_units = dsigma * scale
+    d_pert = _perturbation(config, delta, 0)
     denom = _l2_inner(times, profile, profile)
-    if denom <= 0.0:
-        raise ValueError("profile must be nonzero")
-    units, coupling_units = _unit_heat_inputs(config, times, sigma)
-    d_eff = effective_dictionary(config)
     k_unit = np.trapezoid(units * profile[:, None, None], times,
                           axis=0) / denom
+    d_eff = config.dictionary + d_pert
     k0 = k_unit @ d_eff
     tails = units @ d_eff - k0[None] * profile[:, None, None]
     residuals = np.sqrt(np.sum(np.trapezoid(tails * tails, times, axis=0),
@@ -354,7 +344,7 @@ def calibrate_k0(config: PlasmonicConfig, times, profile: np.ndarray,
         raise RankDeficiencyError("calibrated map is rank deficient",
                                   sigma_min)
     return ActuationMap(k0, np.linalg.pinv(k0), sigma_min, residuals,
-                        units, coupling_units, d_eff)
+                        units, coupling_units, d_pert)
 
 
 def invert_actuation(amap: ActuationMap, u_des: np.ndarray):
@@ -380,18 +370,18 @@ def realize_profile(config: PlasmonicConfig, times, amap: ActuationMap,
     """Heat inputs and remainder of the intensities ``profile * coeffs``.
 
     Superposed from the unit heat inputs ``g = amap.units`` and
-    ``g_c = amap.coupling_units`` of this config's calibrated map:
-    ``g_real = g @ (D_eff p)`` and the remainder, the output minus its
-    leading (``delta = 0``) prediction,
-    ``rho = g @ ((D_eff - D) p) + g_c @ (D p)``.
+    ``g_c = amap.coupling_units`` and the dictionary perturbation
+    ``dD = amap.d_pert`` of this config's calibrated map:
+    ``g_real = g @ ((D + dD) p)`` and the remainder, the output minus its
+    leading (``delta = 0``) prediction, ``rho = g @ (dD p) + g_c @ (D p)``.
 
     Returns ``(g_real, rho, norm)`` with norm the remainder's aggregate
     L2 size over all particles.
     """
     times = np.asarray(times, dtype=float)
     coeffs = np.asarray(coeffs, dtype=float)
-    g_real = amap.units @ (amap.d_eff @ coeffs)
-    rho = amap.units @ ((amap.d_eff - config.dictionary) @ coeffs)
+    g_real = amap.units @ ((config.dictionary + amap.d_pert) @ coeffs)
+    rho = amap.units @ (amap.d_pert @ coeffs)
     if amap.coupling_units is not None:
         rho = rho + amap.coupling_units @ (config.dictionary @ coeffs)
     norm2 = sum(_l2_inner(times, rho[:, i], rho[:, i])

@@ -97,7 +97,7 @@ def _interp_inputs(times: np.ndarray, samples: np.ndarray,
 
 
 def images_point_solution(domain: DomainSpec, sources, times, inputs, probes,
-                          quad_order: int = 12) -> np.ndarray:
+                          quad_order: int) -> np.ndarray:
     """Wall gap y - w at the probes at the last sample of ``times``.
 
     ``y`` is the insulated-box field of the point sources, an image sum,
@@ -161,17 +161,20 @@ class RestrictionReport(NamedTuple):
 
 
 def restriction_gap_report(domain: DomainSpec, sources, probes, horizons,
-                           amplitudes=None, samples: int = 48,
-                           quad_order: int = 12) -> RestrictionReport:
+                           samples: int, quad_order: int,
+                           amplitudes=None) -> RestrictionReport:
     """Measure |free-space - insulated| at probes across several horizons.
 
-    The per-source input is ``amplitude * sin(pi t / T) ** 2`` so the
-    forcing shape follows the horizon.  The gap is computed from the
-    reflected images only and summarized by a least-squares fit of
-    ``log(gap)`` against ``d^2 / T``; at least three horizons are required.
+    The per-source input is ``amplitude * sin(pi t / T) ** 2``, one
+    amplitude per source (all 1 when ``amplitudes`` is None), so the
+    forcing shape follows the horizon.  Each horizon is integrated on
+    ``samples`` panels of ``quad_order`` Gauss nodes.  The gap is computed
+    from the reflected images only and summarized by a least-squares fit
+    of ``log(gap)`` against ``d^2 / T``; at least three horizons are
+    required.
     """
-    src = np.atleast_2d(np.asarray(sources, dtype=float))
-    prb = np.atleast_2d(np.asarray(probes, dtype=float))
+    src = as_points(sources, domain.dim)
+    prb = as_points(probes, domain.dim)
     horizons = np.asarray(sorted(float(h) for h in horizons))
     if horizons.shape[0] < 3:
         raise InsufficientDataError("at least three horizons are required")
@@ -182,7 +185,10 @@ def restriction_gap_report(domain: DomainSpec, sources, probes, horizons,
         raise ValueError("sources and probes must be strictly interior")
     if amplitudes is None:
         amplitudes = np.ones(src.shape[0])
-    amplitudes = np.asarray(amplitudes, dtype=float).reshape(-1)
+    amplitudes = np.asarray(amplitudes, dtype=float)
+    if amplitudes.shape != (src.shape[0],):
+        raise ValueError(f"one amplitude per source is required, got shape "
+                         f"{amplitudes.shape} for {src.shape[0]} sources")
 
     gaps = np.empty(horizons.shape[0])
     for row, horizon in enumerate(horizons):

@@ -55,33 +55,39 @@ def kernel_time_derivative(x, t: float, y, tau: float, kappa: float) -> float:
     return float(plasmonic._kernel_derivative(r2, d, kappa, t - tau))
 
 
-def forcing_from_intensities(config, intensities: np.ndarray) -> np.ndarray:
-    """Per-particle forcing samples from illumination intensity samples."""
-    return np.asarray(intensities) @ plasmonic.effective_dictionary(config).T
+def forcing_from_intensities(config, delta: float,
+                             intensities: np.ndarray) -> np.ndarray:
+    """Per-particle forcing samples from illumination intensity samples,
+    through the dictionary perturbed at contrast scale ``delta``."""
+    dictionary = config.dictionary + plasmonic._perturbation(config, delta, 0)
+    return np.asarray(intensities) @ dictionary.T
 
 
-def run_pipeline(config, times, intensities: np.ndarray) -> np.ndarray:
-    """Intensities -> forcing -> amplitudes -> heat inputs, on one grid."""
-    forcing = forcing_from_intensities(config, intensities)
-    sigma = plasmonic.volterra_solve(config.centers,
-                                     plasmonic._effective_coupling(config),
-                                     config.kappa, times, forcing)
+def run_pipeline(config, delta: float, times,
+                 intensities: np.ndarray) -> np.ndarray:
+    """Intensities -> forcing -> amplitudes -> heat inputs, on one grid, at
+    contrast scale ``delta``."""
+    forcing = forcing_from_intensities(config, delta, intensities)
+    coupling = config.coupling
+    if config.perturb_interaction:
+        coupling = coupling + plasmonic._perturbation(config, delta, 1)
+    sigma = plasmonic.volterra_solve(config.centers, coupling, config.kappa,
+                                     times, forcing)
     return sigma * (config.contrasts / config.c_m)[None, :]
 
 
-def coupling_forcing_steps(config, times, sigma: np.ndarray) -> np.ndarray:
+def coupling_forcing_steps(config, d_coupling: np.ndarray, times,
+                           sigma: np.ndarray) -> np.ndarray:
     """The coupling-correction forcing summed step by step.
 
-    ``h[q] = -dt * sum_{s<q} w_s (W_eff - W)[q-s] sigma[s]`` with the
+    ``h[q] = -dt * sum_{s<q} w_s d_coupling[q-s] sigma[s]`` with the
     base-coupling amplitudes ``sigma`` (shape (Q + 1, M, R)), one history
     sum per step: the form the library's FFT convolution replaces.
     """
     dt = times[1] - times[0]
     q_steps = times.shape[0] - 1
     flat = plasmonic._lag_reversed(plasmonic._memory_table(
-        config.centers,
-        plasmonic._effective_coupling(config) - config.coupling,
-        config.kappa, dt, q_steps))
+        config.centers, d_coupling, config.kappa, dt, q_steps))
     stacked = sigma.reshape(-1, sigma.shape[2])
     h = np.zeros_like(sigma)
     for q in range(1, q_steps + 1):

@@ -290,7 +290,8 @@ def test_criterion_11_wall_influence_fades_with_the_horizon():
     probes = np.array([[0.6, 0.45, 0.55]])
     start = time.monotonic()
     report = restriction_gap_report(
-        box, sources, probes, horizons=[0.08, 0.04, 0.02, 0.01, 0.005])
+        box, sources, probes, horizons=[0.08, 0.04, 0.02, 0.01, 0.005],
+        samples=48, quad_order=12)
     elapsed = time.monotonic() - start
     ok = report.monotone and report.r_squared >= 0.95 and elapsed < 30.0
     _criterion(11, "wall influence fades with the horizon", ok,

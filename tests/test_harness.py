@@ -546,6 +546,35 @@ def test_perturbed_track_marches_once_per_contrast_scale(monkeypatch):
     assert len(marches) == 5
 
 
+def test_track_builds_the_particles_once_and_shares_their_unit_inputs(
+        monkeypatch):
+    """One particle array and one unit response per run: every contrast
+    scale is an argument of ``calibrate_k0``, and without a coupling
+    perturbation each map keeps the response's unit heat inputs, not a
+    copy."""
+    builds, calibrations = [], []
+    original_build, original_calibrate = exp.build_plasmonic, exp.calibrate_k0
+
+    def building(*args, **kwargs):
+        builds.append(1)
+        return original_build(*args, **kwargs)
+
+    def calibrating(pconf, response, delta):
+        amap = original_calibrate(pconf, response, delta)
+        calibrations.append((response, amap))
+        return amap
+
+    monkeypatch.setattr(exp, "build_plasmonic", building)
+    monkeypatch.setattr(exp, "calibrate_k0", calibrating)
+    config = load_config("default")
+    exp.run_track(config)
+    assert len(builds) == 1
+    assert len(calibrations) == len(config.track.deltas) == 4
+    assert len({id(response) for response, _ in calibrations}) == 1
+    assert all(amap.units is response.units
+               for response, amap in calibrations)
+
+
 @pytest.mark.parametrize("failing_call,stage", [(1, "project"),
                                                 (2, "convergence")])
 def test_track_failures_name_the_outermost_stage(monkeypatch, failing_call,
@@ -616,18 +645,17 @@ def test_track_with_perturbed_interaction_matches_the_difference_path():
     times = result.times
     phi = profile_samples(config.track.profile, times, config.control.horizon)
     denom = np.trapezoid(phi * phi, times)
+    pconf = exp.build_plasmonic(config, result.setup.actuators)
     for row in result.budget_rows:
-        pconf = exp.build_plasmonic(config, result.setup.actuators, row.delta)
-        probes = [run_pipeline(pconf, times, phi[:, None] * np.eye(4)[col])
+        probes = [run_pipeline(pconf, row.delta, times,
+                               phi[:, None] * np.eye(4)[col])
                   for col in range(4)]
         k0 = np.stack([np.trapezoid(out * phi[:, None], times, axis=0)
                        for out in probes], axis=1) / denom
         coeffs = np.linalg.solve(k0, result.decomposition.beta)
         intensities = phi[:, None] * coeffs[None, :]
-        full = run_pipeline(pconf, times, intensities)
-        leading = run_pipeline(
-            exp.build_plasmonic(config, result.setup.actuators, 0.0), times,
-            intensities)
+        full = run_pipeline(pconf, row.delta, times, intensities)
+        leading = run_pipeline(pconf, 0.0, times, intensities)
         assert row.mismatch == pytest.approx(
             _trapezoid_l2(times, full - result.u_des), rel=1e-12)
         assert row.remainder == pytest.approx(
@@ -983,6 +1011,23 @@ def test_cli_mesh_sweep_rejects_bad_cell_counts(tmp_path, capsys, values):
     ("track", "deltas", [0.0, -0.0, 0.05]),
     pytest.param("track", "deltas", [0.05] + list(range(1, MAX_DELTAS + 1)),
                  id="track-deltas-MAX_DELTAS+1"),
+    # geometry the library rejects: explicit actuator points of the wrong
+    # dimension, outside the domain or repeated, and restriction probes
+    # and sources of the wrong dimension or not strictly interior
+    (None, "actuators", {"kind": "explicit", "points": [[0.2, 0.3]]}),
+    (None, "actuators", {"kind": "explicit", "points": [[0.2], [1.5]]}),
+    (None, "actuators", {"kind": "explicit", "points": [[0.2], [0.2]]}),
+    ("restriction", "probes", [[0.5, 0.5]]),
+    ("restriction", "probes", [[1.0]]),
+    ("restriction", "sources", [[0.4, 0.1], [0.6, 0.1]]),
+    ("restriction", "sources", [[0.0], [0.6]]),
+    # one amplitude per source, whether the sources are given or are the
+    # four actuators
+    ("restriction", "amplitudes", [1.0, 1.0]),
+    ("restriction", "amplitudes", [1.0, 1.0, 1.0, 1.0, 1.0]),
+    (None, "restriction", {"probes": [[0.5]], "sources": [[0.4], [0.6]],
+                           "amplitudes": [1.0],
+                           "horizons": [0.02, 0.01, 0.005]}),
 ] + [(block, key, {}) for block, keys in _SCHEMA.items() for key in keys],
     ids=lambda v: str(v))
 def test_cli_rejects_malformed_values_as_config_errors(tmp_path, capsys,
@@ -997,7 +1042,8 @@ def test_cli_rejects_malformed_values_as_config_errors(tmp_path, capsys,
     else:
         data[block] = dict(data.get(block, {}), **{key: value})
     path = _write_yaml(tmp_path / "bad.yaml", data)
-    assert cli.main(["simulate", "--config", path, "--check"]) == 2
+    command = "restriction" if "restriction" in (block, key) else "simulate"
+    assert cli.main([command, "--config", path, "--check"]) == 2
     assert "config error" in capsys.readouterr().err
 
 
@@ -1130,9 +1176,11 @@ def test_cli_reports_run_failures(tmp_path, capsys):
     code = cli.main(["simulate", "--config", path, "--check"])
     assert code == 1
     assert "[FAIL] cross_integrator" in capsys.readouterr().out
-    # a degenerate placement is a runtime error, not a config error
+    # a degenerate placement is a runtime error, not a config error:
+    # distinct points at which the second mode vanishes (repeated points
+    # are malformed geometry, a config error)
     dup = _mapping(actuators={"kind": "explicit",
-                              "points": [[0.25], [0.25]]})
+                              "points": [[0.25], [0.75]]})
     path = _write_yaml(tmp_path / "dup.yaml", dup)
     assert cli.main(["simulate", "--config", path]) == 1
     assert "error" in capsys.readouterr().err

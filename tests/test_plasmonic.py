@@ -14,10 +14,9 @@ from heattrack.errors import RankDeficiencyError
 from heattrack.plasmonic import (
     PlasmonicConfig,
     calibrate_k0,
-    effective_dictionary,
     invert_actuation,
     realize_profile,
-    unit_amplitudes,
+    unit_response,
     volterra_solve,
 )
 from heattrack.rng import PURPOSE_TEST, stream
@@ -27,26 +26,26 @@ from particles import (coupling_forcing_steps, free_space_kernel,
                        kernel_time_derivative, run_pipeline)
 
 KAPPA = 1.0
+DELTA = 0.05
 
 
 def _config(**overrides):
     base = dict(centers=np.array([[0.3], [0.7]]),
                 contrasts=np.array([1.0, 1.0]), c_m=1.0, kappa=KAPPA,
                 coupling=0.05 * (np.ones((2, 2)) - np.eye(2)),
-                dictionary=np.eye(2), delta=0.05, mu=1.0, seed=7)
+                dictionary=np.eye(2), mu=1.0, seed=7)
     base.update(overrides)
     return PlasmonicConfig(**base)
 
 
-def _calibrate(config, times, profile):
-    return calibrate_k0(config, times, profile,
-                        unit_amplitudes(config, times, profile))
+def _calibrate(config, times, profile, delta=DELTA):
+    return calibrate_k0(config, unit_response(config, times, profile), delta)
 
 
-def _realize(config, times, profile, coeffs):
-    """``realize_profile`` through this config's calibrated map."""
-    return realize_profile(config, times, _calibrate(config, times, profile),
-                           coeffs)
+def _realize(config, times, profile, coeffs, delta=DELTA):
+    """``realize_profile`` through this config's map at ``delta``."""
+    return realize_profile(config, times,
+                           _calibrate(config, times, profile, delta), coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -251,21 +250,20 @@ def test_volterra_march_is_second_order():
 
 
 def test_effective_dictionary_at_zero_contrast_scale():
-    config = _config(delta=0.0)
-    assert_allclose(effective_dictionary(config), np.eye(2), rtol=0,
-                    atol=0.0)
+    config = _config()
+    perturbed = config.dictionary + plasmonic._perturbation(config, 0.0, 0)
+    assert_allclose(perturbed, np.eye(2), rtol=0, atol=0.0)
 
 
 def test_dictionary_perturbation_scales_as_delta_to_mu():
     for delta, mu in [(0.2, 1.0), (0.1, 1.0), (0.04, 1.5)]:
-        config = _config(delta=delta, mu=mu)
-        gap = effective_dictionary(config) - np.eye(2)
+        gap = plasmonic._perturbation(_config(mu=mu), delta, 0)
         assert_allclose(np.linalg.norm(gap, 2), delta ** mu, rtol=1e-12)
     # the perturbation direction is seeded, hence replayable
-    a = effective_dictionary(_config(delta=0.1))
-    b = effective_dictionary(_config(delta=0.1))
+    a = plasmonic._perturbation(_config(), 0.1, 0)
+    b = plasmonic._perturbation(_config(), 0.1, 0)
     assert np.array_equal(a, b)
-    c = effective_dictionary(_config(delta=0.1, seed=8))
+    c = plasmonic._perturbation(_config(seed=8), 0.1, 0)
     assert not np.array_equal(a, c)
 
 
@@ -275,9 +273,9 @@ def test_pipeline_is_linear_in_the_intensities():
     rng = stream(7, PURPOSE_TEST, 4)
     p1 = rng.standard_normal((41, 2))
     p2 = rng.standard_normal((41, 2))
-    out = run_pipeline(config, times, 2.0 * p1 - 0.5 * p2)
-    parts = (2.0 * run_pipeline(config, times, p1)
-             - 0.5 * run_pipeline(config, times, p2))
+    out = run_pipeline(config, DELTA, times, 2.0 * p1 - 0.5 * p2)
+    parts = (2.0 * run_pipeline(config, DELTA, times, p1)
+             - 0.5 * run_pipeline(config, DELTA, times, p2))
     assert_allclose(out, parts, atol=1e-12)
 
 
@@ -291,9 +289,8 @@ def test_direct_remainder_matches_the_difference_of_pipelines(perturb):
     coeffs = np.array([0.7, -0.4, 0.25])
     _, rho, norm = _realize(config, times, profile, coeffs)
     intensities = profile[:, None] * coeffs[None, :]
-    full = run_pipeline(config, times, intensities)
-    leading = run_pipeline(dataclasses.replace(config, delta=0.0), times,
-                           intensities)
+    full = run_pipeline(config, DELTA, times, intensities)
+    leading = run_pipeline(config, 0.0, times, intensities)
     # the difference carries roundoff of the outputs, not of the remainder
     tol = 64 * np.finfo(float).eps * np.max(np.abs(full))
     assert np.max(np.abs(rho - (full - leading))) <= tol
@@ -302,8 +299,7 @@ def test_direct_remainder_matches_the_difference_of_pipelines(perturb):
         plain = dataclasses.replace(config, perturb_interaction=False)
         _, rho_plain, _ = _realize(plain, times, profile, coeffs)
         assert np.max(np.abs(rho - rho_plain)) > 1e3 * tol
-    _, rho0, norm0 = _realize(dataclasses.replace(config, delta=0.0),
-                              times, profile, coeffs)
+    _, rho0, norm0 = _realize(config, times, profile, coeffs, delta=0.0)
     assert norm0 == 0.0
     assert not np.any(rho0)
 
@@ -317,12 +313,13 @@ def test_coupling_forcing_matches_the_step_loop(centers, samples):
     m = centers.shape[0]
     config = _config(centers=centers, contrasts=np.ones(m),
                      coupling=0.5 * (np.ones((m, m)) - np.eye(m)),
-                     dictionary=np.eye(m), delta=0.1,
-                     perturb_interaction=True)
+                     dictionary=np.eye(m), perturb_interaction=True)
     times = np.linspace(0.0, 0.4, samples)
-    sigma = unit_amplitudes(config, times, np.sin(np.pi * times / 0.4) ** 2)
-    want = coupling_forcing_steps(config, times, sigma)
-    got = plasmonic._coupling_forcing(config, times, sigma)
+    sigma = unit_response(config, times,
+                          np.sin(np.pi * times / 0.4) ** 2).sigma
+    d_coupling = plasmonic._perturbation(config, 0.1, 1)
+    want = coupling_forcing_steps(config, d_coupling, times, sigma)
+    got = plasmonic._coupling_forcing(config, d_coupling, times, sigma)
     assert np.max(np.abs(want)) > 0.0
     assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
 
@@ -340,11 +337,15 @@ def test_profile_realization_superposes_the_unit_inputs(perturb):
     assert g.shape == (81, 2, 2)
     assert (g_c is None) == (not perturb)
     # the unit inputs are those of the effective coupling, marched directly
-    direct = volterra_solve(config.centers, plasmonic._effective_coupling(
-        config), KAPPA, times, profile[:, None, None] * np.eye(2)[None])
+    coupling = config.coupling
+    if perturb:
+        coupling = coupling + plasmonic._perturbation(config, DELTA, 1)
+    direct = volterra_solve(config.centers, coupling, KAPPA, times,
+                            profile[:, None, None] * np.eye(2)[None])
     assert_allclose(g, direct, rtol=0, atol=1e-14 * np.max(np.abs(direct)))
     g_real, rho, norm = realize_profile(config, times, amap, coeffs)
-    full = run_pipeline(config, times, profile[:, None] * coeffs[None, :])
+    full = run_pipeline(config, DELTA, times,
+                        profile[:, None] * coeffs[None, :])
     assert_allclose(g_real, full, rtol=0,
                     atol=1e-14 * np.max(np.abs(full)))
     want = np.sqrt(np.sum(np.trapezoid(rho * rho, times, axis=0)))
@@ -357,31 +358,31 @@ def test_heat_inputs_scale_by_contrast_over_heat_capacity():
     profile = np.ones(21)
     sigma = volterra_solve(config.centers, config.coupling, KAPPA, times,
                            profile[:, None, None] * np.eye(2)[None])
-    assert_allclose(unit_amplitudes(config, times, profile), sigma,
+    response = unit_response(config, times, profile)
+    assert_allclose(response.sigma, sigma, rtol=1e-14)
+    amap = calibrate_k0(config, response, DELTA)
+    assert_allclose(amap.units, sigma * np.array([0.5, 0.75])[None, :, None],
                     rtol=1e-14)
-    inputs, coupling_part = plasmonic._unit_heat_inputs(config, times, sigma)
-    assert_allclose(inputs, sigma * np.array([0.5, 0.75])[None, :, None],
-                    rtol=1e-14)
-    assert coupling_part is None
+    assert amap.coupling_units is None
 
 
 def test_remainder_vanishes_at_zero_contrast_scale():
-    config = _config(delta=0.0)
+    config = _config()
     times = np.linspace(0.0, 0.4, 41)
     profile = np.sin(np.pi * times / 0.4) ** 2
-    _, rho, norm = _realize(config, times, profile, np.ones(2))
+    _, rho, norm = _realize(config, times, profile, np.ones(2), delta=0.0)
     assert norm == 0.0
     assert np.max(np.abs(rho)) == 0.0
 
 
 def test_remainder_formula_without_interaction():
     """beta = 0 makes the remainder the perturbed-dictionary response."""
-    config = _config(coupling=np.zeros((2, 2)), delta=0.1, mu=1.0)
+    config = _config(coupling=np.zeros((2, 2)), mu=1.0)
     times = np.linspace(0.0, 0.4, 41)
     profile = np.sin(np.pi * times / 0.4) ** 2
     coeffs = np.array([1.0, 0.5])
-    _, rho, _ = _realize(config, times, profile, coeffs)
-    gap = effective_dictionary(config) - config.dictionary
+    _, rho, _ = _realize(config, times, profile, coeffs, delta=0.1)
+    gap = plasmonic._perturbation(config, 0.1, 0)
     intensities = profile[:, None] * coeffs[None, :]
     expected = intensities @ gap.T  # contrasts = c_m = 1
     assert_allclose(rho, expected, atol=1e-12)
@@ -391,11 +392,63 @@ def test_remainder_scales_like_delta_to_mu():
     times = np.linspace(0.0, 0.4, 41)
     profile = np.sin(np.pi * times / 0.4) ** 2
     deltas = np.array([0.2, 0.1, 0.05, 0.025])
-    norms = [_realize(_config(delta=d), times, profile, np.ones(2))[2]
+    norms = [_realize(_config(), times, profile, np.ones(2), delta=d)[2]
              for d in deltas]
     design = np.stack([np.log(deltas), np.ones(4)], axis=1)
     coef, *_ = np.linalg.lstsq(design, np.log(norms), rcond=None)
     assert coef[0] == pytest.approx(1.0, abs=0.1)
+
+
+def _remainder_per_scale(perturb, deltas):
+    """``norm / delta**mu`` of the fixture's remainder at each scale, all
+    from one unit response."""
+    config = _config(coupling=0.5 * (np.ones((2, 2)) - np.eye(2)),
+                     dictionary=np.array([[1.0, 0.3, 0.2], [0.0, 1.0, 0.5]]),
+                     perturb_interaction=perturb)
+    times = np.linspace(0.0, 0.4, 81)
+    response = unit_response(config, times, np.sin(np.pi * times / 0.4) ** 2)
+    coeffs = np.array([0.7, -0.4, 0.25])
+    return np.array([
+        realize_profile(config, times, calibrate_k0(config, response, d),
+                        coeffs)[2] / d ** config.mu for d in deltas])
+
+
+DEEP_DELTAS = 10.0 ** -np.arange(2, 14, 2)     # 1e-2, 1e-4, ..., 1e-12
+
+
+def test_unperturbed_remainder_is_linear_in_delta_to_mu_down_to_1e_12():
+    """Without a coupling perturbation the remainder is ``g @ (dD p)`` with
+    ``dD = delta**mu E``: exactly linear, to roundoff, at every scale."""
+    scaled = _remainder_per_scale(False, DEEP_DELTAS)
+    assert scaled[0] > 1e-3
+    assert np.max(np.abs(scaled / scaled[0] - 1.0)) <= 1e-13
+
+
+def test_perturbed_remainder_has_a_first_order_correction_down_to_1e_12():
+    """A perturbed coupling adds a term quadratic in ``delta**mu``, so
+    ``norm / delta**mu`` approaches its limit with gaps that shrink with
+    every 100x step in delta by 100x, down to delta = 1e-12."""
+    gaps = np.abs(np.diff(_remainder_per_scale(True, DEEP_DELTAS)))
+    assert gaps[-1] > 0.0
+    assert_allclose(gaps[:-1] / gaps[1:], 100.0, rtol=0.01)
+
+
+def test_unit_response_checks_the_profile_and_is_shared_read_only():
+    config = _config()
+    times = np.linspace(0.0, 0.4, 41)
+    with pytest.raises(ValueError, match="time grid"):
+        unit_response(config, times, np.ones(40))
+    with pytest.raises(ValueError, match="nonzero"):
+        unit_response(config, times, np.zeros(41))
+    response = unit_response(config, times, np.sin(np.pi * times / 0.4) ** 2)
+    assert not response.units.flags.writeable
+    assert not response.sigma.flags.writeable
+    for delta in (0.0, 0.1):
+        assert calibrate_k0(config, response, delta).units is response.units
+    perturbed = calibrate_k0(
+        dataclasses.replace(config, perturb_interaction=True), response, 0.1)
+    assert perturbed.units is not response.units
+    assert perturbed.coupling_units is not None
 
 
 def test_config_validation():
@@ -404,7 +457,8 @@ def test_config_validation():
     with pytest.raises(ValueError):
         _config(contrasts=np.array([1.0]))
     with pytest.raises(ValueError):
-        _config(delta=-0.1)
+        _calibrate(_config(), np.linspace(0.0, 0.4, 41), np.ones(41),
+                   delta=-0.1)
     with pytest.raises(RankDeficiencyError):
         _config(dictionary=np.array([[1.0], [1.0]]))  # 1 column, 2 rows
     with pytest.raises(RankDeficiencyError):
@@ -417,12 +471,12 @@ def test_config_validation():
 
 def test_calibration_without_interaction_recovers_the_dictionary():
     """With beta = 0 and delta = 0 each probe returns a profile multiple."""
-    config = _config(coupling=np.zeros((2, 2)), delta=0.0,
+    config = _config(coupling=np.zeros((2, 2)),
                      contrasts=np.array([2.0, 1.0]), c_m=4.0,
                      dictionary=np.array([[1.0, 0.3], [0.0, 1.0]]))
     times = np.linspace(0.0, 0.4, 81)
     profile = np.sin(np.pi * times / 0.4) ** 2
-    amap = _calibrate(config, times, profile)
+    amap = _calibrate(config, times, profile, delta=0.0)
     expected = config.dictionary * (config.contrasts / config.c_m)[:, None]
     assert_allclose(amap.k0, expected, atol=1e-12)
     assert_allclose(amap.residuals, np.zeros(2), atol=1e-12)
@@ -441,7 +495,7 @@ def test_calibration_equals_the_per_column_probes():
     for col in range(3):
         intensities = np.zeros((81, 3))
         intensities[:, col] = profile
-        outputs = run_pipeline(config, times, intensities)
+        outputs = run_pipeline(config, DELTA, times, intensities)
         k0 = np.trapezoid(outputs * profile[:, None], times, axis=0) / denom
         tail = outputs - k0[None, :] * profile[:, None]
         residual = np.sqrt(np.sum(np.trapezoid(tail * tail, times, axis=0)))

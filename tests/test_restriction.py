@@ -20,6 +20,7 @@ from probes import (ResolutionError, free_space_point_solution,
                     looped_images_point_solution, neumann_solution_probe)
 
 KAPPA = 1.0
+SAMPLES, QUAD_ORDER = 48, 12    # the packaged restriction block's values
 
 
 def _interval():
@@ -48,12 +49,14 @@ def test_probe_set_requires_strict_interior():
     sources = np.array([[0.4]])
     horizons = [0.02, 0.01, 0.005]
     report = restriction_gap_report(dom, sources, np.array([[0.25], [0.75]]),
-                                    horizons)
+                                    horizons, SAMPLES, QUAD_ORDER)
     assert report.margin == pytest.approx(0.25)
     with pytest.raises(ValueError, match="strictly interior"):
-        restriction_gap_report(dom, sources, np.array([[0.0]]), horizons)
+        restriction_gap_report(dom, sources, np.array([[0.0]]), horizons,
+                               SAMPLES, QUAD_ORDER)
     with pytest.raises(ValueError, match="strictly interior"):
-        restriction_gap_report(dom, sources, np.array([[1.2]]), horizons)
+        restriction_gap_report(dom, sources, np.array([[1.2]]), horizons,
+                               SAMPLES, QUAD_ORDER)
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +124,8 @@ def test_images_reduce_to_free_space_at_short_times():
     sources = np.array([[0.4]])
     probes = np.array([[0.5]])
     free = free_space_point_solution(sources, times, inputs, probes, KAPPA)
-    gap = images_point_solution(dom, sources, times, inputs, probes)
+    gap = images_point_solution(dom, sources, times, inputs, probes,
+                                QUAD_ORDER)
     assert_allclose(free + gap, free, atol=1e-14)
 
 
@@ -134,7 +138,8 @@ def test_reflected_only_is_the_image_correction():
     probes = np.array([[0.3]])
     full = looped_images_point_solution(dom, sources, times, inputs, probes)
     free = free_space_point_solution(sources, times, inputs, probes, KAPPA)
-    refl = images_point_solution(dom, sources, times, inputs, probes)
+    refl = images_point_solution(dom, sources, times, inputs, probes,
+                                 QUAD_ORDER)
     assert_allclose(full - free, refl, atol=1e-14)
     assert np.all(refl > 0.0)  # insulated walls only add heat back
 
@@ -190,9 +195,11 @@ def test_image_sum_blocks_agree_with_the_image_loop(monkeypatch, case):
     inputs = np.ones((9, len(sources)))
     loop = looped_images_point_solution(domain, sources, times, inputs,
                                         probes, reflected_only=True)
-    whole = images_point_solution(domain, sources, times, inputs, probes)
+    whole = images_point_solution(domain, sources, times, inputs, probes,
+                                  QUAD_ORDER)
     monkeypatch.setattr(restriction, "_BLOCK_VALUES", 500)
-    blocked = images_point_solution(domain, sources, times, inputs, probes)
+    blocked = images_point_solution(domain, sources, times, inputs, probes,
+                                    QUAD_ORDER)
     assert_allclose(whole, loop, rtol=1e-13, atol=0.0)
     assert_allclose(blocked, loop, rtol=1e-13, atol=0.0)
 
@@ -203,7 +210,8 @@ def test_images_past_the_floor_are_exact_zeros(case):
     domain, sources, probes = _IMAGE_CASES[case]
     times = np.linspace(0.0, 1e-5, 5)
     inputs = np.ones((5, len(sources)))
-    fast = images_point_solution(domain, sources, times, inputs, probes)
+    fast = images_point_solution(domain, sources, times, inputs, probes,
+                                 QUAD_ORDER)
     loop = looped_images_point_solution(domain, sources, times, inputs,
                                         probes, reflected_only=True)
     assert np.all(loop == 0.0) and np.all(fast == 0.0)
@@ -217,7 +225,7 @@ def test_the_exp_floor_applies_node_by_node():
     args = (_interval(), [[0.4]], times, inputs, [[0.5]])
     loop = looped_images_point_solution(*args, reflected_only=True)
     assert 0.0 < loop[0] < 1e-290
-    assert_allclose(images_point_solution(*args), loop,
+    assert_allclose(images_point_solution(*args, QUAD_ORDER), loop,
                     rtol=1e-13, atol=0.0)
 
 
@@ -246,7 +254,8 @@ def test_dual_route_agreement_interval():
     probes = np.array([[0.25], [0.5], [0.7]])
     via_images = (
         free_space_point_solution(sources, times, inputs, probes, KAPPA)
-        + images_point_solution(dom, sources, times, inputs, probes))
+        + images_point_solution(dom, sources, times, inputs, probes,
+                                QUAD_ORDER))
     via_modes = neumann_solution_probe(dom, sources, times, inputs, probes,
                                        n_modes=64)
     assert np.max(np.abs(via_images - via_modes)) < 1e-7
@@ -254,7 +263,7 @@ def test_dual_route_agreement_interval():
     mid = times[24]
     head = (sources, times[:25], inputs[:25], probes)
     rough_images = (free_space_point_solution(*head, KAPPA)
-                    + images_point_solution(dom, *head))
+                    + images_point_solution(dom, *head, QUAD_ORDER))
     rough_modes = neumann_solution_probe(dom, sources, times, inputs, probes,
                                          n_modes=64, t=mid, check=False)
     assert np.max(np.abs(rough_images - rough_modes)) < 1e-3
@@ -277,7 +286,8 @@ def test_dual_route_agreement_box():
     probes = np.array([[0.6, 0.45, 0.55]])
     via_images = (
         free_space_point_solution(sources, times, inputs, probes, KAPPA)
-        + images_point_solution(dom, sources, times, inputs, probes))
+        + images_point_solution(dom, sources, times, inputs, probes,
+                                QUAD_ORDER))
     coarse = neumann_solution_probe(dom, sources, times, inputs, probes,
                                     n_modes=40, check=False)
     fine = neumann_solution_probe(dom, sources, times, inputs, probes,
@@ -323,7 +333,8 @@ def test_gap_report_shrinks_with_the_horizon():
     sources = np.array([[0.45, 0.5, 0.5]])
     probes = np.array([[0.6, 0.45, 0.55]])
     report = restriction_gap_report(dom, sources, probes,
-                                    horizons=[0.08, 0.04, 0.02, 0.01])
+                                    horizons=[0.08, 0.04, 0.02, 0.01],
+                                    samples=SAMPLES, quad_order=QUAD_ORDER)
     assert report.monotone
     assert report.r_squared >= 0.95
     assert report.rate > 0.0
@@ -338,4 +349,15 @@ def test_gap_report_needs_enough_horizons():
     dom = _interval()
     with pytest.raises(InsufficientDataError):
         restriction_gap_report(dom, np.array([[0.4]]), np.array([[0.5]]),
-                               horizons=[0.08, 0.04])
+                               horizons=[0.08, 0.04], samples=SAMPLES,
+                               quad_order=QUAD_ORDER)
+
+
+@pytest.mark.parametrize("amplitudes", [[1.0], [1.0, 0.5, 0.25], [[1.0, 0.5]]],
+                         ids=str)
+def test_gap_report_needs_one_amplitude_per_source(amplitudes):
+    dom = _interval()
+    with pytest.raises(ValueError, match="one amplitude per source"):
+        restriction_gap_report(dom, np.array([[0.4], [0.6]]),
+                               np.array([[0.5]]), [0.02, 0.01, 0.005],
+                               SAMPLES, QUAD_ORDER, amplitudes=amplitudes)
