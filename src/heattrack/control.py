@@ -22,13 +22,8 @@ from .spectral import eval_modes, line_fit, march_forced
 
 __all__ = [
     "ClosedLoopSystem",
-    "TrajectoryRecord",
-    "BiasMatrix",
-    "FixedPointResult",
-    "TailReport",
-    "ContractionDiagnostics",
     "assemble_closed_loop",
-    "equilibrium",
+    "grid_steps",
     "time_grid",
     "simulate_closed_loop",
     "decay_rate_fit",
@@ -172,7 +167,7 @@ class TrajectoryRecord(NamedTuple):
     z_inf: np.ndarray | None    # None when the generator is singular
 
 
-def _grid_steps(horizon: float, dt: float) -> int:
+def grid_steps(horizon: float, dt: float) -> int:
     """Steps of ``time_grid``, checked without forming the grid."""
     if not (dt > 0 and horizon > 0):
         raise ValueError("horizon and dt must be positive")
@@ -186,7 +181,7 @@ def _grid_steps(horizon: float, dt: float) -> int:
 
 def time_grid(horizon: float, dt: float) -> np.ndarray:
     """Sample times 0, dt, ..., horizon; ValueError unless dt divides it."""
-    return np.arange(_grid_steps(horizon, dt) + 1) * dt
+    return np.arange(grid_steps(horizon, dt) + 1) * dt
 
 
 def simulate_closed_loop(system: ClosedLoopSystem, z0: np.ndarray,

@@ -1,7 +1,1 @@
 """Config-driven experiment harness: validation, drivers, artifacts."""
-
-from .config import ExperimentConfig, load_config, profile_samples
-from .experiments import (run_calibrate, run_coercivity, run_place,
-                          run_restriction, run_simulate, run_sweep,
-                          run_track)
-from .manifest import RunManifest, write_csv

@@ -19,12 +19,12 @@ from typing import NamedTuple
 import numpy as np
 import yaml
 
-from ..control import _grid_steps
+from ..control import grid_steps
 from ..errors import ConfigError
 from ..spectral import DomainSpec
 
-__all__ = ["ExperimentConfig", "load_config", "resolve_config_path",
-           "profile_samples", "PROFILE_NAMES"]
+__all__ = ["ExperimentConfig", "load_config", "profile_samples",
+           "build_domain", "MAX_CANDIDATES"]
 
 PROFILE_NAMES = ("sine-bump",)
 
@@ -185,7 +185,6 @@ _SCHEMA = {
         "counts": (None, _opt(_each(partial(_count, zero=True)))),
         "points": (None, _opt(_rows)),
         "candidates_per_axis": (64, _count),
-        "select": (None, _opt(_count)),
     },
     "control": {
         "gain": (None, _opt(_nonnegative)),
@@ -251,7 +250,7 @@ def _control(block):
     if block.gain is None and block.target_rate is None:
         raise ConfigError("control needs either gain or target_rate")
     try:
-        _grid_steps(block.horizon, block.dt)
+        grid_steps(block.horizon, block.dt)
     except ValueError as exc:
         raise ConfigError(f"control (dt={block.dt:g}): {exc}") from None
     return block
@@ -271,6 +270,14 @@ def _track(block):
     return block
 
 
+def _restriction(block):
+    # the fit of log(gap) against d^2 / T needs three abscissae
+    if len(set(block.horizons)) < 3:
+        raise ConfigError(f"restriction.horizons needs at least three "
+                          f"distinct entries, got {list(block.horizons)}")
+    return block
+
+
 def _sweep(block):
     # a gain and a contrast scale are both at least zero
     convert = _cell_counts if block.kind == "mesh" else _nonnegatives
@@ -282,7 +289,7 @@ def _sweep(block):
 
 # Rules that tie keys of one block together, run after every key parsed.
 _RULES = {"modes": _modes, "control": _control, "track": _track,
-          "sweep": _sweep}
+          "restriction": _restriction, "sweep": _sweep}
 
 
 def parse_block(name: str, raw: dict):

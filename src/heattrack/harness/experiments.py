@@ -41,17 +41,6 @@ from .config import (MAX_CANDIDATES, ExperimentConfig, build_domain,
 from .manifest import RunManifest, write_csv
 
 __all__ = [
-    "LoopSetup",
-    "TrackResult",
-    "BudgetRow",
-    "ProfileDecomposition",
-    "CoercivityReport",
-    "SweepResult",
-    "build_loop",
-    "build_actuators",
-    "build_plasmonic",
-    "project_onto_profile",
-    "certified_input_constant",
     "run_track",
     "run_simulate",
     "run_place",
@@ -59,7 +48,7 @@ __all__ = [
     "run_restriction",
     "run_coercivity",
     "run_sweep",
-    "coercivity_constant",
+    "check_assertions",
 ]
 
 
@@ -127,32 +116,44 @@ def _layout(config: ExperimentConfig):
 
 def build_actuators(config: ExperimentConfig, domain: DomainSpec,
                     table: ModeTable) -> ActuatorSet:
+    """The configured placement.
+
+    Each kind reads one of ``count`` (by default the controlled modes),
+    ``counts`` and ``points``; the other two must be left out.
+    """
     blk = config.actuators
+    reads = ("points" if blk.kind == "explicit"
+             else "counts" if blk.kind == "dct" and domain.kind == "box3"
+             else "count")
+    where = f"actuators kind {blk.kind!r} on domain {domain.kind!r}"
+    unread = [k for k in ("count", "counts", "points")
+              if k != reads and getattr(blk, k) is not None]
+    if unread:
+        raise ConfigError(f"{where} reads actuators.{reads}, not "
+                          f"{', '.join(unread)}")
+    if reads != "count" and getattr(blk, reads) is None:
+        raise ConfigError(f"{where} needs actuators.{reads}")
     n = config.modes.controlled
-    if blk.kind == "dct":
-        if domain.kind == "interval":
-            count = n if blk.count is None else blk.count
-            return ActuatorSet(domain, dct_nodes_interval(count,
-                                                          domain.lengths[0]))
-        if blk.counts is None:
-            raise ConfigError("actuators.counts is required for a dct grid "
-                              "on a box")
-        return dct_grid_box(blk.counts, domain)
+    count = n if blk.count is None else blk.count
     if blk.kind == "explicit":
-        if blk.points is None:
-            raise ConfigError("actuators.points is required for explicit "
-                              "placement")
         try:
             return ActuatorSet(domain, np.asarray(blk.points, dtype=float))
         except ValueError as exc:
             raise ConfigError(f"invalid actuators.points: {exc}") from exc
-    count = blk.select if blk.select is not None else (
-        n if blk.count is None else blk.count)
+    if reads == "counts":
+        return dct_grid_box(blk.counts, domain)
+    if blk.kind == "dct":
+        return ActuatorSet(domain, dct_nodes_interval(count,
+                                                      domain.lengths[0]))
     size = blk.candidates_per_axis ** domain.dim
     if size > MAX_CANDIDATES:
         raise ConfigError(f"actuators.candidates_per_axis gives {size} greedy "
                           f"candidates on a {domain.kind}; at most "
                           f"{MAX_CANDIDATES}")
+    if count > size:
+        raise ConfigError(f"a greedy placement of {count} actuators needs as "
+                          f"many candidates; actuators.candidates_per_axis "
+                          f"gives {size}")
     candidates = uniform_candidates(domain, blk.candidates_per_axis)
     return greedy_placement(candidates, table, n, count)
 

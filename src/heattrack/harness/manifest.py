@@ -14,7 +14,7 @@ from itertools import chain, islice
 
 import numpy as np
 
-__all__ = ["format_value", "write_csv", "RunManifest", "TOOL_ID"]
+__all__ = ["format_value", "write_csv", "RunManifest"]
 
 TOOL_ID = "heattrack 0.1.0"
 

@@ -21,7 +21,6 @@ from .spectral import DomainSpec, ModeTable, as_points, eval_modes
 __all__ = [
     "ActuatorSet",
     "SamplingMatrices",
-    "GenericityReport",
     "dct_nodes_interval",
     "dct_grid_box",
     "uniform_candidates",

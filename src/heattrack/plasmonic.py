@@ -37,8 +37,6 @@ from .spectral import EXP_FLOOR, uniform_step
 
 __all__ = [
     "PlasmonicConfig",
-    "ActuationMap",
-    "UnitResponse",
     "volterra_solve",
     "unit_response",
     "calibrate_k0",

@@ -19,12 +19,7 @@ import numpy as np
 from .errors import InsufficientDataError
 from .spectral import EXP_FLOOR, DomainSpec, as_points, line_fit, uniform_step
 
-__all__ = [
-    "boundary_distance",
-    "images_point_solution",
-    "restriction_gap_report",
-    "RestrictionReport",
-]
+__all__ = ["images_point_solution", "restriction_gap_report"]
 
 
 def boundary_distance(domain: DomainSpec, points) -> float:
@@ -170,14 +165,15 @@ def restriction_gap_report(domain: DomainSpec, sources, probes, horizons,
     forcing shape follows the horizon.  Each horizon is integrated on
     ``samples`` panels of ``quad_order`` Gauss nodes.  The gap is computed
     from the reflected images only and summarized by a least-squares fit
-    of ``log(gap)`` against ``d^2 / T``; at least three horizons are
-    required.
+    of ``log(gap)`` against ``d^2 / T``; at least three distinct horizons
+    are required.
     """
     src = as_points(sources, domain.dim)
     prb = as_points(probes, domain.dim)
     horizons = np.asarray(sorted(float(h) for h in horizons))
-    if horizons.shape[0] < 3:
-        raise InsufficientDataError("at least three horizons are required")
+    if len(set(horizons.tolist())) < 3:   # np.unique would load numpy.ma
+        raise InsufficientDataError(
+            "at least three distinct horizons are required")
     if np.any(horizons <= 0):
         raise ValueError("horizons must be positive")
     margin = boundary_distance(domain, np.vstack([src, prb]))

@@ -17,10 +17,8 @@ from numpy.random import Generator, Philox, SeedSequence
 # contract: changing them changes every seeded experiment.
 PURPOSE_GENERICITY = 1
 PURPOSE_PERTURBATION = 2
-PURPOSE_TEST = 99
 
-__all__ = ["stream", "PURPOSE_GENERICITY", "PURPOSE_PERTURBATION",
-           "PURPOSE_TEST"]
+__all__ = ["stream", "PURPOSE_GENERICITY", "PURPOSE_PERTURBATION"]
 
 
 def stream(seed: int, purpose: int, index: int = 0) -> Generator:

@@ -21,8 +21,8 @@ __all__ = [
     "uniform_step",
     "march_forced",
     "line_fit",
-    "phi1",
-    "phi2",
+    "as_points",
+    "EXP_FLOOR",
 ]
 
 # Heat kernels treat exp(x) as an exact 0 for exponents x below -EXP_FLOOR.

@@ -31,12 +31,13 @@ from heattrack.placement import (
 )
 from heattrack.plasmonic import volterra_solve
 from heattrack.restriction import restriction_gap_report
-from heattrack.rng import PURPOSE_TEST, stream
+from heattrack.rng import stream
 from heattrack.spectral import (DomainSpec, enumerate_modes, eval_modes,
                                 march_forced)
 
 import manufactured as mms
 from stepping import fitted_slowest_decay
+from streams import PURPOSE_TEST
 
 
 def _criterion(num, label, ok, detail):

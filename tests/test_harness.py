@@ -45,12 +45,13 @@ from heattrack.harness.manifest import (
     format_value,
     write_csv,
 )
-from heattrack.rng import PURPOSE_TEST, stream
+from heattrack.rng import stream
 from heattrack.spectral import march_forced
 
 from coercivity import coercivity_at_nodes
 from particles import run_pipeline
 from stepping import step_march
+from streams import PURPOSE_TEST
 
 BASE = {
     "seed": 7,
@@ -984,7 +985,6 @@ def test_cli_mesh_sweep_rejects_bad_cell_counts(tmp_path, capsys, values):
     ("modes", "count", MAX_MODES + 1),
     # signs the numerical stages would reject only later
     ("actuators", "count", 0),
-    ("actuators", "select", 0),
     ("actuators", "candidates_per_axis", 0),
     ("track", "delta", -0.1),
     ("track", "mu", 0),
@@ -1028,6 +1028,21 @@ def test_cli_mesh_sweep_rejects_bad_cell_counts(tmp_path, capsys, values):
     (None, "restriction", {"probes": [[0.5]], "sources": [[0.4], [0.6]],
                            "amplitudes": [1.0],
                            "horizons": [0.02, 0.01, 0.005]}),
+    # the gap fit needs three distinct horizons
+    ("restriction", "horizons", [0.02, 0.01]),
+    ("restriction", "horizons", [0.02, 0.02, 0.02]),
+    # a greedy placement picks its actuators from the candidate grid
+    (None, "actuators", {"kind": "greedy", "count": 5,
+                         "candidates_per_axis": 3}),
+    # an actuator key that the placement kind does not read
+    (None, "actuators", {"kind": "dct", "count": 4, "points": [[0.5]]}),
+    (None, "actuators", {"kind": "explicit", "count": 7,
+                         "points": [[0.2], [0.4], [0.6], [0.8]]}),
+    (None, None, {"domain": {"kind": "box3", "lengths": [1.0, 0.8, 0.6]},
+                  "actuators": {"kind": "dct", "counts": [1, 1, 1],
+                                "count": 9}}),
+    # a key of no block, such as the removed actuators.select
+    ("actuators", "select", 0),
 ] + [(block, key, {}) for block, keys in _SCHEMA.items() for key in keys],
     ids=lambda v: str(v))
 def test_cli_rejects_malformed_values_as_config_errors(tmp_path, capsys,
@@ -1037,7 +1052,9 @@ def test_cli_rejects_malformed_values_as_config_errors(tmp_path, capsys,
     data = _mapping(restriction={"probes": [[0.5]],
                                  "horizons": [0.02, 0.01, 0.005]},
                     sweep={"kind": "gain", "values": [4.0, 8.0]})
-    if block is None:
+    if key is None:
+        data.update(value)      # whole blocks
+    elif block is None:
         data[key] = value
     else:
         data[block] = dict(data.get(block, {}), **{key: value})
@@ -1167,6 +1184,12 @@ def test_track_runs_without_importing_scipy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("command", ["simulate", "place", "calibrate",
+                                     "track", "restriction", "coercivity"])
+def test_every_command_passes_its_checks_on_the_packaged_config(command):
+    assert cli.main([command, "--config", "default", "--check"]) == 0
 
 
 def test_cli_reports_run_failures(tmp_path, capsys):

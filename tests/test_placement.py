@@ -16,9 +16,11 @@ from heattrack.placement import (
     sampling_matrix,
     uniform_candidates,
 )
-from heattrack.rng import PURPOSE_TEST, stream
+from heattrack.rng import stream
 from heattrack.spectral import (DomainSpec, ModeTable, enumerate_modes,
                                 eval_modes)
+
+from streams import PURPOSE_TEST
 
 
 def test_dct_nodes_are_shifted_midpoints():

@@ -19,11 +19,12 @@ from heattrack.plasmonic import (
     unit_response,
     volterra_solve,
 )
-from heattrack.rng import PURPOSE_TEST, stream
+from heattrack.rng import stream
 
 import manufactured as mms
 from particles import (coupling_forcing_steps, free_space_kernel,
                        kernel_time_derivative, run_pipeline)
+from streams import PURPOSE_TEST
 
 KAPPA = 1.0
 DELTA = 0.05

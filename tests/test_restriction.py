@@ -353,6 +353,15 @@ def test_gap_report_needs_enough_horizons():
                                quad_order=QUAD_ORDER)
 
 
+def test_gap_report_fits_three_distinct_horizons():
+    """A repeated horizon adds no abscissa to the fit."""
+    dom = _interval()
+    with pytest.raises(InsufficientDataError, match="distinct"):
+        restriction_gap_report(dom, np.array([[0.4]]), np.array([[0.5]]),
+                               horizons=[0.08, 0.08, 0.04], samples=SAMPLES,
+                               quad_order=QUAD_ORDER)
+
+
 @pytest.mark.parametrize("amplitudes", [[1.0], [1.0, 0.5, 0.25], [[1.0, 0.5]]],
                          ids=str)
 def test_gap_report_needs_one_amplitude_per_source(amplitudes):

@@ -8,7 +8,7 @@ from scipy.integrate import solve_ivp
 
 from heattrack.control import assemble_closed_loop, simulate_closed_loop
 from heattrack.placement import ActuatorSet, sampling_matrix
-from heattrack.rng import PURPOSE_TEST, stream
+from heattrack.rng import stream
 from heattrack.spectral import (
     DomainSpec,
     ModeTable,
@@ -23,6 +23,7 @@ from heattrack.spectral import (
 
 from quadrature import gauss_legendre_grid
 from stepping import semigroup_apply, step_march
+from streams import PURPOSE_TEST
 
 
 # ---------------------------------------------------------------------------
