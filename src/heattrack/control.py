@@ -18,7 +18,7 @@ import numpy as np
 from .errors import (InsufficientSignalError, NonConvergenceError,
                      SingularSystemError)
 from .placement import SamplingMatrices, min_norm_feedforward
-from .spectral import eval_modes, line_fit, march_forced
+from .spectral import line_fit, march_forced
 
 __all__ = [
     "ClosedLoopSystem",
@@ -102,22 +102,24 @@ class ClosedLoopSystem:
         return -spec.to_w(self.forcing) / spec.mu
 
 
-def _input_matrix(matrices: SamplingMatrices) -> np.ndarray:
-    # (K, M) matrix with entries phi_k(x_j); adjoint of point sampling.
-    return eval_modes(matrices.table, matrices.actuators.points).T
+def _generator(matrices: SamplingMatrices, gain: float) -> np.ndarray:
+    """The loop generator -Lambda - gain * E D: E = values.T injects the
+    inputs at the actuators, D samples the resolvent-smoothed state."""
+    if not (np.isfinite(gain) and gain >= 0):
+        raise ValueError("feedback gain must be finite and nonnegative")
+    return (-np.diag(matrices.table.eigenvalues)
+            - gain * (matrices.values.T @ matrices.d_matrix))
 
 
 def assemble_closed_loop(matrices: SamplingMatrices, gain: float,
-                         reference, u_ff=None) -> ClosedLoopSystem:
+                         reference) -> ClosedLoopSystem:
     """Build the closed-loop generator and its constant forcing.
 
     ``reference`` gives the first N coefficients of the stationary target.
-    When ``u_ff`` is omitted the minimum-norm feedforward for that
-    reference is computed, in which case the first N forcing entries must
-    cancel; that cancellation is checked to 1e-10.
+    The minimum-norm feedforward for that reference must cancel the first
+    N forcing entries; that cancellation is checked to 1e-10.
     """
-    if not (np.isfinite(gain) and gain >= 0):
-        raise ValueError("feedback gain must be finite and nonnegative")
+    a_cl = _generator(matrices, gain)
     table = matrices.table
     lam = table.eigenvalues
     n = matrices.n_modes
@@ -125,21 +127,14 @@ def assemble_closed_loop(matrices: SamplingMatrices, gain: float,
     if a_ref.shape != (n,):
         raise ValueError("reference coefficients must have length n_modes")
 
-    check_cancellation = u_ff is None
-    if u_ff is None:
-        u_ff = min_norm_feedforward(a_ref, matrices)
-    u_ff = np.asarray(u_ff, dtype=float)
-
-    e_mat = _input_matrix(matrices)
-    a_cl = -np.diag(lam) - gain * (e_mat @ matrices.d_matrix)
+    u_ff = min_norm_feedforward(a_ref, matrices)
     ref_full = np.zeros(table.size)
     ref_full[:n] = a_ref
-    forcing = -lam * ref_full + e_mat @ u_ff
-    if check_cancellation:
-        scale = max(1.0, float(np.linalg.norm(forcing)))
-        if np.max(np.abs(forcing[:n])) > 1e-10 * scale:
-            raise SingularSystemError(
-                "feedforward failed to cancel the controlled-mode forcing")
+    forcing = -lam * ref_full + matrices.values.T @ u_ff
+    scale = max(1.0, float(np.linalg.norm(forcing)))
+    if np.max(np.abs(forcing[:n])) > 1e-10 * scale:
+        raise SingularSystemError(
+            "feedforward failed to cancel the controlled-mode forcing")
     return ClosedLoopSystem(matrices, float(gain), ref_full, u_ff, a_cl,
                             forcing)
 
@@ -258,16 +253,15 @@ class BiasMatrix(NamedTuple):
 def assemble_bias_matrix(matrices: SamplingMatrices, gain: float) -> BiasMatrix:
     """Probe each controlled mode once and collect stationary low modes."""
     n = matrices.n_modes
-    base = assemble_closed_loop(matrices, gain, np.zeros(n),
-                                u_ff=np.zeros(matrices.actuators.count))
+    a_cl = _generator(matrices, gain)
     eye = np.eye(n)
     u_cols = np.stack([min_norm_feedforward(eye[k], matrices)
                        for k in range(n)], axis=1)
     # Column k of the forcing is -lambda * e_k + E u_k; one solve for all.
-    forcing = _input_matrix(matrices) @ u_cols
+    forcing = matrices.values.T @ u_cols
     forcing[:n] -= np.diag(matrices.table.eigenvalues[:n])
     try:
-        t_mat = np.linalg.solve(base.a_cl, -forcing)[:n]
+        t_mat = np.linalg.solve(a_cl, -forcing)[:n]
     except np.linalg.LinAlgError:
         raise SingularSystemError(
             "closed-loop generator is singular") from None
@@ -347,7 +341,7 @@ def tail_mismatch_report(system: ClosedLoopSystem, bias: BiasMatrix,
     s_inv = (spec.vecs / spec.mu) @ spec.vecs.T
     c_cl = float(np.linalg.norm(
         (spec.root_w[:, None] * s_inv) / spec.root_w[None, :], 2))
-    e_mat = _input_matrix(system.matrices)
+    e_mat = system.matrices.values.T
     tail_b = float(np.linalg.norm(w[n:, None] * e_mat[n:, :], 2))
     phi_pinv = np.linalg.pinv(system.matrices.phi)
     u_n = phi_pinv * lam[None, :n]
@@ -426,7 +420,7 @@ def contraction_diagnostics(system: ClosedLoopSystem) -> ContractionDiagnostics:
         l_n = 0.0 if a12_norm == 0.0 else np.inf
         inconclusive.append("schur")
 
-    e_mat = _input_matrix(system.matrices)
+    e_mat = system.matrices.values.T
     b_norm = float(np.linalg.norm(e_mat, 2))
     lam_low_max = float(np.max(lam[:n]))
     sigma_min = system.matrices.sigma_min
@@ -470,8 +464,8 @@ def cross_integrator_check(system: ClosedLoopSystem, z0: np.ndarray) -> float:
     steps, dt = 100, 1e-7
     record = simulate_closed_loop(system, z0, steps * dt, dt)
     ref = system.reference
-    replay = march_forced(system.table, system.matrices.actuators.points,
-                          ref + z0, record.inputs, dt)
+    replay = march_forced(system.table, system.matrices.values, ref + z0,
+                          record.inputs, dt)
     dev = np.linalg.norm(replay[1:] - (ref + record.states[1:]), axis=1)
     return float(np.max(dev))
 
@@ -479,25 +473,23 @@ def cross_integrator_check(system: ClosedLoopSystem, z0: np.ndarray) -> float:
 def doubling_gain_search(matrices: SamplingMatrices, target_mu: float):
     """Double the feedback gain until the loop's decay rate reaches target.
 
-    Each probe, at gain 1, 2, 4, ... up to ``GAIN_CAP``, assembles the
-    homogeneous loop.  The loop is self-adjoint in the resolvent frame, so
-    its decay rate is read off its spectrum: the slowest mode decays at
-    exactly ``-mu[-1]``.  Returns ``(system, gain, rate, trace)`` with the
+    Each probe, at gain 1, 2, 4, ... up to ``GAIN_CAP``, forms the loop
+    generator.  The loop is self-adjoint in the resolvent frame, so its
+    decay rate is read off the generator's spectrum: the slowest mode
+    decays at exactly ``-mu[-1]``.  Returns ``(gain, rate, trace)`` with the
     ``(gain, rate)`` history.  Passing the cap raises a non-convergence
     error carrying the trace.
     """
     if target_mu <= 0:
         raise ValueError("target rate must be positive")
+    lam = matrices.table.eigenvalues
     gain = 1.0
     trace = []
-    zeros = np.zeros(matrices.n_modes)
     while gain <= GAIN_CAP:
-        system = assemble_closed_loop(matrices, gain, zeros,
-                                      u_ff=np.zeros(matrices.actuators.count))
-        rate = -float(system._spectrum.mu[-1])
+        rate = -float(_w_eigh(_generator(matrices, gain), lam).mu[-1])
         trace.append((gain, rate))
         if rate >= target_mu:
-            return system, gain, rate, trace
+            return gain, rate, trace
         gain *= 2.0
     raise NonConvergenceError(
         f"gain doubling hit the cap {GAIN_CAP:g} before reaching rate "

@@ -240,9 +240,10 @@ _BLOCKS = {name: namedtuple(f"{name.title()}Block", keys)
 
 
 def _modes(block):
-    if block.controlled > block.count:
-        raise ConfigError(f"modes.controlled ({block.controlled}) must not "
-                          f"exceed modes.count ({block.count})")
+    # the tail bound and the contraction diagnostics need a tail mode
+    if block.controlled >= block.count:
+        raise ConfigError(f"modes.controlled ({block.controlled}) must be "
+                          f"less than modes.count ({block.count})")
     return block
 
 

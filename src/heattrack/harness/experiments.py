@@ -34,8 +34,8 @@ from ..placement import (ActuatorSet, dct_grid_box, dct_nodes_interval,
 from ..plasmonic import (PlasmonicConfig, calibrate_k0, invert_actuation,
                          realize_profile, unit_response)
 from ..restriction import restriction_gap_report
-from ..spectral import (DomainSpec, ModeTable, enumerate_modes, eval_modes,
-                        line_fit, march_forced)
+from ..spectral import (DomainSpec, ModeTable, enumerate_modes, line_fit,
+                        march_forced)
 from .config import (MAX_CANDIDATES, ExperimentConfig, build_domain,
                      profile_samples)
 from .manifest import RunManifest, write_csv
@@ -133,6 +133,9 @@ def build_actuators(config: ExperimentConfig, domain: DomainSpec,
                           f"{', '.join(unread)}")
     if reads != "count" and getattr(blk, reads) is None:
         raise ConfigError(f"{where} needs actuators.{reads}")
+    if reads == "counts" and len(blk.counts) != domain.dim:
+        raise ConfigError(f"{where} needs one actuators.counts entry per "
+                          f"axis, got {len(blk.counts)}")
     n = config.modes.controlled
     count = n if blk.count is None else blk.count
     if blk.kind == "explicit":
@@ -216,7 +219,7 @@ def build_loop(config: ExperimentConfig) -> LoopSetup:
         if config.control.gain is not None:
             gain = float(config.control.gain)
         else:
-            _, gain, _, gain_trace = doubling_gain_search(
+            gain, _, gain_trace = doubling_gain_search(
                 matrices, config.control.target_rate)
     with _stage("reference"):
         a_target = _padded(config, "reference", config.modes.controlled)
@@ -311,17 +314,16 @@ def project_onto_profile(times: np.ndarray, samples: np.ndarray,
     return ProfileDecomposition(beta, orth, projected_norm, gap)
 
 
-def certified_input_constant(table: ModeTable, actuators: ActuatorSet,
-                             horizon: float) -> float:
+def certified_input_constant(matrices, horizon: float) -> float:
     """Input-to-state constant of the open flow in the resolvent metric.
 
     The open semigroup is a contraction in that metric, so the response to
     any input e is bounded by ||W E||_2 * integral ||e||, and Cauchy-Schwarz
     turns the integral into sqrt(T) times the L2 size of e.
     """
-    w = 1.0 / (1.0 + table.eigenvalues)
-    e_mat = eval_modes(table, actuators.points).T
-    return float(np.linalg.norm(w[:, None] * e_mat, 2) * math.sqrt(horizon))
+    w = 1.0 / (1.0 + matrices.table.eigenvalues)
+    return float(np.linalg.norm(w[:, None] * matrices.values.T, 2)
+                 * math.sqrt(horizon))
 
 
 # ---------------------------------------------------------------------------
@@ -420,8 +422,7 @@ def _track_pass(config: ExperimentConfig, system: ClosedLoopSystem, record,
         deco = project_onto_profile(times, record.inputs, phi)
         u_des = phi[:, None] * deco.beta[None, :]
     with _stage("replay"):
-        march = functools.partial(march_forced, table,
-                                  system.matrices.actuators.points,
+        march = functools.partial(march_forced, table, system.matrices.values,
                                   np.zeros(table.size), dt=config.control.dt)
         e_proj = march(u_des - record.inputs)
         err_proj = _vdual_curve(table, e_proj)
@@ -484,7 +485,7 @@ def run_track(config: ExperimentConfig, out_dir: str | None = None,
                                 deco.pythagoras_gap)
 
     with _stage("budget"):
-        c_cert = certified_input_constant(setup.table, setup.actuators,
+        c_cert = certified_input_constant(setup.matrices,
                                           config.control.horizon)
         proj_sup = float(np.max(err_proj))
         budget_proj = c_cert * deco.orth

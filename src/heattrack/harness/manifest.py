@@ -16,7 +16,9 @@ import numpy as np
 
 __all__ = ["format_value", "write_csv", "RunManifest"]
 
-TOOL_ID = "heattrack 0.1.0"
+# The one copy of the version: packaging reads it from here.
+VERSION = "0.1.0"
+TOOL_ID = f"heattrack {VERSION}"
 
 BLOCK_ROWS = 256    # rows formatted, written and hashed at a time
 

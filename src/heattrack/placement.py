@@ -109,9 +109,11 @@ def _row_sigma_min(mat: np.ndarray) -> float:
 class SamplingMatrices(NamedTuple):
     """Sampling data tying a mode table to an actuator set.
 
-    ``phi`` has entries phi_k(x_j) for the first ``n_modes`` modes (rows)
-    and all actuators (columns).  ``d_matrix`` is the observation matrix
-    phi_k(x_j) / (1 + lambda_k) over every table mode, shape (M, K).
+    ``values`` holds the mode values phi_k(x_j) at every actuator (rows)
+    over every table mode (columns), shape (M, K): the actuators enter the
+    loop through nothing else.  ``phi`` is its transposed head over the
+    first ``n_modes`` modes.  ``d_matrix`` is the observation matrix
+    phi_k(x_j) / (1 + lambda_k), shape (M, K).
     ``sigma_min`` is the smallest singular value of ``phi``; zero signals
     that full row rank is impossible.
     """
@@ -119,6 +121,7 @@ class SamplingMatrices(NamedTuple):
     table: ModeTable
     actuators: ActuatorSet
     n_modes: int
+    values: np.ndarray
     phi: np.ndarray
     d_matrix: np.ndarray
     sigma_min: float
@@ -129,10 +132,10 @@ def sampling_matrix(actuators: ActuatorSet, table: ModeTable,
     """Assemble the sampling and observation matrices for a placement."""
     if not (1 <= n_modes <= table.size):
         raise ValueError("n_modes must lie in [1, table.size]")
-    sampled = eval_modes(table, actuators.points)  # (M, K)
-    phi = sampled[:, :n_modes].T.copy()
-    d_matrix = sampled / (1.0 + table.eigenvalues[None, :])
-    return SamplingMatrices(table, actuators, n_modes, phi, d_matrix,
+    values = eval_modes(table, actuators.points)  # (M, K)
+    phi = values[:, :n_modes].T.copy()
+    d_matrix = values / (1.0 + table.eigenvalues[None, :])
+    return SamplingMatrices(table, actuators, n_modes, values, phi, d_matrix,
                             _row_sigma_min(phi))
 
 

@@ -214,26 +214,30 @@ def phi2(lam: np.ndarray, dt: float) -> np.ndarray:
     return np.where(small, series, exact)
 
 
-def march_forced(table: ModeTable, points, y0, inputs, dt: float) -> np.ndarray:
+def march_forced(table: ModeTable, values, y0, inputs, dt: float) -> np.ndarray:
     """Exact Duhamel march of the heat flow forced at point actuators.
 
+    ``values`` holds the actuators' mode values phi_k(x_j), shape (M, K).
     Mode k obeys ``a' = -lam_k*a + sum_j u_j(t) * phi_k(x_j)``, integrated
     exactly for input samples ``inputs`` (Q+1, M) interpolated linearly
     between grid times.  Returns the (Q+1, K) trajectory from y0.
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
-    sampled = eval_modes(table, points)  # (M, K)
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 2 or values.shape[1] != table.size:
+        raise ValueError(f"mode values need shape (actuators, {table.size}), "
+                         f"one column per mode; got {values.shape}")
     inputs = np.asarray(inputs, dtype=float)
     if (inputs.ndim != 2 or inputs.shape[0] < 1
-            or inputs.shape[1] != sampled.shape[0]):
-        raise ValueError(f"inputs need shape (samples, {sampled.shape[0]}), "
+            or inputs.shape[1] != values.shape[0]):
+        raise ValueError(f"inputs need shape (samples, {values.shape[0]}), "
                          f"one column per actuator; got {inputs.shape}")
     y0 = np.asarray(y0, dtype=float)
     if y0.shape != (table.size,):
         raise ValueError("initial coefficients must match the table size")
     lam = table.eigenvalues
-    b = inputs @ sampled  # (Q+1, K) modal forcing at each sample
+    b = inputs @ values  # (Q+1, K) modal forcing at each sample
     # The state is c[q] = sum_{j<=q} d**(q-j) * x[j] for the step increments
     # x[q] below, with x[0] = y0; a doubling prefix scan sums it in place.
     x = np.empty_like(b)

@@ -5,7 +5,6 @@ configuration that several files probe from different angles (unit
 interval, 32 modes, 4 cosine-node actuators).
 """
 
-import numpy as np
 import pytest
 
 from heattrack.placement import ActuatorSet, dct_nodes_interval, sampling_matrix
@@ -30,11 +29,3 @@ def dct4(unit_interval):
 @pytest.fixture(scope="session")
 def matrices4(table32, dct4):
     return sampling_matrix(dct4, table32, 4)
-
-
-def loglog_slope(x, y):
-    """Least-squares slope of log y against log x."""
-    lx, ly = np.log(np.asarray(x, dtype=float)), np.log(np.asarray(y, dtype=float))
-    design = np.stack([lx, np.ones_like(lx)], axis=1)
-    coef, *_ = np.linalg.lstsq(design, ly, rcond=None)
-    return float(coef[0])

@@ -160,7 +160,8 @@ def neumann_solution_probe(domain, sources, times, inputs, probes,
 
     def synthesize(k: int) -> np.ndarray:
         table = enumerate_modes(domain, k)
-        z = march_forced(table, src, np.zeros(k), inputs[:idx + 1], dt)[-1]
+        z = march_forced(table, eval_modes(table, src), np.zeros(k),
+                         inputs[:idx + 1], dt)[-1]
         return eval_modes(table, probes) @ z
 
     values = synthesize(n_modes)

@@ -46,6 +46,16 @@ def _skewed_matrices(length, points, n_modes=4, k=32):
     return sampling_matrix(acts, table, n_modes)
 
 
+def _with_feedforward(mats, gain, reference, u_ff):
+    """The loop on ``reference`` driven by an arbitrary constant input
+    ``u_ff``, whose controlled-mode forcing need not cancel."""
+    ref_full = np.zeros(mats.table.size)
+    ref_full[:mats.n_modes] = reference
+    forcing = -mats.table.eigenvalues * ref_full + mats.values.T @ u_ff
+    return ClosedLoopSystem(mats, float(gain), ref_full, u_ff,
+                            control._generator(mats, gain), forcing)
+
+
 def _box3_matrices():
     """128 modes of a 1 x 0.8 x 0.6 box, 8 actuators on the cosine grid."""
     domain = DomainSpec.box([1.0, 0.8, 0.6])
@@ -98,14 +108,6 @@ def test_closed_loop_generator_shape_and_forcing_cancellation(matrices4):
     assert np.max(np.abs(system.forcing[:4])) < 1e-10
     with pytest.raises(ValueError):
         assemble_closed_loop(matrices4, -1.0, REFERENCE)
-
-
-def test_explicit_feedforward_is_used_verbatim(matrices4):
-    # an explicit input skips the cancellation check and enters the forcing
-    system = assemble_closed_loop(matrices4, GAIN, REFERENCE,
-                                  u_ff=np.zeros(4))
-    lam = matrices4.table.eigenvalues[:4]
-    assert_allclose(system.forcing[:4], -lam * REFERENCE, rtol=1e-14)
 
 
 def test_equilibrium_solves_the_generator(matrices4):
@@ -172,8 +174,7 @@ def test_eigen_solution_matches_the_expm_step_march(matrices4, geometry,
     mats = matrices4 if geometry == "interval" else _box3_matrices()
     rng = np.random.default_rng(11)
     k, m = mats.table.size, mats.actuators.count
-    system = assemble_closed_loop(mats, gain, REFERENCE,
-                                  u_ff=rng.standard_normal(m))
+    system = _with_feedforward(mats, gain, REFERENCE, rng.standard_normal(m))
     z0 = rng.standard_normal(k)
     record = simulate_closed_loop(system, z0, 1.0, 0.002)
     oracle = expm_march(system.a_cl, system.forcing, z0, 0.002, 500)
@@ -203,13 +204,13 @@ def test_open_loop_replay_of_the_recorded_inputs_tracks_the_loop(gain, points,
     acts = ActuatorSet(table.domain, np.asarray(points)[:, None])
     mats = sampling_matrix(acts, table, len(points))
     rng = np.random.default_rng(seed)
-    system = assemble_closed_loop(mats, gain, rng.standard_normal(len(points)),
-                                  u_ff=rng.standard_normal(len(points)))
+    system = _with_feedforward(mats, gain, rng.standard_normal(len(points)),
+                               rng.standard_normal(len(points)))
     z0 = rng.standard_normal(table.size)
     steps, dt = 100, 1e-7
     record = simulate_closed_loop(system, z0, steps * dt, dt)
     ref = system.reference
-    replay = march_forced(table, acts.points, ref + z0, record.inputs, dt)
+    replay = march_forced(table, mats.values, ref + z0, record.inputs, dt)
     dev = np.max(np.linalg.norm(replay - (ref + record.states), axis=1))
 
     root_w = 1.0 / np.sqrt(1.0 + table.eigenvalues)
@@ -357,14 +358,16 @@ def test_cross_integrator_agreement_small_loop():
 
 
 def test_doubling_search_reaches_a_high_target(matrices4):
-    system, gain, rate, trace = doubling_gain_search(matrices4, 50.0)
+    gain, rate, trace = doubling_gain_search(matrices4, 50.0)
     assert rate >= 50.0
     assert gain > 1.0  # must actually have doubled
     gains = [g for g, _ in trace]
     assert_allclose(gains, [2.0 ** i for i in range(len(gains))])
     assert trace[-1] == (gain, rate)
     assert all(r < 50.0 for _, r in trace[:-1])
-    assert system.gain == gain
+    # the rate is the spectrum of the homogeneous loop at that gain
+    system = assemble_closed_loop(matrices4, gain, np.zeros(4))
+    assert -system._spectrum.mu[-1] == rate
 
 
 def test_doubling_search_raises_at_the_cap(matrices4, monkeypatch):
@@ -383,7 +386,8 @@ def test_search_rate_is_the_fitted_decay_of_the_slowest_mode(matrices4,
     """The rate read off the loop spectrum is the decay rate that a
     simulation started on the slowest mode measures."""
     mats = matrices4 if geometry == "interval" else _box3_matrices()
-    system, _, rate, _ = doubling_gain_search(mats, target)
+    gain, rate, _ = doubling_gain_search(mats, target)
+    system = assemble_closed_loop(mats, gain, np.zeros(mats.n_modes))
     mu_hat, residual = fitted_slowest_decay(system)
     assert abs(mu_hat - rate) <= 1e-10 * rate
     assert residual <= 1e-10

@@ -14,7 +14,7 @@ from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
 import heattrack
-from heattrack import plasmonic, spectral
+from heattrack import control, plasmonic, spectral
 from heattrack.control import tail_mismatch_report
 from heattrack.errors import (
     ConfigError,
@@ -140,6 +140,9 @@ def test_control_needs_a_gain_or_a_target_rate():
 def test_modes_bounds_are_checked():
     with pytest.raises(ConfigError):
         _config(modes={"count": 4, "controlled": 5})
+    # no tail mode: the tail bound and the diagnostics need one
+    with pytest.raises(ConfigError, match="less than modes.count"):
+        _config(modes={"count": 4, "controlled": 4})
 
 
 def test_sweep_block_validation():
@@ -333,18 +336,19 @@ def test_march_agrees_with_the_one_step_integrator(track_result):
             assert_allclose(got, want, rtol=0, atol=1e-14 * np.max(want))
 
 
-def test_certified_constant_bounds_every_response(table32, dct4):
+def test_certified_constant_bounds_every_response(matrices4):
     horizon = 0.5
     times = np.linspace(0.0, horizon, 51)
     dt = times[1] - times[0]
     w = np.full(51, dt)
     w[0] = w[-1] = 0.5 * dt
-    c_cert = exp.certified_input_constant(table32, dct4, horizon)
-    vd = 1.0 / (1.0 + table32.eigenvalues)
+    c_cert = exp.certified_input_constant(matrices4, horizon)
+    vd = 1.0 / (1.0 + matrices4.table.eigenvalues)
     for trial in range(10):
         rng = stream(7, PURPOSE_TEST, 310 + trial)
         inputs = rng.standard_normal((51, 4))
-        states = march_forced(table32, dct4.points, np.zeros(32), inputs, dt)
+        states = march_forced(matrices4.table, matrices4.values, np.zeros(32),
+                              inputs, dt)
         sup = float(np.max(np.linalg.norm(states * vd[None, :], axis=1)))
         l2 = float(np.sqrt(np.sum(w * np.sum(inputs ** 2, axis=1))))
         assert sup <= c_cert * l2 * (1.0 + 1e-12)
@@ -460,13 +464,17 @@ def test_budget_checks_share_one_relative_slack():
     assert not exp._within(0.5 + 2e-12, 0.5)
 
 
-def _packaged_config(**control):
-    """The packaged default config with ``control`` entries replaced; a
-    None value drops the entry."""
+def _packaged_mapping():
     path = os.path.join(os.path.dirname(heattrack.__file__), "configs",
                         "default.yaml")
     with open(path, encoding="utf-8") as fh:
-        data = yaml.safe_load(fh)
+        return yaml.safe_load(fh)
+
+
+def _packaged_config(**control):
+    """The packaged default config with ``control`` entries replaced; a
+    None value drops the entry."""
+    data = _packaged_mapping()
     data["control"].update(control)
     data["control"] = {k: v for k, v in data["control"].items()
                        if v is not None}
@@ -504,6 +512,33 @@ def test_track_writes_deterministic_outputs(tmp_path):
     manifest = payloads[0]["manifest.txt"].decode()
     assert manifest.startswith(f"tool={TOOL_ID}\ncommand=track\n")
     assert "status=ok" in manifest
+
+
+_PERTURBED = {"plasmonic": {"perturb_interaction": True}}
+
+
+@pytest.mark.parametrize("command,blocks", [
+    ("track", _PERTURBED),
+    ("sweep", {"sweep": {"kind": "delta",
+                         "values": [0.2, 0.1, 0.05, 0.025]}}),
+    ("sweep", {**_PERTURBED, "sweep": {"kind": "delta",
+                                       "values": [0.2, 0.1, 0.05, 0.025,
+                                                  0.0]}}),
+], ids=["track-perturbed", "sweep-delta", "sweep-delta-perturbed-to-0"])
+def test_cli_writes_deterministic_outputs(tmp_path, command, blocks):
+    """Two runs of one config write the same bytes to every file: the
+    dictionary and coupling perturbations come from seeded streams."""
+    data = _packaged_mapping()
+    for block, keys in blocks.items():
+        data[block] = {**data.get(block, {}), **keys}
+    path = _write_yaml(tmp_path / "run.yaml", data)
+    payloads = []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        assert cli.main([command, "--config", path, "--out", str(out)]) == 0
+        payloads.append({f.name: f.read_bytes() for f in out.iterdir()})
+    assert "manifest.txt" in payloads[0]
+    assert payloads[0] == payloads[1]
 
 
 @pytest.mark.parametrize("run", [
@@ -616,10 +651,27 @@ def _count_calls(monkeypatch, original) -> list:
 
 
 def test_track_samples_the_modes_once_per_march(monkeypatch):
-    """Every open-loop replay evaluates the modes once, not once per step."""
+    """The actuators' mode values are evaluated once per truncation, at K
+    and at 2K modes, and every loop, bias matrix, march and budget reads
+    them from the sampling data."""
     calls = _count_calls(monkeypatch, spectral.eval_modes)
     exp.run_track(load_config("default"))
-    assert 0 < len(calls) <= 25
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("run,loops", [
+    (lambda: exp.run_track(load_config("default")), 2),
+    (lambda: exp.run_simulate(_config(
+        domain={"kind": "box3", "lengths": [1.0, 0.8, 0.6]},
+        actuators={"kind": "dct", "counts": [1, 1, 1]}), strict=False), 1),
+], ids=["track", "simulate-box3"])
+def test_each_truncation_assembles_one_loop(monkeypatch, run, loops):
+    """The bias matrix and the gain search read the loop generator alone,
+    so a run assembles one closed loop per truncation: ``track`` at K and
+    at 2K modes, ``simulate`` at K."""
+    calls = _count_calls(monkeypatch, control.assemble_closed_loop)
+    run()
+    assert len(calls) == loops
 
 
 def test_track_marches_each_input_difference_once(monkeypatch):
@@ -1041,6 +1093,11 @@ def test_cli_mesh_sweep_rejects_bad_cell_counts(tmp_path, capsys, values):
     (None, None, {"domain": {"kind": "box3", "lengths": [1.0, 0.8, 0.6]},
                   "actuators": {"kind": "dct", "counts": [1, 1, 1],
                                 "count": 9}}),
+    # one count per axis of the box
+    (None, None, {"domain": {"kind": "box3", "lengths": [1.0, 0.8, 0.6]},
+                  "actuators": {"kind": "dct", "counts": [1, 1]}}),
+    # a loop with no tail mode (four modes, all controlled)
+    ("modes", "count", 4),
     # a key of no block, such as the removed actuators.select
     ("actuators", "select", 0),
 ] + [(block, key, {}) for block, keys in _SCHEMA.items() for key in keys],

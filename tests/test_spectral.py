@@ -175,7 +175,7 @@ def _free_record(table, coeffs):
     """Norm samples of the uncontrolled, unforced flow from ``coeffs``."""
     acts = ActuatorSet(table.domain, [[0.3]])
     system = assemble_closed_loop(sampling_matrix(acts, table, 1), 0.0,
-                                  np.zeros(1), u_ff=np.zeros(1))
+                                  np.zeros(1))
     return simulate_closed_loop(system, coeffs, 0.01, 0.01)
 
 
@@ -261,7 +261,8 @@ def test_forced_step_matches_ode_oracle(unit_interval):
     z0 = np.arange(1.0, 9.0) / 10.0
     sol = solve_ivp(lambda s, y: -lam * y + b, (0.0, 0.05), z0,
                     rtol=1e-12, atol=1e-14)
-    stepped = march_forced(table, actuators, z0, np.stack([u, u]), 0.05)
+    stepped = march_forced(table, eval_modes(table, actuators), z0,
+                           np.stack([u, u]), 0.05)
     assert_allclose(stepped[0], z0, rtol=0, atol=0)
     assert_allclose(stepped[1], sol.y[:, -1], atol=1e-12)
 
@@ -277,15 +278,16 @@ def test_linear_input_step_matches_ode_oracle(unit_interval):
     z0 = np.arange(1.0, 9.0) / 10.0
     sol = solve_ivp(lambda s, y: -lam * y + b0 + (b1 - b0) * (s / 0.05),
                     (0.0, 0.05), z0, rtol=1e-12, atol=1e-14)
-    stepped = march_forced(table, actuators, z0, np.stack([u0, u1]), 0.05)
+    stepped = march_forced(table, eval_modes(table, actuators), z0,
+                           np.stack([u0, u1]), 0.05)
     assert_allclose(stepped[1], sol.y[:, -1], atol=1e-12)
 
 
 def test_zero_input_step_is_the_semigroup(table32):
     rng = np.random.default_rng(3)
     z = rng.standard_normal(32)
-    stepped = march_forced(table32, np.array([[0.5]]), z, np.zeros((6, 1)),
-                           0.02)
+    stepped = march_forced(table32, eval_modes(table32, [[0.5]]), z,
+                           np.zeros((6, 1)), 0.02)
     # rows 0 and 1 are z and exp(-lam*dt)*z, formed as semigroup_apply
     # forms them
     for q in (0, 1):
@@ -332,7 +334,7 @@ def test_march_matches_the_step_loop(case, samples, inputs):
         b = u[0] @ eval_modes(table, points)
         want = np.stack([semigroup_apply(table, y0, q * dt)
                          + phi1(lam, q * dt) * b for q in range(samples)])
-    got = march_forced(table, points, y0, u, dt)
+    got = march_forced(table, eval_modes(table, points), y0, u, dt)
     assert got.shape == want.shape
     column_max = np.max(np.abs(want), axis=0)
     assert np.all(np.abs(got - want) <= 1e-13 * column_max)
@@ -347,14 +349,14 @@ def test_march_matches_the_step_loop(case, samples, inputs):
        st.integers(1, 70))
 def test_march_is_linear_in_the_state_and_the_inputs(seed, a, b, samples):
     table = enumerate_modes(DomainSpec.interval(1.0), 16)
-    points = np.array([[0.2], [0.45], [0.8]])
+    values = eval_modes(table, [[0.2], [0.45], [0.8]])
     rng = stream(seed, PURPOSE_TEST, 8)
     y1, y2 = rng.standard_normal((2, 16))
     u1, u2 = rng.standard_normal((2, samples, 3))
     dt = 0.01
 
     def march(y0, inputs):
-        return march_forced(table, points, y0, inputs, dt)
+        return march_forced(table, values, y0, inputs, dt)
 
     one, two = march(y1, u1), march(y2, u2)
     combined = march(a * y1 + b * y2, a * u1 + b * u2)
@@ -375,17 +377,21 @@ def test_semigroup_is_a_flow(table32):
 
 
 def test_step_rejects_bad_arguments(table32):
-    points = np.array([[0.5]])
+    values = eval_modes(table32, [[0.5]])
     y0 = np.zeros(32)
     for dt in (0.0, -0.01, np.nan):
         with pytest.raises(ValueError, match="dt"):
-            march_forced(table32, points, y0, np.ones((3, 1)), dt)
+            march_forced(table32, values, y0, np.ones((3, 1)), dt)
     with pytest.raises(ValueError, match="one column per actuator"):
-        march_forced(table32, points, y0, np.ones((3, 2)), 0.01)
+        march_forced(table32, values, y0, np.ones((3, 2)), 0.01)
     with pytest.raises(ValueError, match="one column per actuator"):
-        march_forced(table32, points, y0, np.ones(3), 0.01)
+        march_forced(table32, values, y0, np.ones(3), 0.01)
     with pytest.raises(ValueError, match="table size"):
-        march_forced(table32, points, np.zeros(31), np.ones((3, 1)), 0.01)
+        march_forced(table32, values, np.zeros(31), np.ones((3, 1)), 0.01)
+    # mode values over another table, or of points rather than modes
+    for bad in (values[:, :31], values[0], np.array([[0.5]])):
+        with pytest.raises(ValueError, match="one column per mode"):
+            march_forced(table32, bad, y0, np.ones((3, 1)), 0.01)
 
 
 # ---------------------------------------------------------------------------
