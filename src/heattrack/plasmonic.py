@@ -67,7 +67,7 @@ def _kernel_table(centers: np.ndarray, kappa: float, dt: float,
 
     The diagonal (a particle's own center) is excluded from the memory and
     set to zero; the lag-0 slice is zero by construction, which is what
-    makes every step of the march explicit.
+    makes the march explicit.
     """
     m, d = centers.shape
     r2 = np.sum((centers[:, None, :] - centers[None, :, :]) ** 2, axis=2)
@@ -162,37 +162,28 @@ def _memory_table(centers, coupling, kappa: float, dt: float,
     return weights[None] * _kernel_table(centers, kappa, dt, q_steps)
 
 
-def _lag_reversed(table: np.ndarray) -> np.ndarray:
-    """``flat[i, k * m + j] = table[Q - k, i, j]`` for a (Q + 1, m, m) table."""
-    lags, m, _ = table.shape
-    return np.ascontiguousarray(table[::-1].transpose(1, 0, 2)).reshape(
-        m, lags * m)
-
-
-def _history(flat: np.ndarray, amplitudes: np.ndarray, q: int) -> np.ndarray:
-    """Trapezoid memory sum ``sum_{s<q} w_s table[q - s] @ sigma[s]``.
-
-    ``flat`` is the lag-reversed table (``_lag_reversed``) and
-    ``amplitudes`` holds ``sigma[0..q-1]`` stacked as ((Q + 1) * m, R)
-    rows.  The weights are 1/2 at s = 0 and 1 after it; ``table[0]`` is
-    zero, so the s = q end of the rule does not enter.
-    """
-    m = flat.shape[0]
-    end = flat.shape[1] - m
-    start = end - q * m
-    return (flat[:, start:end] @ amplitudes[:q * m]
-            - 0.5 * flat[:, start:start + m] @ amplitudes[:m])
+def _causal_product(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """First n lags ``c[q] = sum_{s<=q} a[q - s] @ b[s]`` of the causal
+    convolution of two matrix sequences of at most n lags, by FFT over the
+    lags zero-padded to the power of two at or above 2n, so that no lag
+    below n wraps around (a length with a large prime factor is slow)."""
+    size = 1 << (2 * n - 1).bit_length()
+    spectrum = np.fft.rfft(a, size, axis=0) @ np.fft.rfft(b, size, axis=0)
+    return np.fft.irfft(spectrum, size, axis=0)[:n]
 
 
 def volterra_solve(centers, coupling, kappa: float, times,
                    forcing) -> np.ndarray:
     """March the coupled amplitude system by product trapezoid rule.
 
-    The memory integral of each pair uses the time derivative of the
+    The memory integral of each pair uses the time derivative ``K`` of the
     free-space kernel between the two centers; the rule is second order
-    for smooth forcing.  That kernel vanishes at lag zero, so every step
-    is explicit: the new amplitudes are the forcing minus the history sum,
-    which is one matrix product per step over the lag-reversed table.
+    for smooth forcing.  ``K`` depends only on the lag and vanishes at lag
+    zero, so the march ``sigma[q] = f[q] - dt sum_{s<q} w_s K[q - s]
+    sigma[s]`` (``w_0 = 1/2``, then 1) is the power-series solve
+    ``(I + dt K(z)) sigma(z) = f(z) + (dt/2) K(z) f[0]`` modulo
+    ``z**(Q + 1)``: the inverse series of ``I + dt K``, built by Newton
+    doubling, applied to every right-hand side as one causal convolution.
 
     ``forcing`` is ``(Q + 1, M)``, or ``(Q + 1, M, R)`` to march R
     right-hand sides at once; the returned amplitudes ``sigma`` have the
@@ -203,19 +194,23 @@ def volterra_solve(centers, coupling, kappa: float, times,
     times = np.asarray(times, dtype=float)
     forcing = np.asarray(forcing, dtype=float)
     dt = uniform_step(times)
-    q_steps = times.shape[0] - 1
-    if forcing.ndim not in (2, 3) or forcing.shape[:2] != (q_steps + 1, m):
+    n = times.shape[0]
+    if forcing.ndim not in (2, 3) or forcing.shape[:2] != (n, m):
         raise ValueError("forcing must be sampled on the grid, per particle")
 
-    flat = _lag_reversed(_memory_table(centers, coupling, kappa, dt, q_steps))
-    rhs = forcing.reshape(q_steps + 1, m, -1)
-    # C order whatever the forcing's layout, so ``stacked`` is a view.
-    sigma = np.empty(rhs.shape)
-    stacked = sigma.reshape((q_steps + 1) * m, -1)
-    sigma[0] = rhs[0]
-    for q in range(1, q_steps + 1):
-        sigma[q] = rhs[q] - dt * _history(flat, stacked, q)
-    return sigma.reshape(forcing.shape)
+    series = dt * _memory_table(centers, coupling, kappa, dt, n - 1)
+    rhs = forcing.reshape(n, m, -1)
+    rhs = rhs + 0.5 * series @ rhs[0]
+    series[0] = np.eye(m)       # now I + dt K, as K vanishes at lag 0
+    inverse = np.eye(m)[None]
+    while len(inverse) < n:
+        # Newton's B (2I - A B) keeps the lags of B, already exact, and
+        # takes the next ones up to k from -B A B
+        k = min(2 * len(inverse), n)
+        bab = _causal_product(inverse, _causal_product(series[:k], inverse,
+                                                       k), k)
+        inverse = np.concatenate([inverse, -bab[len(inverse):]])
+    return _causal_product(inverse, rhs, n).reshape(forcing.shape)
 
 
 def _l2_inner(times: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
@@ -268,18 +263,14 @@ def _coupling_forcing(config: PlasmonicConfig, d_coupling: np.ndarray,
     effective-coupling march of
     ``h[q] = -dt * sum_{s<q} w_s d_coupling[q-s] sigma[s]``, the trapezoid
     history of the coupling perturbation; this returns h.  ``sigma`` is
-    known in full, so h is one causal convolution over the lags, taken by
-    zero-padded FFT.
+    known in full, so h is one causal convolution over the lags.
     """
     dt = uniform_step(times)
     samples = times.shape[0]
     table = _memory_table(config.centers, d_coupling, config.kappa, dt,
                           samples - 1)
     weighted = np.concatenate([0.5 * sigma[:1], sigma[1:]])
-    size = 2 * samples
-    spectrum = (np.fft.rfft(table, size, axis=0)
-                @ np.fft.rfft(weighted, size, axis=0))
-    return -dt * np.fft.irfft(spectrum, size, axis=0)[:samples]
+    return -dt * _causal_product(table, weighted, samples)
 
 
 class ActuationMap(NamedTuple):

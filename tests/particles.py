@@ -2,10 +2,10 @@
 
 The free-space heat kernel and its time derivative at one pair of points
 and two times, the intensities -> forcing -> amplitudes -> heat inputs
-pipeline marched once per call, and the coupling-correction forcing summed
-step by step: the forms that the library's kernel table, batched
-unit-forcing march and history convolution replace, kept here as their
-oracles.
+pipeline marched once per call, and the amplitude march and the
+coupling-correction forcing summed step by step: the forms that the
+library's kernel table, batched unit-forcing march and causal convolutions
+replace, kept here as their oracles.
 """
 
 import numpy as np
@@ -76,6 +76,50 @@ def run_pipeline(config, delta: float, times,
     return sigma * (config.contrasts / config.c_m)[None, :]
 
 
+def _memory_sum(flat: np.ndarray, stacked: np.ndarray, q: int) -> np.ndarray:
+    """Trapezoid memory sum ``sum_{s<q} w_s table[q - s] @ values[s]``.
+
+    ``flat`` is the lag-reversed table (``_lag_reversed``) and
+    ``stacked`` holds the values as ((Q + 1) * m, R) rows.  The weights are 1/2 at s = 0 and 1 after it; ``table[0]`` is
+    zero, so the s = q end of the rule does not enter.
+    """
+    m = flat.shape[0]
+    end = flat.shape[1] - m
+    start = end - q * m
+    return (flat[:, start:end] @ stacked[:q * m]
+            - 0.5 * flat[:, start:start + m] @ stacked[:m])
+
+
+def _lag_reversed(table: np.ndarray) -> np.ndarray:
+    """``flat[i, k * m + j] = table[Q - k, i, j]`` for a (Q + 1, m, m) table."""
+    lags, m, _ = table.shape
+    return np.ascontiguousarray(table[::-1].transpose(1, 0, 2)).reshape(
+        m, lags * m)
+
+
+def volterra_steps(centers, coupling, kappa: float, times,
+                   forcing) -> np.ndarray:
+    """The amplitude march one explicit step at a time.
+
+    ``sigma[q] = forcing[q] - dt * sum_{s<q} w_s K[q - s] sigma[s]``, one
+    history sum per step over the lag-reversed table: the O(Q^2) form the
+    library's power-series solve replaces.  Shapes as ``volterra_solve``.
+    """
+    centers = np.atleast_2d(np.asarray(centers, dtype=float))
+    forcing = np.asarray(forcing, dtype=float)
+    dt = times[1] - times[0]
+    q_steps = times.shape[0] - 1
+    flat = _lag_reversed(plasmonic._memory_table(centers, coupling, kappa,
+                                                 dt, q_steps))
+    rhs = forcing.reshape(q_steps + 1, centers.shape[0], -1)
+    sigma = np.empty(rhs.shape)
+    stacked = sigma.reshape(-1, rhs.shape[2])
+    sigma[0] = rhs[0]
+    for q in range(1, q_steps + 1):
+        sigma[q] = rhs[q] - dt * _memory_sum(flat, stacked, q)
+    return sigma.reshape(forcing.shape)
+
+
 def coupling_forcing_steps(config, d_coupling: np.ndarray, times,
                            sigma: np.ndarray) -> np.ndarray:
     """The coupling-correction forcing summed step by step.
@@ -86,10 +130,10 @@ def coupling_forcing_steps(config, d_coupling: np.ndarray, times,
     """
     dt = times[1] - times[0]
     q_steps = times.shape[0] - 1
-    flat = plasmonic._lag_reversed(plasmonic._memory_table(
+    flat = _lag_reversed(plasmonic._memory_table(
         config.centers, d_coupling, config.kappa, dt, q_steps))
     stacked = sigma.reshape(-1, sigma.shape[2])
     h = np.zeros_like(sigma)
     for q in range(1, q_steps + 1):
-        h[q] = -dt * plasmonic._history(flat, stacked, q)
+        h[q] = -dt * _memory_sum(flat, stacked, q)
     return h

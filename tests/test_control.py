@@ -1,7 +1,5 @@
 """Closed-loop assembly, decay fits, bias fixed points and tail bounds."""
 
-import warnings
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -23,11 +21,7 @@ from heattrack.control import (
     tail_mismatch_report,
     time_grid,
 )
-from heattrack.errors import (
-    InsufficientSignalError,
-    NonConvergenceError,
-    SingularSystemError,
-)
+from heattrack.errors import InsufficientSignalError, NonConvergenceError
 from heattrack.placement import (ActuatorSet, dct_grid_box,
                                   dct_nodes_interval, sampling_matrix)
 from heattrack.spectral import (DomainSpec, enumerate_modes, eval_modes,

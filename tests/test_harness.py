@@ -33,6 +33,7 @@ from heattrack.harness.config import (
     MAX_MODES_PER_CELL,
     MAX_QUAD_ORDER,
     MAX_SAMPLES,
+    MAX_STEPS,
     ExperimentConfig,
     load_config,
     profile_samples,
@@ -167,6 +168,13 @@ def test_capped_integer_keys_accept_both_ends():
             coercivity={"cells": [4, 8], "modes_per_cell": per_cell})
         assert (config.restriction.samples, config.restriction.quad_order,
                 config.coercivity.modes_per_cell) == low_or_top
+
+
+def test_control_accepts_up_to_max_steps():
+    control = dict(BASE["control"], dt=0.4 / MAX_STEPS)
+    assert _config(control=control).control.dt == 0.4 / MAX_STEPS
+    with pytest.raises(ConfigError, match=f"{MAX_STEPS + 1} steps"):
+        _config(control=dict(control, dt=0.4 / (MAX_STEPS + 1)))
 
 
 def test_track_accepts_up_to_max_deltas_distinct_scales():
@@ -1035,6 +1043,8 @@ def test_cli_mesh_sweep_rejects_bad_cell_counts(tmp_path, capsys, values):
     ("control", "reference", [float("nan"), 0.2, -0.1, 0.1]),
     ("actuators", "points", [[float("inf")]]),
     ("modes", "count", MAX_MODES + 1),
+    # 1e8 steps, which exhausted memory in the simulate stage
+    ("control", "dt", 1.0e-8),
     # signs the numerical stages would reject only later
     ("actuators", "count", 0),
     ("actuators", "candidates_per_axis", 0),
@@ -1213,11 +1223,11 @@ def test_cli_oversized_greedy_grid_exits_promptly(tmp_path):
 
 
 def test_a_fine_time_step_is_checked_without_forming_the_grid():
-    """A step that divides the horizon into 8e10 steps parses; the check
-    forms no grid (it would take 610 GiB)."""
-    config = _config(control=dict(BASE["control"], horizon=1.0,
-                                  dt=1.2212040485206336e-11))
-    assert config.control.dt == 1.2212040485206336e-11
+    """A step that divides the horizon into 8e10 steps is refused by the
+    step cap; the check forms no grid (it would take 610 GiB)."""
+    with pytest.raises(ConfigError, match=f"at most {MAX_STEPS}"):
+        _config(control=dict(BASE["control"], horizon=1.0,
+                             dt=1.2212040485206336e-11))
 
 
 def test_track_runs_without_importing_scipy(tmp_path):

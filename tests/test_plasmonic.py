@@ -23,7 +23,7 @@ from heattrack.rng import stream
 
 import manufactured as mms
 from particles import (coupling_forcing_steps, free_space_kernel,
-                       kernel_time_derivative, run_pipeline)
+                       kernel_time_derivative, run_pipeline, volterra_steps)
 from streams import PURPOSE_TEST
 
 KAPPA = 1.0
@@ -139,6 +139,33 @@ def test_march_ignores_the_memory_layout_of_the_forcing():
     assert not columns.flags.c_contiguous
     got = volterra_solve(centers, coupling, KAPPA, times, columns)
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("q_steps", [1, 2, 3, 500, 4000])
+@pytest.mark.parametrize("columns", ["one", "per-particle"])
+@pytest.mark.parametrize("centers", [
+    np.array([[0.125], [0.375], [0.625], [0.875]]),
+    np.array([[x, y, 0.3] for x in (0.25, 0.75) for y in (0.2, 0.6)]),
+], ids=["interval", "box3"])
+def test_series_solve_matches_the_step_loop(centers, columns, q_steps):
+    """The power-series solve against the explicit step-by-step march.
+
+    Cosine-node centers at ten times the packaged coupling scale: a
+    strong memory whose amplitudes stay bounded, so that roundoff, not
+    growth, sets the gap.
+    """
+    m = centers.shape[0]
+    times = np.linspace(0.0, 1.0, q_steps + 1)
+    coupling = 0.5 * (np.ones((m, m)) - np.eye(m))
+    rng = stream(7, PURPOSE_TEST, 8)
+    shape = (q_steps + 1, m) if columns == "one" else (q_steps + 1, m, m)
+    # a forcing nonzero at t = 0, so the trapezoid's end weight enters
+    forcing = 1.0 + rng.standard_normal(shape)
+    want = volterra_steps(centers, coupling, KAPPA, times, forcing)
+    got = volterra_solve(centers, coupling, KAPPA, times, forcing)
+    assert got.shape == forcing.shape
+    scale = np.max(np.abs(want), axis=0)
+    assert np.all(np.abs(got - want) <= 1e-12 * scale)
 
 
 def test_march_rejects_coincident_centers():

@@ -11,7 +11,6 @@ from heattrack.placement import ActuatorSet, sampling_matrix
 from heattrack.rng import stream
 from heattrack.spectral import (
     DomainSpec,
-    ModeTable,
     as_points,
     enumerate_modes,
     eval_modes,
