@@ -374,6 +374,19 @@ class ContractionDiagnostics(NamedTuple):
     inconclusive: tuple
 
 
+def _tail_coupling_norm(matrices: SamplingMatrices, gain: float) -> float:
+    """||gain * E_t D_t||_2, the feedback block among the tail modes.
+
+    The block has rank at most M: with thin QR factors E_t = Q_E R_E and
+    D_t^T = Q_D R_D its norm is gain * ||R_E R_D^T||_2, an SVD of order at
+    most M instead of K - n.
+    """
+    n = matrices.n_modes
+    r_e = np.linalg.qr(matrices.values[:, n:].T, mode="r")
+    r_d = np.linalg.qr(matrices.d_matrix[:, n:].T, mode="r")
+    return gain * float(np.linalg.norm(r_e @ r_d.T, 2))
+
+
 def contraction_diagnostics(system: ClosedLoopSystem) -> ContractionDiagnostics:
     """Evaluate the three sufficient contraction mechanisms on one loop.
 
@@ -401,8 +414,7 @@ def contraction_diagnostics(system: ClosedLoopSystem) -> ContractionDiagnostics:
     a12 = a_cl[:n, n:]
     a21 = a_cl[n:, :n]
     a22 = a_cl[n:, n:]
-    coupling = a_cl + np.diag(lam)      # -gain * E D
-    beta = float(np.linalg.norm(coupling[n:, n:], 2))
+    beta = _tail_coupling_norm(system.matrices, system.gain)
     lam_next = float(lam[n])
     a12_norm = float(np.linalg.norm(a12, 2))
 

@@ -53,6 +53,26 @@ MAX_MODES_PER_CELL = 64
 MAX_SAMPLES = 1024
 # numpy's leggauss, an eigenvalue solve of this order, is tested up to 100.
 MAX_QUAD_ORDER = 100
+# Most coercivity.cells entries: the profile bisects every mesh's class
+# table, (cells + 1) x modes_per_cell values per array, in one stack; 16
+# meshes at MAX_CELLS x MAX_MODES_PER_CELL take 2.9 s and 250 MB peak RSS
+# on a 2-core host.
+MAX_MESHES = 16
+# Most sweep.values entries: each value closes one loop, calibrates one
+# contrast scale or solves one mesh.  64 values take 0.12 s (gain) and
+# 0.07 s (delta) on the default config, 7.6 s for gain at 512 modes and
+# 7.2 s for a mesh sweep at MAX_CELLS x MAX_MODES_PER_CELL.
+MAX_SWEEP_VALUES = 64
+# Most restriction.horizons entries: each sums the images of every (probe,
+# source) pair once; 64 horizons take 0.04 s on the default block and
+# 2.1 s at MAX_SAMPLES x MAX_QUAD_ORDER.
+MAX_HORIZONS = 64
+# Most restriction.probes and restriction.sources entries: each (probe,
+# source) pair adds one image sum per horizon and holds samples *
+# quad_order doubles.  On box3, 16 x 16 pairs take 0.36 s over five
+# horizons at the default 48 x 12; at MAX_SAMPLES x MAX_QUAD_ORDER a pair
+# costs about 90 ms and 0.8 MB per horizon.
+MAX_PROBES = MAX_SOURCES = 16
 # Most time steps, horizon / dt: at 32,768 (65,536) steps a default track
 # takes 1.8 s and 230 MB (4.8 s, 406 MB) and a box3 track 10 s and 0.73 GB
 # (22 s, 1.24 GB) on a 2-core host.
@@ -264,10 +284,13 @@ def _control(block):
     return block
 
 
+def _at_most(entries, name: str, top: int) -> None:
+    if len(entries) > top:
+        raise ConfigError(f"{name} has {len(entries)} entries; at most {top}")
+
+
 def _track(block):
-    if len(block.deltas) > MAX_DELTAS:
-        raise ConfigError(f"track.deltas has {len(block.deltas)} entries; "
-                          f"at most {MAX_DELTAS}")
+    _at_most(block.deltas, "track.deltas", MAX_DELTAS)
     # Budget assertions are tagged ``{delta:g}``; abs gives -0.0 0.0's tag.
     if len({f"{abs(d):g}" for d in block.deltas}) < len(block.deltas):
         raise ConfigError(f"track.deltas must be distinct at 6 significant "
@@ -279,10 +302,22 @@ def _track(block):
 
 
 def _restriction(block):
+    _at_most(block.horizons, "restriction.horizons", MAX_HORIZONS)
+    _at_most(block.probes, "restriction.probes", MAX_PROBES)
+    _at_most(block.sources or (), "restriction.sources", MAX_SOURCES)
     # the fit of log(gap) against d^2 / T needs three abscissae
     if len(set(block.horizons)) < 3:
         raise ConfigError(f"restriction.horizons needs at least three "
                           f"distinct entries, got {list(block.horizons)}")
+    return block
+
+
+def _coercivity(block):
+    _at_most(block.cells, "coercivity.cells", MAX_MESHES)
+    # the log-log fit of the constants needs two mesh sizes
+    if len(set(block.cells)) < 2:
+        raise ConfigError(f"coercivity.cells needs at least two distinct "
+                          f"entries, got {list(block.cells)}")
     return block
 
 
@@ -292,12 +327,14 @@ def _sweep(block):
     values = convert(block.values, "sweep.values")
     if len(values) < 1:
         raise ConfigError("sweep.values must be nonempty")
+    _at_most(values, "sweep.values", MAX_SWEEP_VALUES)
     return block._replace(values=values)
 
 
 # Rules that tie keys of one block together, run after every key parsed.
 _RULES = {"modes": _modes, "control": _control, "track": _track,
-          "restriction": _restriction, "sweep": _sweep}
+          "restriction": _restriction, "coercivity": _coercivity,
+          "sweep": _sweep}
 
 
 def parse_block(name: str, raw: dict):

@@ -734,21 +734,19 @@ def run_restriction(config: ExperimentConfig, out_dir: str | None = None,
 # constraint coercivity
 
 
-def coercivity_constant(domain: DomainSpec, cells: int, n_modes: int) -> float:
-    """Smallest graph-to-energy quotient over fields vanishing on a mesh.
+def _alias_classes(domain: DomainSpec, cells: int, n_modes: int):
+    """Whitened alias classes ``(d, a^2)`` of the mesh with ``cells`` = n
+    equal elements, one row per class of at least two members.
 
-    The quotient compares the squared resolvent-graph norm against the
-    diffusion energy norm of the first ``n_modes`` modes; the fields
-    vanish at the vertices x_j = jL/n, j = 0..n, of ``cells`` = n equal
-    elements.  There mode k takes the values of mode
+    At the vertices x_j = jL/n, j = 0..n, mode k takes the values of mode
     r(k) = |((k + n) mod 2n) - n| and the DCT-I matrix of order n + 1 is
     invertible, so the constraints are one per alias class r:
     sum_{k in r} c_k x_k = 0.  Whitened by the energy weight, a class is
-    diag(d) on the complement of a = c / sqrt(energy_w), whose smallest
-    eigenvalue is the smallest root of sum a_k^2 / (d_k - t) = 0 between
-    the class's two smallest d (Golub, SIAM Rev. 15, 1973), or their value
-    when they tie.  A one-member class leaves no field; the constant is
-    the minimum over the classes.
+    diag(d) on the complement of a = c / sqrt(energy_w).  Members are
+    ordered by d; every row is padded with a = 0 at d = inf to
+    ceil(n_modes / n) columns, the most any class can have, so the tables
+    of a profile (n_modes = modes_per_cell * n) all have the same width.
+    A one-member class leaves no field and is dropped.
     """
     if cells < 1:
         raise ValueError("at least one element is required")
@@ -763,16 +761,24 @@ def coercivity_constant(domain: DomainSpec, cells: int, n_modes: int) -> float:
     d, a2 = (1.0 + lam) ** 2 / energy_w, table.norm_constants ** 2 / energy_w
     alias = np.abs((table.indices[:, 0] + cells) % (2 * cells) - cells)
     # (class, member) layout with d ascending in each class; d is not
-    # monotone in k for kappa < 1/2.  Padding is a = 0 at d = inf.
+    # monotone in k for kappa < 1/2.
     order = np.lexsort((d, alias))
     alias, d, a2 = alias[order], d[order], a2[order]
     sizes = np.bincount(alias, minlength=cells + 1)
     member = np.arange(n_modes) - (np.cumsum(sizes) - sizes)[alias]
-    dd = np.full((cells + 1, sizes.max()), np.inf)
+    dd = np.full((cells + 1, -(-n_modes // cells)), np.inf)
     aa = np.zeros_like(dd)
     dd[alias, member] = d
     aa[alias, member] = a2
-    dd, aa = dd[sizes >= 2], aa[sizes >= 2]
+    return dd[sizes >= 2], aa[sizes >= 2]
+
+
+def _secular_floor(dd: np.ndarray, aa: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of each row's class, diag(d) on the complement
+    of a: the smallest root of sum a_k^2 / (d_k - t) = 0 between the row's
+    two smallest d (Golub, SIAM Rev. 15, 1973), or their value when they
+    tie.  Rows are independent: a settled row stays where it is while
+    others still bisect, so stacking tables changes no row's root."""
     # The secular function rises from -inf to +inf across each bracket;
     # bisect them all until none shrinks.
     lo, hi = dd[:, 0], dd[:, 1]
@@ -782,7 +788,21 @@ def coercivity_constant(domain: DomainSpec, cells: int, n_modes: int) -> float:
             below = np.sum(aa / (dd - mid[:, None]), axis=1) < 0.0
             lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
             mid = 0.5 * (lo + hi)
-    return float(np.min(lo))
+    return lo
+
+
+def coercivity_constant(domain: DomainSpec, cells: int, n_modes: int) -> float:
+    """Smallest graph-to-energy quotient over fields vanishing on a mesh.
+
+    The quotient compares the squared resolvent-graph norm against the
+    diffusion energy norm of the first ``n_modes`` modes; the fields
+    vanish at the vertices x_j = jL/n, j = 0..n, of ``cells`` = n equal
+    elements.  The constraints split into alias classes
+    (``_alias_classes``), and the constant is the smallest secular root
+    over the classes (``_secular_floor``).
+    """
+    dd, aa = _alias_classes(domain, cells, n_modes)
+    return float(np.min(_secular_floor(dd, aa)))
 
 
 class CoercivityReport(NamedTuple):
@@ -795,15 +815,22 @@ class CoercivityReport(NamedTuple):
 
 def coercivity_profile(domain: DomainSpec, cells_list,
                        modes_per_cell: int) -> CoercivityReport:
-    """Coercivity constants across mesh refinements plus the log-log slope."""
+    """Coercivity constants across mesh refinements plus the log-log slope.
+
+    The class tables of every mesh have ``modes_per_cell`` columns and are
+    stacked for one bisection; each constant equals
+    ``coercivity_constant`` of its mesh bit for bit.
+    """
     cells_list = tuple(int(c) for c in cells_list)
     if len(cells_list) < 2:
         raise InsufficientDataError("at least two meshes are required")
     length = domain.lengths[0]
     spacings = np.array([length / c for c in cells_list])
-    constants = np.array([
-        coercivity_constant(domain, c, modes_per_cell * c)
-        for c in cells_list])
+    tables = [_alias_classes(domain, c, modes_per_cell * c)
+              for c in cells_list]
+    dd, aa = (np.concatenate(arrays) for arrays in zip(*tables))
+    starts = np.cumsum([0] + [len(t[0]) for t in tables[:-1]])
+    constants = np.minimum.reduceat(_secular_floor(dd, aa), starts)
     slope, _, _, r_squared = line_fit(np.log(spacings), np.log(constants))
     return CoercivityReport(cells_list, spacings, constants, slope, r_squared)
 

@@ -217,18 +217,18 @@ def genericity_monte_carlo(domain: DomainSpec, table: ModeTable, count: int,
 
     Each trial draws ``count`` independent uniform points and checks
     sigma_min of the square sampling matrix against
-    ``GENERICITY_THRESHOLD``.  Trials use independent counter-keyed
-    streams, so the count is reproducible and independent of evaluation
-    order; all trials share one mode evaluation and one stacked SVD.
+    ``GENERICITY_THRESHOLD``.  All trials read one seeded stream: trial t
+    takes rows t * count to (t + 1) * count - 1 of a single
+    (trials * count, dim) draw, so a run replays bit-exactly and its first
+    trials do not depend on how many follow.  All trials share one mode
+    evaluation and one stacked SVD.
     """
     if count < 1 or count > table.size:
         raise ValueError("count must lie in [1, table.size]")
     if trials < 1:
         raise ValueError("at least one trial is required")
-    pts = np.concatenate([
-        rng.stream(seed, rng.PURPOSE_GENERICITY, trial).uniform(
-            size=(count, domain.dim)) for trial in range(trials)])
-    pts = pts * np.asarray(domain.lengths)
+    pts = rng.stream(seed, rng.PURPOSE_GENERICITY).uniform(
+        size=(trials * count, domain.dim)) * np.asarray(domain.lengths)
     head = ModeTable.from_indices(table.domain, table.indices[:count])
     # phi[t] is trial t's (modes x points) square sampling matrix
     phi = eval_modes(head, pts).reshape(trials, count, count).transpose(

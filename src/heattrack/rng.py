@@ -2,9 +2,10 @@
 
 Every stochastic step in the package draws from a counter-based Philox
 generator keyed by (seed, purpose, index).  Streams for different purposes
-or indices are statistically independent and can be consumed in any order,
-so Monte-Carlo trials replay bit-exactly even if evaluated out of order or
-in parallel.
+or indices are statistically independent, so a seeded run replays
+bit-exactly and no draw shifts the numbers of another.  The genericity
+Monte-Carlo reads all its trials from one stream, index 0, in trial order;
+the dictionary and coupling perturbations read indices 0 and 1 of theirs.
 """
 
 from __future__ import annotations

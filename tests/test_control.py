@@ -336,6 +336,30 @@ def test_zero_gain_decouples_the_tail(matrices4):
     assert diag.bound_a == 0.0
 
 
+@pytest.mark.parametrize("geometry,gain", [
+    ("interval", GAIN), ("box3", GAIN), ("interval", 0.0), ("wide", GAIN)])
+def test_tail_coupling_norm_matches_the_dense_block(matrices4, geometry,
+                                                    gain):
+    """beta, the norm of the tail feedback block, from its rank-M factors
+    equals the dense 2-norm of that block, also with as many actuators as
+    tail modes (six actuators, eight modes, four controlled), and is
+    exactly zero at gain zero."""
+    mats = {"interval": matrices4, "box3": _box3_matrices(),
+            "wide": _skewed_matrices(1.0, dct_nodes_interval(6, 1.0)[:, 0],
+                                     k=8)}[geometry]
+    n = mats.n_modes
+    if geometry == "wide":
+        assert mats.values.shape[0] >= mats.table.size - n
+    coupling = (control._generator(mats, gain)
+                + np.diag(mats.table.eigenvalues))
+    dense = np.linalg.norm(coupling[n:, n:], 2)
+    beta = control._tail_coupling_norm(mats, gain)
+    if gain == 0.0:
+        assert beta == 0.0 == dense
+    else:
+        assert beta == pytest.approx(dense, rel=1e-12, abs=0.0)
+
+
 def test_cross_integrator_agreement_small_loop():
     """Replaying recorded inputs through the one-step integrator agrees
     to roundoff: the linear interpolation error is second order in the

@@ -29,11 +29,16 @@ from heattrack.harness.config import (
     MAX_CANDIDATES,
     MAX_CELLS,
     MAX_DELTAS,
+    MAX_HORIZONS,
+    MAX_MESHES,
     MAX_MODES,
     MAX_MODES_PER_CELL,
+    MAX_PROBES,
     MAX_QUAD_ORDER,
     MAX_SAMPLES,
+    MAX_SOURCES,
     MAX_STEPS,
+    MAX_SWEEP_VALUES,
     ExperimentConfig,
     load_config,
     profile_samples,
@@ -424,6 +429,25 @@ def test_mesh_constant_at_a_tie_is_the_tied_value():
     nodes = np.linspace(0.0, domain.lengths[0], 4)
     assert got == pytest.approx(coercivity_at_nodes(domain, nodes, 12),
                                 rel=1e-13)
+
+
+@pytest.mark.parametrize("modes_per_cell", [2, 8, 64])
+@pytest.mark.parametrize("kappa", [0.05, 0.3, 1.0, 4.0])
+def test_coercivity_profile_is_the_per_mesh_constant(kappa, modes_per_cell):
+    """One bisection over the stacked class tables of every mesh gives
+    each mesh's own constant bit for bit, at the tie length too; a
+    degenerate mesh in the list still raises."""
+    for length in (1.0, 2.7, 2.108214243663861):
+        domain = spectral.DomainSpec.interval(length, kappa)
+        for cells in ([8, 16, 32, 64], [3, 2], [4, 1, 9, 5], [64, 7, 7]):
+            if modes_per_cell == 2 and 1 in cells:  # two modes, two nodes
+                with pytest.raises(DegenerateNodesError, match="no field"):
+                    exp.coercivity_profile(domain, cells, modes_per_cell)
+                continue
+            report = exp.coercivity_profile(domain, cells, modes_per_cell)
+            assert report.constants.tolist() == [
+                exp.coercivity_constant(domain, c, modes_per_cell * c)
+                for c in cells]
 
 
 def test_coercivity_profile_shows_the_mesh_rate(unit_interval):
@@ -825,7 +849,7 @@ def test_gain_sweep_records_a_singular_zero_gain_and_keeps_going():
 
 def test_mesh_sweep_records_failures_and_keeps_going(unit_interval):
     config = _config(sweep={"kind": "mesh", "values": [1, 8, 16, 32]},
-                     coercivity={"cells": [4], "modes_per_cell": 2})
+                     coercivity={"cells": [4, 8], "modes_per_cell": 2})
     result, _ = exp.run_sweep(config)
     assert result.statuses == ("DegenerateNodesError", "ok", "ok", "ok")
     assert np.isnan(result.metrics[0])
@@ -957,7 +981,7 @@ def test_cli_restriction_and_sweep(tmp_path, capsys):
         restriction={"probes": [[0.5]], "sources": [[0.4], [0.6]],
                      "horizons": [0.02, 0.01, 0.005, 0.0025]},
         sweep={"kind": "mesh", "values": [1, 8, 16, 32]},
-        coercivity={"cells": [4], "modes_per_cell": 2})
+        coercivity={"cells": [4, 8], "modes_per_cell": 2})
     path = _write_yaml(tmp_path / "c.yaml", data)
     out = tmp_path / "res"
     assert cli.main(["restriction", "--config", path,
@@ -1025,6 +1049,23 @@ def test_cli_mesh_sweep_rejects_bad_cell_counts(tmp_path, capsys, values):
     ("coercivity", "modes_per_cell", 0),
     ("coercivity", "modes_per_cell", MAX_MODES_PER_CELL + 1),
     ("coercivity", "cells", ["\u0668"]),
+    # the profile's log-log fit needs two mesh sizes
+    ("coercivity", "cells", [8]),
+    ("coercivity", "cells", [8, 8]),
+    # list lengths past their caps
+    pytest.param("coercivity", "cells", list(range(1, MAX_MESHES + 2)),
+                 id="coercivity-cells-MAX_MESHES+1"),
+    pytest.param("sweep", "values", [4.0] * (MAX_SWEEP_VALUES + 1),
+                 id="sweep-values-MAX_SWEEP_VALUES+1"),
+    pytest.param("restriction", "horizons",
+                 [0.02 / (k + 1) for k in range(MAX_HORIZONS + 1)],
+                 id="restriction-horizons-MAX_HORIZONS+1"),
+    pytest.param("restriction", "probes",
+                 [[0.3 + 0.01 * k] for k in range(MAX_PROBES + 1)],
+                 id="restriction-probes-MAX_PROBES+1"),
+    pytest.param("restriction", "sources",
+                 [[0.3 + 0.01 * k] for k in range(MAX_SOURCES + 1)],
+                 id="restriction-sources-MAX_SOURCES+1"),
     ("control", "gain", "\u0668" * 15),
     ("control", "dt", "\uff10.002"),
     ("control", "gain", b"88.0"),

@@ -16,7 +16,7 @@ from heattrack.placement import (
     sampling_matrix,
     uniform_candidates,
 )
-from heattrack.rng import stream
+from heattrack.rng import PURPOSE_GENERICITY, stream
 from heattrack.spectral import (DomainSpec, ModeTable, enumerate_modes,
                                 eval_modes)
 
@@ -205,6 +205,28 @@ def test_genericity_replays_bit_exactly(unit_interval, table32):
     b = genericity_monte_carlo(unit_interval, table32, 3, trials=50, seed=12)
     assert a.min_sigma == b.min_sigma
     assert a.failures == b.failures
+
+
+@pytest.mark.parametrize("domain,modes,trial0,min_sigma", [
+    (DomainSpec.interval(1.0), 32, 0.05846478547974719,
+     5.543575725742823e-06),
+    (DomainSpec.box([1.0, 0.8, 0.6]), 128, 0.3136384409693757,
+     1.4722982230603754e-03)], ids=["default", "box3"])
+def test_genericity_trials_read_one_stream(domain, modes, trial0, min_sigma):
+    """The layouts of the packaged config and of box3 (four controlled
+    modes, seed 7).  All trials read one stream in trial order, so a
+    single trial is the first four points of stream index 0, and the
+    200-trial minimum ``place`` reports is pinned."""
+    table = enumerate_modes(domain, modes)
+    one = genericity_monte_carlo(domain, table, 4, trials=1, seed=7)
+    pts = stream(7, PURPOSE_GENERICITY).uniform(size=(4, domain.dim))
+    phi = eval_modes(table, pts * np.asarray(domain.lengths))[:, :4].T
+    # stacked as the Monte-Carlo stacks its trials, for the same SVD path
+    assert one.min_sigma == np.linalg.svd(phi[None], compute_uv=False)[0, 3]
+    assert one.min_sigma == pytest.approx(trial0, rel=1e-12)
+    full = genericity_monte_carlo(domain, table, 4, trials=200, seed=7)
+    assert full.failures == 0
+    assert full.min_sigma == pytest.approx(min_sigma, rel=1e-12)
 
 
 def test_actuator_set_validation(unit_interval):
