@@ -32,9 +32,18 @@ PROFILE_NAMES = ("sine-bump",)
 # 0.19, 0.63, 3.1 and 18.5 s at 256, 512, 1024 and 2048 modes, and its
 # convergence pass runs at twice the count.
 MAX_MODES = 2048
-# Largest mesh a coercivity run or a mesh sweep accepts: n cells ask for
-# modes_per_cell * n interval modes, about 20 ms at n = 4096 and 8 per cell.
+# Largest mesh a coercivity run accepts: n cells ask for modes_per_cell * n
+# interval modes; cells [8, 4096] take 24 ms at 8 per cell and 0.12 s at
+# MAX_MODES_PER_CELL.
 MAX_CELLS = 4096
+# Most actuators a placement may have: actuators.count, modes.controlled
+# (the default count, and a loop needs an actuator per controlled mode),
+# the box grid prod(counts + 1) or the actuators.points entries.  The
+# particle response of track and calibrate holds (steps + 1) x count^2
+# complex values: at the default dt a calibrate takes 1.8 s and 0.28 GB at
+# 64 actuators and 7.9 s and 0.87 GB at 128 on a 2-core host, and at 256 it
+# ran out of a 3 GB address space.
+MAX_ACTUATORS = 128
 # Largest greedy grid, candidates_per_axis ** dim: on box3's 128 modes the
 # search takes about 20 us per candidate and step (0.35 s for 4096 and 4
 # actuators) and 3 KB per candidate, so its default 64 per axis would take
@@ -58,10 +67,8 @@ MAX_QUAD_ORDER = 100
 # meshes at MAX_CELLS x MAX_MODES_PER_CELL take 2.9 s and 250 MB peak RSS
 # on a 2-core host.
 MAX_MESHES = 16
-# Most sweep.values entries: each value closes one loop, calibrates one
-# contrast scale or solves one mesh.  64 values take 0.12 s (gain) and
-# 0.07 s (delta) on the default config, 7.6 s for gain at 512 modes and
-# 7.2 s for a mesh sweep at MAX_CELLS x MAX_MODES_PER_CELL.
+# Most sweep.values entries: each gain closes one loop.  64 values take
+# 0.11 s on the default config and 7.8 s at 512 modes.
 MAX_SWEEP_VALUES = 64
 # Most restriction.horizons entries: each sums the images of every (probe,
 # source) pair once; 64 horizons take 0.04 s on the default block and
@@ -73,6 +80,12 @@ MAX_HORIZONS = 64
 # horizons at the default 48 x 12; at MAX_SAMPLES x MAX_QUAD_ORDER a pair
 # costs about 90 ms and 0.8 MB per horizon.
 MAX_PROBES = MAX_SOURCES = 16
+# Largest probes x sources x horizons x samples x quad_order: one image sum
+# per pair, horizon and quadrature node, 0.1-0.25 us each on an interval and
+# 0.3-1.5 us on box3.  At the cap, 16 probes x 1 source x 3 horizons x
+# 1024 x 85 take 4.9 s on box3, and each horizon holds probes x sources x
+# samples x quad_order doubles, at most 11 MB (three horizons).
+MAX_RESTRICTION_WORK = 1 << 22
 # Most time steps, horizon / dt: at 32,768 (65,536) steps a default track
 # takes 1.8 s and 230 MB (4.8 s, 406 MB) and a box3 track 10 s and 0.73 GB
 # (22 s, 1.24 GB) on a 2-core host.
@@ -155,7 +168,6 @@ _nonnegative = partial(_signed, zero=True)
 _numbers, _finites = _each(_number), _each(_finite)
 _positives, _nonnegatives = _each(_positive), _each(_nonnegative)
 _table = _each(_finites)                    # one finite list per row
-_cell_counts = _each(_capped(MAX_CELLS))
 
 
 def _rows(rows, name: str) -> tuple:
@@ -200,12 +212,12 @@ _SCHEMA = {
     },
     "modes": {
         "count": (32, _capped(MAX_MODES)),
-        "controlled": (4, _capped(MAX_MODES)),
+        "controlled": (4, _capped(MAX_ACTUATORS)),
     },
     "actuators": {
         "kind": ("dct", _choice("actuator kind",
                                 ("dct", "explicit", "greedy"))),
-        "count": (None, _opt(_count)),
+        "count": (None, _opt(_capped(MAX_ACTUATORS))),
         "counts": (None, _opt(_each(partial(_count, zero=True)))),
         "points": (None, _opt(_rows)),
         "candidates_per_axis": (64, _count),
@@ -242,12 +254,12 @@ _SCHEMA = {
         "quad_order": (12, _capped(MAX_QUAD_ORDER)),
     },
     "coercivity": {
-        "cells": ((8, 16, 32, 64), _cell_counts),
+        "cells": ((8, 16, 32, 64), _each(_capped(MAX_CELLS))),
         "modes_per_cell": (8, _capped(MAX_MODES_PER_CELL)),
     },
     "sweep": {
-        "kind": (_REQUIRED, _choice("sweep kind", ("delta", "gain", "mesh"))),
-        "values": (_REQUIRED, _list),     # converted by kind, see _sweep
+        "kind": (_REQUIRED, _choice("sweep kind", ("gain",))),
+        "values": (_REQUIRED, _nonnegatives),
     },
     "tolerances": {
         "cross_integrator": (1e-8, _positive),
@@ -289,6 +301,16 @@ def _at_most(entries, name: str, top: int) -> None:
         raise ConfigError(f"{name} has {len(entries)} entries; at most {top}")
 
 
+def _actuators(block):
+    _at_most(block.points or (), "actuators.points", MAX_ACTUATORS)
+    # a box places counts[l] + 1 cosine nodes on axis l
+    grid = math.prod(n + 1 for n in block.counts or ())
+    if grid > MAX_ACTUATORS:
+        raise ConfigError(f"actuators.counts {list(block.counts)} place "
+                          f"{grid} actuators; at most {MAX_ACTUATORS}")
+    return block
+
+
 def _track(block):
     _at_most(block.deltas, "track.deltas", MAX_DELTAS)
     # Budget assertions are tagged ``{delta:g}``; abs gives -0.0 0.0's tag.
@@ -309,7 +331,20 @@ def _restriction(block):
     if len(set(block.horizons)) < 3:
         raise ConfigError(f"restriction.horizons needs at least three "
                           f"distinct entries, got {list(block.horizons)}")
+    if block.sources is not None:
+        _restriction_work(block, len(block.sources))
     return block
+
+
+def _restriction_work(block, sources: int) -> None:
+    """Reject a restriction block whose image sums, with ``sources``
+    sources, exceed MAX_RESTRICTION_WORK."""
+    work = (len(block.probes) * sources * len(block.horizons)
+            * block.samples * block.quad_order)
+    if work > MAX_RESTRICTION_WORK:
+        raise ConfigError(f"restriction probes x sources x horizons x "
+                          f"samples x quad_order is {work}; at most "
+                          f"{MAX_RESTRICTION_WORK}")
 
 
 def _coercivity(block):
@@ -322,19 +357,16 @@ def _coercivity(block):
 
 
 def _sweep(block):
-    # a gain and a contrast scale are both at least zero
-    convert = _cell_counts if block.kind == "mesh" else _nonnegatives
-    values = convert(block.values, "sweep.values")
-    if len(values) < 1:
+    if len(block.values) < 1:
         raise ConfigError("sweep.values must be nonempty")
-    _at_most(values, "sweep.values", MAX_SWEEP_VALUES)
-    return block._replace(values=values)
+    _at_most(block.values, "sweep.values", MAX_SWEEP_VALUES)
+    return block
 
 
 # Rules that tie keys of one block together, run after every key parsed.
-_RULES = {"modes": _modes, "control": _control, "track": _track,
-          "restriction": _restriction, "coercivity": _coercivity,
-          "sweep": _sweep}
+_RULES = {"modes": _modes, "actuators": _actuators, "control": _control,
+          "track": _track, "restriction": _restriction,
+          "coercivity": _coercivity, "sweep": _sweep}
 
 
 def parse_block(name: str, raw: dict):
@@ -378,6 +410,11 @@ class ExperimentConfig(NamedTuple):
     @property
     def digest(self) -> str:
         return hashlib.sha256(self.canonical.encode()).hexdigest()
+
+    def check_restriction_work(self, sources: int) -> None:
+        """The ``MAX_RESTRICTION_WORK`` check of the restriction block, for
+        a run whose ``sources`` sources are the actuators."""
+        _restriction_work(self.restriction, sources)
 
     @staticmethod
     def from_mapping(data: dict, seed_override: int | None = None) -> "ExperimentConfig":

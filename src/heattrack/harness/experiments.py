@@ -394,15 +394,6 @@ def _particles(config: ExperimentConfig, actuators: ActuatorSet,
     return pconf, unit_response(pconf, times, phi)
 
 
-def _actuate(pconf: PlasmonicConfig, amap, times: np.ndarray,
-             beta: np.ndarray):
-    """Inversion residual, realized heat inputs and remainder size of the
-    profile weights ``beta`` actuated through one map."""
-    p, residual = invert_actuation(amap, beta)
-    g_real, _, remainder = realize_profile(pconf, times, amap, p)
-    return residual, g_real, remainder
-
-
 def _track_pass(config: ExperimentConfig, system: ClosedLoopSystem, record,
                 pconf: PlasmonicConfig, phi: np.ndarray, maps: list):
     """Project a recorded closed-loop run on the profile ``phi``; realize it
@@ -413,9 +404,10 @@ def _track_pass(config: ExperimentConfig, system: ClosedLoopSystem, record,
     inputs and ``u_des`` their profile component, and ``e_real`` of
     ``g_real - u_des`` for each calibrated map of ``maps``.
     Returns the decomposition, ``u_des``, the resolvent-metric curve
-    ``err_proj`` of ``e_proj`` and, per map, ``_actuate``'s values, the
-    ``mismatch`` of ``g_real`` to ``u_des`` and the curves of ``e_real``
-    (``real``) and ``e_proj + e_real`` (``total``).
+    ``err_proj`` of ``e_proj`` and, per map, the inversion residual, the
+    realized inputs ``g_real``, the remainder size, the ``mismatch`` of
+    ``g_real`` to ``u_des`` and the curves of ``e_real`` (``real``) and
+    ``e_proj + e_real`` (``total``).
     """
     times, table = record.times, system.table
     with _stage("project"):
@@ -430,8 +422,8 @@ def _track_pass(config: ExperimentConfig, system: ClosedLoopSystem, record,
     acts = []
     with _stage("actuation"):
         for amap in maps:
-            residual, g_real, remainder = _actuate(pconf, amap, times,
-                                                   deco.beta)
+            p, residual = invert_actuation(amap, deco.beta)
+            g_real, _, remainder = realize_profile(pconf, times, amap, p)
             e_real = march(g_real - u_des)
             acts.append({"inversion_residual": residual, "g_real": g_real,
                          "mismatch": _series_l2(w, g_real - u_des),
@@ -701,8 +693,10 @@ def run_restriction(config: ExperimentConfig, out_dir: str | None = None,
     blk = config.restriction
     with _stage("build"):
         domain = build_domain(config.domain)
-        sources = (_layout(config)[2].points if blk.sources is None
-                   else blk.sources)
+        sources = blk.sources
+        if sources is None:
+            sources = _layout(config)[2].points
+            config.check_restriction_work(len(sources))
     with _stage("gaps"):
         try:
             report = restriction_gap_report(
@@ -791,20 +785,6 @@ def _secular_floor(dd: np.ndarray, aa: np.ndarray) -> np.ndarray:
     return lo
 
 
-def coercivity_constant(domain: DomainSpec, cells: int, n_modes: int) -> float:
-    """Smallest graph-to-energy quotient over fields vanishing on a mesh.
-
-    The quotient compares the squared resolvent-graph norm against the
-    diffusion energy norm of the first ``n_modes`` modes; the fields
-    vanish at the vertices x_j = jL/n, j = 0..n, of ``cells`` = n equal
-    elements.  The constraints split into alias classes
-    (``_alias_classes``), and the constant is the smallest secular root
-    over the classes (``_secular_floor``).
-    """
-    dd, aa = _alias_classes(domain, cells, n_modes)
-    return float(np.min(_secular_floor(dd, aa)))
-
-
 class CoercivityReport(NamedTuple):
     cells: tuple
     spacings: np.ndarray
@@ -818,8 +798,8 @@ def coercivity_profile(domain: DomainSpec, cells_list,
     """Coercivity constants across mesh refinements plus the log-log slope.
 
     The class tables of every mesh have ``modes_per_cell`` columns and are
-    stacked for one bisection; each constant equals
-    ``coercivity_constant`` of its mesh bit for bit.
+    stacked for one bisection, and a mesh's constant is the smallest
+    secular root over its classes.
     """
     cells_list = tuple(int(c) for c in cells_list)
     if len(cells_list) < 2:
@@ -835,23 +815,18 @@ def coercivity_profile(domain: DomainSpec, cells_list,
     return CoercivityReport(cells_list, spacings, constants, slope, r_squared)
 
 
-def _mesh_study(config: ExperimentConfig, what: str):
-    """Domain and coercivity block of a mesh study.
+def run_coercivity(config: ExperimentConfig, out_dir: str | None = None):
+    """Mesh sweep of the constrained coercivity constant.
 
     Mesh coercivity is defined on an interval, so a box config cannot run
-    the study: that is a config error, raised before any stage.
+    it: that is a config error, raised before any stage.
     """
     if config.domain.kind != "interval":
-        raise ConfigError(f"{what} needs an interval domain, got "
+        raise ConfigError(f"coercivity needs an interval domain, got "
                           f"{config.domain.kind!r}")
     with _stage("build"):
         domain = build_domain(config.domain)
-    return domain, config.coercivity
-
-
-def run_coercivity(config: ExperimentConfig, out_dir: str | None = None):
-    """Mesh sweep of the constrained coercivity constant."""
-    domain, blk = _mesh_study(config, "coercivity")
+    blk = config.coercivity
     with _stage("sweep"):
         report = coercivity_profile(domain, blk.cells, blk.modes_per_cell)
     rows = ([report.cells[i], float(report.spacings[i]),
@@ -870,7 +845,6 @@ def run_coercivity(config: ExperimentConfig, out_dir: str | None = None):
 
 
 class SweepResult(NamedTuple):
-    kind: str
     values: tuple
     metrics: tuple          # primary metric per value, nan where failed
     statuses: tuple         # "ok" or the failure type name
@@ -879,53 +853,24 @@ class SweepResult(NamedTuple):
 
 
 def run_sweep(config: ExperimentConfig, out_dir: str | None = None):
-    """Scan one parameter, collecting a primary metric per value.
+    """Scan the feedback gain, collecting the stationary tail size per value.
 
-    ``delta`` scans the contrast scale and reports the realized remainder;
-    ``gain`` scans the feedback gain and reports the stationary tail size;
-    ``mesh`` scans element counts and reports the coercivity constant.
     Individual failures are recorded and skipped; the log-log slope is
     fitted only when at least three values succeed.
     """
     if config.sweep is None:
         raise ConfigError("a sweep block is required for this command")
-    kind, values = config.sweep.kind, config.sweep.values
-
-    if kind == "delta":
-        setup = build_loop(config)
-        with _stage("simulate"):
-            _, record = _run_loop(config, setup.system)
-        times = record.times
-        with _stage("project"):
-            pconf, response = _particles(config, setup.actuators, times)
-            beta = project_onto_profile(times, record.inputs,
-                                        response.profile).beta
-
-        def metric(delta):
-            amap = calibrate_k0(pconf, response, delta)
-            return _actuate(pconf, amap, times, beta)[2]
-    elif kind == "gain":
-        with _stage("build"):
-            _, table, actuators = _layout(config)
-            matrices = sampling_matrix(actuators, table,
-                                       config.modes.controlled)
-            a_target = _padded(config, "reference", config.modes.controlled)
-
-        def metric(gain):
-            bias, _, _, system = _close_loop(config, matrices, gain,
-                                             a_target)
-            return tail_mismatch_report(system, bias, a_target).tail_vdual
-    else:  # mesh
-        domain, blk = _mesh_study(config, "a mesh sweep")
-
-        def metric(cells):
-            return coercivity_constant(domain, cells,
-                                       blk.modes_per_cell * cells)
-
+    values = config.sweep.values
+    with _stage("build"):
+        _, table, actuators = _layout(config)
+        matrices = sampling_matrix(actuators, table, config.modes.controlled)
+        a_target = _padded(config, "reference", config.modes.controlled)
     metrics, statuses = [], []
-    for value in values:
+    for gain in values:
         try:
-            metrics.append(metric(value))
+            bias, _, _, system = _close_loop(config, matrices, gain, a_target)
+            metrics.append(
+                tail_mismatch_report(system, bias, a_target).tail_vdual)
             statuses.append("ok")
         except HeattrackError as exc:
             metrics.append(float("nan"))
@@ -937,8 +882,8 @@ def run_sweep(config: ExperimentConfig, out_dir: str | None = None):
     if fitted:
         slope = line_fit(np.log([v for v, _ in good]),
                          np.log([m for _, m in good]))[0]
-    result = SweepResult(kind, tuple(values), tuple(metrics),
-                         tuple(statuses), slope, fitted)
+    result = SweepResult(values, tuple(metrics), tuple(statuses), slope,
+                         fitted)
     rows = ([float(v), float(m), s]
             for v, m, s in zip(values, metrics, statuses))
     manifest = _emit(out_dir, "sweep", config,

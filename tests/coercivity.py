@@ -1,15 +1,28 @@
-"""Dense oracle for the constrained coercivity quotient at general nodes.
+"""Oracles for the constrained coercivity quotient.
 
-``coercivity_constant`` computes the uniform-mesh constant from the alias
-structure of the vertices; this routine handles any node set by a complete
-QR of the whitened constraints and a dense ``eigvalsh``, and is what the
-mesh routine is checked against.
+``coercivity_constant`` is one mesh's constant from the alias classes of
+its vertices, as ``coercivity_profile`` computes it for every mesh at once.
+``coercivity_at_nodes`` handles any node set by a complete QR of the
+whitened constraints and a dense ``eigvalsh``, and is what the mesh
+routines are checked against.
 """
 
 import numpy as np
 
 from heattrack.errors import DegenerateNodesError
+from heattrack.harness.experiments import _alias_classes, _secular_floor
 from heattrack.spectral import DomainSpec, enumerate_modes, eval_modes
+
+
+def coercivity_constant(domain: DomainSpec, cells: int, n_modes: int) -> float:
+    """Smallest graph-to-energy quotient over fields vanishing on a mesh.
+
+    The fields vanish at the vertices x_j = jL/n, j = 0..n, of ``cells`` =
+    n equal elements.  The constraints split into alias classes, and the
+    constant is the smallest secular root over the classes.
+    """
+    dd, aa = _alias_classes(domain, cells, n_modes)
+    return float(np.min(_secular_floor(dd, aa)))
 
 
 def coercivity_at_nodes(domain: DomainSpec, nodes, n_modes: int) -> float:

@@ -3,6 +3,8 @@
 import copy
 import hashlib
 import os
+import pathlib
+import shlex
 import subprocess
 import sys
 
@@ -26,6 +28,7 @@ from heattrack.harness import cli
 from heattrack.harness import experiments as exp
 from heattrack.harness.config import (
     _SCHEMA,
+    MAX_ACTUATORS,
     MAX_CANDIDATES,
     MAX_CELLS,
     MAX_DELTAS,
@@ -35,6 +38,7 @@ from heattrack.harness.config import (
     MAX_MODES_PER_CELL,
     MAX_PROBES,
     MAX_QUAD_ORDER,
+    MAX_RESTRICTION_WORK,
     MAX_SAMPLES,
     MAX_SOURCES,
     MAX_STEPS,
@@ -54,7 +58,7 @@ from heattrack.harness.manifest import (
 from heattrack.rng import stream
 from heattrack.spectral import march_forced
 
-from coercivity import coercivity_at_nodes
+from coercivity import coercivity_at_nodes, coercivity_constant
 from particles import run_pipeline
 from stepping import step_march
 from streams import PURPOSE_TEST
@@ -157,10 +161,14 @@ def test_sweep_block_validation():
     with pytest.raises(ConfigError, match="requires key"):
         _config(sweep={"values": [1.0]})
     with pytest.raises(ConfigError, match="nonempty"):
-        _config(sweep={"kind": "delta", "values": []})
-    assert _config(sweep={"kind": "mesh",
-                          "values": [1, 8.0, MAX_CELLS]}).sweep.values == (
-        1, 8, MAX_CELLS)
+        _config(sweep={"kind": "gain", "values": []})
+    # the contrast scale and the mesh have their own commands
+    for kind in ("delta", "mesh"):
+        with pytest.raises(ConfigError, match=f"unknown sweep kind '{kind}'"):
+            _config(sweep={"kind": kind, "values": [8, 16]})
+    assert _config(sweep={"kind": "gain",
+                          "values": [0, 8, "16.5"]}).sweep.values == (
+        0.0, 8.0, 16.5)
 
 
 def test_capped_integer_keys_accept_both_ends():
@@ -173,6 +181,42 @@ def test_capped_integer_keys_accept_both_ends():
             coercivity={"cells": [4, 8], "modes_per_cell": per_cell})
         assert (config.restriction.samples, config.restriction.quad_order,
                 config.coercivity.modes_per_cell) == low_or_top
+
+
+# 16 probes x 1 source x 4 horizons x 1024 samples x 64 nodes is exactly
+# MAX_RESTRICTION_WORK, and so is 16 nodes with BASE's four actuators as
+# the sources.
+_AT_WORK_CAP = {"probes": [[0.3 + 0.01 * k] for k in range(16)],
+                "sources": [[0.9]], "horizons": [0.02, 0.01, 0.005, 0.0025],
+                "samples": 1024, "quad_order": 64}
+_AT_WORK_CAP_FROM_ACTUATORS = {**_AT_WORK_CAP, "quad_order": 16}
+del _AT_WORK_CAP_FROM_ACTUATORS["sources"]
+
+
+def test_restriction_accepts_up_to_the_work_cap():
+    assert 16 * 4 * 1024 * 64 == MAX_RESTRICTION_WORK
+    assert _config(restriction=_AT_WORK_CAP).restriction.quad_order == 64
+    with pytest.raises(ConfigError, match="quad_order is 4259840"):
+        _config(restriction=dict(_AT_WORK_CAP, quad_order=65))
+
+
+def test_placements_up_to_the_actuator_cap_parse():
+    wide = _config(actuators={"kind": "greedy", "count": MAX_ACTUATORS},
+                   modes={"count": 256, "controlled": MAX_ACTUATORS})
+    assert wide.actuators.count == wide.modes.controlled == MAX_ACTUATORS
+    points = [[k / 200] for k in range(MAX_ACTUATORS)]
+    assert len(_config(actuators={"kind": "explicit", "points": points})
+               .actuators.points) == MAX_ACTUATORS
+    # a box places counts + 1 nodes per axis: 4 x 4 x 8
+    box = _config(domain={"kind": "box3", "lengths": [1.0, 0.8, 0.6]},
+                  actuators={"kind": "dct", "counts": [3, 3, 7]})
+    assert box.actuators.counts == (3, 3, 7)
+
+
+def test_cli_runs_a_loop_at_the_actuator_cap(tmp_path):
+    path = _write_yaml(tmp_path / "wide.yaml", _mapping(
+        actuators={"kind": "dct", "count": MAX_ACTUATORS}))
+    assert cli.main(["simulate", "--config", path, "--check"]) == 0
 
 
 def test_control_accepts_up_to_max_steps():
@@ -232,7 +276,7 @@ def test_load_config_failure_modes(tmp_path):
 
 # The packaged default plus a sweep block, so every block has keys to fuzz.
 FUZZ_BASE = dict(yaml.safe_load(resolve_config_path("default").read_text()),
-                 sweep={"kind": "mesh", "values": [8, 16]})
+                 sweep={"kind": "gain", "values": [4.0, 8.0]})
 FUZZ_KEYS = [(None, "seed")] + [(block, key)
                                 for block, keys in FUZZ_BASE.items()
                                 if isinstance(keys, dict) for key in keys]
@@ -392,7 +436,7 @@ def test_degenerate_node_sets_are_rejected(unit_interval):
 
 def test_mesh_constant_uses_the_element_vertices(unit_interval):
     direct = coercivity_at_nodes(unit_interval, np.linspace(0.0, 1.0, 5), 24)
-    assert exp.coercivity_constant(unit_interval, 4, 24) == pytest.approx(
+    assert coercivity_constant(unit_interval, 4, 24) == pytest.approx(
         direct, rel=1e-13)
 
 
@@ -406,11 +450,11 @@ def test_mesh_constant_matches_the_dense_oracle(kappa, cells,
     nodes = np.linspace(0.0, 1.0, cells + 1)
     if n_modes <= cells + 1:
         with pytest.raises(DegenerateNodesError, match="no field"):
-            exp.coercivity_constant(domain, cells, n_modes)
+            coercivity_constant(domain, cells, n_modes)
         with pytest.raises(DegenerateNodesError, match="no field"):
             coercivity_at_nodes(domain, nodes, n_modes)
         return
-    assert exp.coercivity_constant(domain, cells, n_modes) == pytest.approx(
+    assert coercivity_constant(domain, cells, n_modes) == pytest.approx(
         coercivity_at_nodes(domain, nodes, n_modes), rel=1e-13)
 
 
@@ -424,7 +468,7 @@ def test_mesh_constant_at_a_tie_is_the_tied_value():
     lam = spectral.enumerate_modes(domain, 12).eigenvalues
     d = (1.0 + lam) ** 2 / (1.0 + lam / domain.kappa)
     assert d[2] == d[4] < d[8] < d[10]
-    got = exp.coercivity_constant(domain, 3, 12)
+    got = coercivity_constant(domain, 3, 12)
     assert got == d[2]
     nodes = np.linspace(0.0, domain.lengths[0], 4)
     assert got == pytest.approx(coercivity_at_nodes(domain, nodes, 12),
@@ -446,7 +490,7 @@ def test_coercivity_profile_is_the_per_mesh_constant(kappa, modes_per_cell):
                 continue
             report = exp.coercivity_profile(domain, cells, modes_per_cell)
             assert report.constants.tolist() == [
-                exp.coercivity_constant(domain, c, modes_per_cell * c)
+                coercivity_constant(domain, c, modes_per_cell * c)
                 for c in cells]
 
 
@@ -551,12 +595,10 @@ _PERTURBED = {"plasmonic": {"perturb_interaction": True}}
 
 @pytest.mark.parametrize("command,blocks", [
     ("track", _PERTURBED),
-    ("sweep", {"sweep": {"kind": "delta",
-                         "values": [0.2, 0.1, 0.05, 0.025]}}),
-    ("sweep", {**_PERTURBED, "sweep": {"kind": "delta",
-                                       "values": [0.2, 0.1, 0.05, 0.025,
+    ("track", {**_PERTURBED, "track": {"deltas": [0.2, 0.1, 0.05, 0.025,
                                                   0.0]}}),
-], ids=["track-perturbed", "sweep-delta", "sweep-delta-perturbed-to-0"])
+    ("sweep", {"sweep": {"kind": "gain", "values": [0.0, 2.0, 4.0, 8.0]}}),
+], ids=["track-perturbed", "track-perturbed-to-0", "sweep-gain"])
 def test_cli_writes_deterministic_outputs(tmp_path, command, blocks):
     """Two runs of one config write the same bytes to every file: the
     dictionary and coupling perturbations come from seeded streams."""
@@ -575,9 +617,8 @@ def test_cli_writes_deterministic_outputs(tmp_path, command, blocks):
 
 @pytest.mark.parametrize("run", [
     lambda: exp.run_track(load_config("default")),
-    lambda: exp.run_sweep(_config(sweep={"kind": "delta",
-                                         "values": [0.2, 0.1, 0.05]})),
-], ids=["track", "sweep-delta"])
+    lambda: exp.run_calibrate(load_config("default")),
+], ids=["track", "calibrate"])
 def test_particles_are_marched_once_per_run(monkeypatch, run):
     """Calibration, realization and remainder at every contrast scale (and
     at the doubled truncation) share one batched amplitude march."""
@@ -806,11 +847,11 @@ def test_coercivity_driver(tmp_path):
 
 
 def test_delta_sweep_fits_the_remainder_rate():
-    config = _config(sweep={"kind": "delta", "values": [0.2, 0.1, 0.05]})
-    result, _ = exp.run_sweep(config)
-    assert result.statuses == ("ok", "ok", "ok")
-    assert result.fitted
-    assert result.slope == pytest.approx(1.0, abs=0.1)
+    """A track run's budget table is the contrast-scale sweep."""
+    config = _config(track=dict(BASE["track"], deltas=[0.2, 0.1, 0.05]))
+    result = exp.run_track(config)
+    assert all(row.remainder > 0.0 for row in result.budget_rows)
+    assert result.remainder_slope == pytest.approx(1.0, abs=0.1)
 
 
 def test_gain_sweep_reports_tail_sizes():
@@ -847,17 +888,18 @@ def test_gain_sweep_records_a_singular_zero_gain_and_keeps_going():
     assert result.fitted
 
 
-def test_mesh_sweep_records_failures_and_keeps_going(unit_interval):
-    config = _config(sweep={"kind": "mesh", "values": [1, 8, 16, 32]},
-                     coercivity={"cells": [4, 8], "modes_per_cell": 2})
-    result, _ = exp.run_sweep(config)
-    assert result.statuses == ("DegenerateNodesError", "ok", "ok", "ok")
-    assert np.isnan(result.metrics[0])
-    assert result.fitted
-    assert result.slope == pytest.approx(2.0, abs=0.3)
-    # the surviving rows match the direct computation
-    assert result.metrics[1] == pytest.approx(
-        exp.coercivity_constant(unit_interval, 8, 16), rel=1e-13)
+def test_coercivity_fails_on_a_degenerate_mesh(unit_interval):
+    # one cell at two modes per cell: two vertices constrain both modes
+    block = {"cells": [1, 8, 16, 32], "modes_per_cell": 2}
+    with pytest.raises(StageError, match="'sweep'") as info:
+        exp.run_coercivity(_config(coercivity=block))
+    assert isinstance(info.value.cause, DegenerateNodesError)
+    report, _ = exp.run_coercivity(
+        _config(coercivity=dict(block, cells=[8, 16, 32])))
+    assert report.slope == pytest.approx(-2.0, abs=0.3)
+    # the rows match the direct computation
+    assert report.constants[0] == pytest.approx(
+        coercivity_constant(unit_interval, 8, 16), rel=1e-13)
 
 
 def test_sweep_requires_its_block():
@@ -980,15 +1022,15 @@ def test_cli_restriction_and_sweep(tmp_path, capsys):
     data = _mapping(
         restriction={"probes": [[0.5]], "sources": [[0.4], [0.6]],
                      "horizons": [0.02, 0.01, 0.005, 0.0025]},
-        sweep={"kind": "mesh", "values": [1, 8, 16, 32]},
-        coercivity={"cells": [4, 8], "modes_per_cell": 2})
+        sweep={"kind": "gain", "values": [0.0, 4.0, 8.0, 16.0]})
     path = _write_yaml(tmp_path / "c.yaml", data)
     out = tmp_path / "res"
     assert cli.main(["restriction", "--config", path,
                      "--out", str(out)]) == 0
     assert (out / "restriction.csv").exists()
+    # a failing gain is recorded and the sweep goes on
     assert cli.main(["sweep", "--config", path]) == 0
-    assert "status=DegenerateNodesError" in capsys.readouterr().out
+    assert "status=SingularSystemError" in capsys.readouterr().out
 
 
 def test_cli_rejects_bad_configs(tmp_path, capsys):
@@ -1017,10 +1059,19 @@ def test_cli_rejects_bad_configs(tmp_path, capsys):
                                     [-4, 8], [8, MAX_CELLS + 1], [1e300]],
                          ids=str)
 def test_cli_mesh_sweep_rejects_bad_cell_counts(tmp_path, capsys, values):
+    """The coercivity command is the mesh sweep."""
     path = _write_yaml(tmp_path / "mesh.yaml",
-                       _mapping(sweep={"kind": "mesh", "values": values}))
+                       _mapping(coercivity={"cells": values}))
+    assert cli.main(["coercivity", "--config", path, "--check"]) == 2
+    assert "coercivity.cells" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["delta", "mesh"])
+def test_cli_sweep_scans_the_gain_only(tmp_path, capsys, kind):
+    path = _write_yaml(tmp_path / "sweep.yaml",
+                       _mapping(sweep={"kind": kind, "values": [8, 16]}))
     assert cli.main(["sweep", "--config", path, "--check"]) == 2
-    assert "sweep.values" in capsys.readouterr().err
+    assert f"unknown sweep kind '{kind}'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("block,key,value", [
@@ -1066,6 +1117,24 @@ def test_cli_mesh_sweep_rejects_bad_cell_counts(tmp_path, capsys, values):
     pytest.param("restriction", "sources",
                  [[0.3 + 0.01 * k] for k in range(MAX_SOURCES + 1)],
                  id="restriction-sources-MAX_SOURCES+1"),
+    # the product of the restriction sizes past its cap, with the sources
+    # given or taken from the four actuators (checked at the build stage)
+    pytest.param(None, "restriction", dict(_AT_WORK_CAP, quad_order=65),
+                 id="restriction-MAX_RESTRICTION_WORK+1"),
+    pytest.param(None, "restriction",
+                 dict(_AT_WORK_CAP_FROM_ACTUATORS, quad_order=17),
+                 id="restriction-MAX_RESTRICTION_WORK+1-from-actuators"),
+    # placements past the actuator cap, by each key that sets the count
+    ("actuators", "count", MAX_ACTUATORS + 1),
+    ("actuators", "count", 3000),
+    pytest.param("actuators", "points",
+                 [[k / 200] for k in range(MAX_ACTUATORS + 1)],
+                 id="actuators-points-MAX_ACTUATORS+1"),
+    pytest.param(None, "modes", {"count": 256,
+                                 "controlled": MAX_ACTUATORS + 1},
+                 id="modes-controlled-MAX_ACTUATORS+1"),
+    (None, None, {"domain": {"kind": "box3", "lengths": [1.0, 0.8, 0.6]},
+                  "actuators": {"kind": "dct", "counts": [3, 3, 8]}}),
     ("control", "gain", "\u0668" * 15),
     ("control", "dt", "\uff10.002"),
     ("control", "gain", b"88.0"),
@@ -1172,15 +1241,11 @@ def test_cli_rejects_malformed_values_as_config_errors(tmp_path, capsys,
     assert "config error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command,sweep", [
-    ("coercivity", None), ("sweep", {"kind": "mesh", "values": [8, 16]})])
-def test_cli_rejects_interval_only_runs_on_a_box(tmp_path, capsys, command,
-                                                 sweep):
+def test_cli_rejects_a_coercivity_run_on_a_box(tmp_path, capsys):
     data = _mapping(domain={"kind": "box3", "lengths": [1.0, 0.8, 0.6]},
-                    actuators={"kind": "dct", "counts": [1, 1, 1]},
-                    sweep=sweep)
+                    actuators={"kind": "dct", "counts": [1, 1, 1]})
     path = _write_yaml(tmp_path / "box.yaml", data)
-    assert cli.main([command, "--config", path, "--check"]) == 2
+    assert cli.main(["coercivity", "--config", path, "--check"]) == 2
     assert "config error" in capsys.readouterr().err
 
 
@@ -1298,6 +1363,22 @@ def test_track_runs_without_importing_scipy(tmp_path):
                                      "track", "restriction", "coercivity"])
 def test_every_command_passes_its_checks_on_the_packaged_config(command):
     assert cli.main([command, "--config", "default", "--check"]) == 0
+
+
+WORKFLOW = (pathlib.Path(__file__).resolve().parents[1]
+            / ".github" / "workflows" / "tier1.yml")
+
+
+def test_every_command_the_ci_workflow_runs_passes():
+    """Each ``heattrack ...`` line of a CI step, run in-process, exits 0,
+    so a workflow that names a removed command or key fails here first."""
+    jobs = yaml.safe_load(WORKFLOW.read_text())["jobs"]
+    lines = [line for job in jobs.values() for step in job["steps"]
+             for line in step.get("run", "").splitlines()
+             if line.startswith("heattrack ")]
+    assert lines
+    for line in lines:
+        assert cli.main(shlex.split(line)[1:]) == 0, line
 
 
 def test_cli_reports_run_failures(tmp_path, capsys):

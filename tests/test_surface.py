@@ -89,6 +89,25 @@ def test_every_all_lists_exactly_the_names_used_outside_the_tests():
     assert checked == 10
 
 
+def test_no_library_code_is_reached_only_by_the_tests():
+    """Every module-level function and class is referenced in ``src/``
+    outside its own definition, or reached by the benchmark."""
+    used = _used_names()
+    unreached = []
+    for name, path in _modules():
+        tree = ast.parse(path.read_text(), str(path))
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            inside = {id(n) for n in ast.walk(node)}
+            local = any(isinstance(n, ast.Name) and n.id == node.name
+                        and id(n) not in inside for n in ast.walk(tree))
+            if not (local or node.name in used[name]
+                    or node.name in BENCHMARK.get(name, ())):
+                unreached.append(f"{name}.{node.name}")
+    assert unreached == []
+
+
 def test_the_package_inits_import_nothing():
     for name, path in _modules():
         if name.endswith("__init__"):
