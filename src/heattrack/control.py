@@ -55,6 +55,11 @@ class _Spectrum(NamedTuple):
     def from_w(self, w: np.ndarray) -> np.ndarray:
         return (w @ self.vecs.T) / self.root_w
 
+    def inverse_head(self, n: int) -> np.ndarray:
+        """The first n rows (not columns: a_cl is not symmetric) of a_cl^-1."""
+        return ((self.vecs[:n] / self.mu) @ self.vecs.T
+                * (self.root_w / self.root_w[:n, None]))
+
 
 def _w_eigh(a_cl: np.ndarray, lam: np.ndarray) -> _Spectrum:
     """Spectrum of the loop generator in the resolvent frame.
@@ -90,16 +95,28 @@ class ClosedLoopSystem:
 
     @cached_property
     def _spectrum(self) -> _Spectrum:
-        # One eigh per loop, shared by every consumer below.
+        # The loop's one factorization: the march, the equilibrium, T_N
+        # and the contraction certificates read it; retarget keeps it.
         return _w_eigh(self.a_cl, self.table.eigenvalues)
 
-    def _equilibrium_w(self) -> np.ndarray:
-        """Eigen-coordinates of the stationary state; raises when singular."""
+    def _inverse(self) -> _Spectrum:
+        """The spectrum, to invert a_cl with; raises when it is singular."""
         spec = self._spectrum
         if spec.singular:
             raise SingularSystemError("closed-loop generator is singular",
                                       float(np.min(np.abs(spec.mu))))
+        return spec
+
+    def _equilibrium_w(self) -> np.ndarray:
+        """Eigen-coordinates of the stationary state; raises when singular."""
+        spec = self._inverse()
         return -spec.to_w(self.forcing) / spec.mu
+
+    def retarget(self, reference) -> ClosedLoopSystem:
+        """The same loop, spectrum kept, driven toward another reference."""
+        system = _driven(self.matrices, self.gain, self.a_cl, reference)
+        system.__dict__["_spectrum"] = self._spectrum  # the cached eigh
+        return system
 
 
 def _generator(matrices: SamplingMatrices, gain: float) -> np.ndarray:
@@ -120,6 +137,12 @@ def assemble_closed_loop(matrices: SamplingMatrices, gain: float,
     N forcing entries; that cancellation is checked to 1e-10.
     """
     a_cl = _generator(matrices, gain)
+    return _driven(matrices, float(gain), a_cl, reference)
+
+
+def _driven(matrices: SamplingMatrices, gain: float, a_cl: np.ndarray,
+            reference) -> ClosedLoopSystem:
+    """The loop ``a_cl`` with the feedforward and forcing of a reference."""
     table = matrices.table
     lam = table.eigenvalues
     n = matrices.n_modes
@@ -135,8 +158,7 @@ def assemble_closed_loop(matrices: SamplingMatrices, gain: float,
     if np.max(np.abs(forcing[:n])) > 1e-10 * scale:
         raise SingularSystemError(
             "feedforward failed to cancel the controlled-mode forcing")
-    return ClosedLoopSystem(matrices, float(gain), ref_full, u_ff, a_cl,
-                            forcing)
+    return ClosedLoopSystem(matrices, gain, ref_full, u_ff, a_cl, forcing)
 
 
 def _solve_square(a: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
@@ -188,7 +210,9 @@ def simulate_closed_loop(system: ClosedLoopSystem, z0: np.ndarray,
     ``t f`` where mu t underflows to 0), evaluated at every grid time at
     once.  With mu <= 0 nothing overflows.  The offset from the stationary
     state, whose norms the record keeps, is formed directly as
-    ``exp(mu t) (w0 - w_inf)``.
+    ``exp(mu t) (w0 - w_inf)``.  The states keep the ``expm1`` form, of
+    size ``t f``: on a nearly singular loop w_inf = -f / mu is huge, and
+    ``z_inf + offset`` would cancel it.
     """
     times = time_grid(horizon, dt)
     z0 = np.asarray(z0, dtype=float)
@@ -250,21 +274,18 @@ class BiasMatrix(NamedTuple):
     norm: float
 
 
-def assemble_bias_matrix(matrices: SamplingMatrices, gain: float) -> BiasMatrix:
-    """Probe each controlled mode once and collect stationary low modes."""
+def assemble_bias_matrix(system: ClosedLoopSystem) -> BiasMatrix:
+    """Stationary low modes of the loop on each controlled eigenfunction:
+    the first N rows of -a_cl^-1 F, F's column k the forcing -lambda_k e_k
+    + E u_k of mode k with its feedforward u_k.  One feedforward solve
+    gives every u_k, and the loop spectrum the rows of a_cl^-1; T_N does
+    not depend on the system's reference."""
+    matrices = system.matrices
     n = matrices.n_modes
-    a_cl = _generator(matrices, gain)
-    eye = np.eye(n)
-    u_cols = np.stack([min_norm_feedforward(eye[k], matrices)
-                       for k in range(n)], axis=1)
-    # Column k of the forcing is -lambda * e_k + E u_k; one solve for all.
-    forcing = matrices.values.T @ u_cols
+    spec = system._inverse()
+    forcing = matrices.values.T @ min_norm_feedforward(np.eye(n), matrices)
     forcing[:n] -= np.diag(matrices.table.eigenvalues[:n])
-    try:
-        t_mat = np.linalg.solve(a_cl, -forcing)[:n]
-    except np.linalg.LinAlgError:
-        raise SingularSystemError(
-            "closed-loop generator is singular") from None
+    t_mat = -(spec.inverse_head(n) @ forcing)
     return BiasMatrix(t_mat, float(np.linalg.norm(t_mat, 2)))
 
 
@@ -336,15 +357,11 @@ def tail_mismatch_report(system: ClosedLoopSystem, bias: BiasMatrix,
     tail_vdual = float(np.linalg.norm(y_inf[n:] / (1.0 + lam[n:])))
 
     w = 1.0 / (1.0 + lam)
-    # W a_cl^-1 W^-1 = W^(1/2) S^-1 W^(-1/2), S^-1 from the loop spectrum.
-    spec = system._spectrum
-    s_inv = (spec.vecs / spec.mu) @ spec.vecs.T
-    c_cl = float(np.linalg.norm(
-        (spec.root_w[:, None] * s_inv) / spec.root_w[None, :], 2))
+    a_inv = system._spectrum.inverse_head(lam.size)
+    c_cl = float(np.linalg.norm(w[:, None] * a_inv / w[None, :], 2))
     e_mat = system.matrices.values.T
     tail_b = float(np.linalg.norm(w[n:, None] * e_mat[n:, :], 2))
-    phi_pinv = np.linalg.pinv(system.matrices.phi)
-    u_n = phi_pinv * lam[None, :n]
+    u_n = min_norm_feedforward(np.eye(n), system.matrices)
     u_n_norm = float(np.linalg.norm(u_n / w[None, :n], 2))
     inv_tn = np.linalg.inv(np.eye(n) + bias.matrix)
     inv_norm = float(np.linalg.norm((w[:n, None] * inv_tn) / w[None, :n], 2))
@@ -397,6 +414,11 @@ def contraction_diagnostics(system: ClosedLoopSystem) -> ContractionDiagnostics:
     feedforward norms into a bias-matrix estimate; the mechanism holds
     when that estimate is below one.
 
+    The first n rows of a_cl^-1 are [S^-1, -S^-1 a12 a22^-1], S the Schur
+    complement of a22, so the loop spectrum gives ||S^-1||_2 and l_n =
+    ||S^-1 a12 a22^-1||_2.  a22 is W-negative definite, so S exists
+    exactly when a_cl is nonsingular (see the README).
+
     Mechanism B works in the W frame, <x, y>_W = x^T W y, in which the loop
     is self-adjoint: ||exp(a_cl t)||_W = exp(-alpha t), so M = 1 exactly and
     ||a_cl^-1||_W = 1/alpha.  Its input norm is ||W^(1/2) E||_2, and its
@@ -409,28 +431,19 @@ def contraction_diagnostics(system: ClosedLoopSystem) -> ContractionDiagnostics:
     if n >= k:
         raise ValueError("diagnostics need at least one tail mode")
     lam = system.table.eigenvalues
-    a_cl = system.a_cl
-    a11 = a_cl[:n, :n]
-    a12 = a_cl[:n, n:]
-    a21 = a_cl[n:, :n]
-    a22 = a_cl[n:, n:]
+    spec = system._spectrum
     beta = _tail_coupling_norm(system.matrices, system.gain)
     lam_next = float(lam[n])
-    a12_norm = float(np.linalg.norm(a12, 2))
+    a12_norm = float(np.linalg.norm(system.a_cl[:n, n:], 2))
 
-    inconclusive = []
-    try:
-        a22_inv = np.linalg.inv(a22)
-        schur = a11 - a12 @ a22_inv @ a21
-        s_vals = np.linalg.svd(schur, compute_uv=False)
-        if s_vals[-1] <= 1e-13 * max(s_vals[0], 1.0):
-            raise np.linalg.LinAlgError("singular Schur complement")
-        schur_norm = float(1.0 / s_vals[-1])
-        l_n = float(np.linalg.norm(np.linalg.inv(schur) @ a12 @ a22_inv, 2))
-    except np.linalg.LinAlgError:
-        schur_norm = np.inf
-        l_n = 0.0 if a12_norm == 0.0 else np.inf
-        inconclusive.append("schur")
+    if spec.singular:
+        schur_norm, l_n = np.inf, (0.0 if a12_norm == 0.0 else np.inf)
+        inconclusive = ["schur", "resolvent"]
+    else:
+        head = spec.inverse_head(n)
+        schur_norm = float(np.linalg.norm(head[:, :n], 2))
+        l_n = float(np.linalg.norm(head[:, n:], 2))
+        inconclusive = []
 
     e_mat = system.matrices.values.T
     b_norm = float(np.linalg.norm(e_mat, 2))
@@ -438,9 +451,7 @@ def contraction_diagnostics(system: ClosedLoopSystem) -> ContractionDiagnostics:
     sigma_min = system.matrices.sigma_min
     u_n_norm = (lam_low_max / sigma_min) if sigma_min > 0 else np.inf
 
-    if system._spectrum.singular:
-        inconclusive.append("resolvent")
-    alpha = float(-system._spectrum.mu[-1])
+    alpha = float(-spec.mu[-1])
     m_est = 1.0 if alpha > 0 else np.inf
     if alpha <= 0:
         inconclusive.append("abscissa")
@@ -454,8 +465,7 @@ def contraction_diagnostics(system: ClosedLoopSystem) -> ContractionDiagnostics:
         bound_a = np.inf
         if "schur" not in inconclusive:
             inconclusive.append("tail-margin")
-    b_norm_w = float(np.linalg.norm(
-        system._spectrum.root_w[:, None] * e_mat, 2))
+    b_norm_w = float(np.linalg.norm(spec.root_w[:, None] * e_mat, 2))
     bound_b = ((m_est / alpha) * b_norm_w * u_n_norm
                * np.sqrt(1.0 + lam_low_max) if alpha > 0 else np.inf)
     bound_c = l_n * b_norm * u_n_norm if np.isfinite(l_n) else np.inf

@@ -38,12 +38,13 @@ MAX_MODES = 2048
 MAX_CELLS = 4096
 # Most actuators a placement may have: actuators.count, modes.controlled
 # (the default count, and a loop needs an actuator per controlled mode),
-# the box grid prod(counts + 1) or the actuators.points entries.  The
-# particle response of track and calibrate holds (steps + 1) x count^2
-# complex values: at the default dt a calibrate takes 1.8 s and 0.28 GB at
-# 64 actuators and 7.9 s and 0.87 GB at 128 on a 2-core host, and at 256 it
-# ran out of a 3 GB address space.
+# the box grid prod(counts + 1) or the actuators.points entries.
 MAX_ACTUATORS = 128
+# Largest particle response of track and calibrate, (steps + 1) x count^2
+# complex values, about 106 bytes each at peak.  At the cap, MAX_ACTUATORS
+# at the default 500 steps, a calibrate takes 6.1 s and 0.87 GB on a 2-core
+# host; 16 actuators at MAX_STEPS, 2% past it, take 11.3 s and 0.97 GB.
+MAX_PARTICLE_RESPONSE = 501 * MAX_ACTUATORS ** 2
 # Largest greedy grid, candidates_per_axis ** dim: on box3's 128 modes the
 # search takes about 20 us per candidate and step (0.35 s for 4096 and 4
 # actuators) and 3 KB per candidate, so its default 64 per axis would take
@@ -415,6 +416,15 @@ class ExperimentConfig(NamedTuple):
         """The ``MAX_RESTRICTION_WORK`` check of the restriction block, for
         a run whose ``sources`` sources are the actuators."""
         _restriction_work(self.restriction, sources)
+
+    def check_particle_response(self, count: int) -> None:
+        """The ``MAX_PARTICLE_RESPONSE`` check for ``count`` particles."""
+        steps = grid_steps(self.control.horizon, self.control.dt)
+        size = (steps + 1) * count ** 2
+        if size > MAX_PARTICLE_RESPONSE:
+            raise ConfigError(f"{count} actuators over {steps} steps give a "
+                              f"particle response of {size} values; at most "
+                              f"{MAX_PARTICLE_RESPONSE}")
 
     @staticmethod
     def from_mapping(data: dict, seed_override: int | None = None) -> "ExperimentConfig":

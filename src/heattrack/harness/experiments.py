@@ -173,8 +173,7 @@ class LoopSetup(NamedTuple):
     a_target: np.ndarray
     bias: object
     fixed_point: object
-    a_star: np.ndarray
-    system: ClosedLoopSystem
+    system: ClosedLoopSystem    # its reference[:N] is a_star
 
 
 def _padded(config: ExperimentConfig, key: str, n: int) -> np.ndarray:
@@ -195,18 +194,19 @@ def _close_loop(config: ExperimentConfig, matrices, gain: float,
     With ``control.fixed_point`` the loop runs on the solution ``a_star``
     of ``(I + T_N) a_star = a_target`` (tracing Picard when ``picard`` is
     set and the bias is contractive), otherwise on ``a_target`` itself.
-    Returns ``(bias, fixed_point, a_star, system)``; ``fixed_point`` is
-    None without pre-compensation.  It opens no stage, so a gain sweep
-    sees the raw failure.
+    Returns ``(bias, fixed_point, system)``; ``fixed_point`` is None
+    without pre-compensation.  One loop, assembled on ``a_target``, gives
+    T_N and is retargeted to ``a_star`` with its spectrum.  It opens no
+    stage, so a gain sweep sees the raw failure.
     """
-    bias = assemble_bias_matrix(matrices, gain)
+    system = assemble_closed_loop(matrices, gain, a_target)
+    bias = assemble_bias_matrix(system)
     fp = None
-    a_star = a_target.copy()
     if config.control.fixed_point:
         fp = fixed_point_reference(bias, a_target,
                                    picard=picard and bias.norm < 1.0)
-        a_star = fp.a_star
-    return bias, fp, a_star, assemble_closed_loop(matrices, gain, a_star)
+        system = system.retarget(fp.a_star)
+    return bias, fp, system
 
 
 def build_loop(config: ExperimentConfig) -> LoopSetup:
@@ -223,10 +223,10 @@ def build_loop(config: ExperimentConfig) -> LoopSetup:
                 matrices, config.control.target_rate)
     with _stage("reference"):
         a_target = _padded(config, "reference", config.modes.controlled)
-        bias, fp, a_star, system = _close_loop(config, matrices, gain,
-                                               a_target, picard=True)
+        bias, fp, system = _close_loop(config, matrices, gain, a_target,
+                                       picard=True)
     return LoopSetup(domain, table, actuators, matrices, gain, gain_trace,
-                     a_target, bias, fp, a_star, system)
+                     a_target, bias, fp, system)
 
 
 def _run_loop(config: ExperimentConfig, system: ClosedLoopSystem):
@@ -452,6 +452,8 @@ def run_track(config: ExperimentConfig, out_dir: str | None = None,
     certified input-to-state budgets.
     """
     setup = build_loop(config)
+    with _stage("build"):
+        config.check_particle_response(setup.actuators.count)
     tol = config.tolerances
     deltas = config.track.deltas
     head = deltas.index(config.track.delta)
@@ -532,7 +534,7 @@ def run_track(config: ExperimentConfig, out_dir: str | None = None,
                                              2 * config.modes.count),
             config.modes.controlled)
         system2 = _close_loop(config, matrices2, setup.gain,
-                              setup.a_target)[3]
+                              setup.a_target)[2]
         _, record2 = _run_loop(config, system2)
         _, _, err_proj2, (act2,) = _track_pass(config, system2, record2,
                                                pconf, phi, [maps[head]])
@@ -669,6 +671,7 @@ def run_calibrate(config: ExperimentConfig, out_dir: str | None = None):
     """Calibrate the particle pipeline against the command profile."""
     with _stage("build"):
         _, _, actuators = _layout(config)
+        config.check_particle_response(actuators.count)
     with _stage("calibrate"):
         times = time_grid(config.control.horizon, config.control.dt)
         pconf, response = _particles(config, actuators, times)
@@ -868,7 +871,7 @@ def run_sweep(config: ExperimentConfig, out_dir: str | None = None):
     metrics, statuses = [], []
     for gain in values:
         try:
-            bias, _, _, system = _close_loop(config, matrices, gain, a_target)
+            bias, _, system = _close_loop(config, matrices, gain, a_target)
             metrics.append(
                 tail_mismatch_report(system, bias, a_target).tail_vdual)
             statuses.append("ok")

@@ -144,21 +144,24 @@ def min_norm_feedforward(y_ref, matrices: SamplingMatrices) -> np.ndarray:
 
     Solves ``sum_j u_j phi_k(x_j) = lambda_k * a_k`` for the first
     ``n_modes`` reference coefficients ``a_k``; among all solutions the
-    minimum Euclidean norm one is returned.  The sampling matrix must have
-    full row rank, and the solved system is re-checked to 1e-10 relative.
+    minimum Euclidean norm one is returned.  An (n_modes, R) reference
+    holds R references as columns and gets their R inputs as columns, from
+    one solve.  The sampling matrix must have full row rank, and each
+    solved column is re-checked to 1e-10 relative.
     """
     coeffs = np.asarray(y_ref, dtype=float)
-    if coeffs.shape != (matrices.n_modes,):
+    if coeffs.ndim not in (1, 2) or coeffs.shape[0] != matrices.n_modes:
         raise ValueError("reference coefficients must have length n_modes")
     if matrices.sigma_min <= 1e-12 * max(1.0, np.linalg.norm(matrices.phi, 2)):
         raise RankDeficiencyError("sampling matrix is not full row rank",
                                   matrices.sigma_min)
-    rhs = matrices.table.eigenvalues[:matrices.n_modes] * coeffs
+    lam = matrices.table.eigenvalues[:matrices.n_modes]
+    rhs = (lam * coeffs.T).T
     u, *_ = np.linalg.lstsq(matrices.phi, rhs, rcond=None)
-    residual = np.linalg.norm(matrices.phi @ u - rhs)
-    if residual > 1e-10 * max(1.0, np.linalg.norm(rhs)):
+    residual = np.linalg.norm(matrices.phi @ u - rhs, axis=0)
+    if np.any(residual > 1e-10 * np.maximum(1.0, np.linalg.norm(rhs, axis=0))):
         raise RankDeficiencyError(
-            f"feedforward residual {residual:.3e} exceeds tolerance",
+            f"feedforward residual {np.max(residual):.3e} exceeds tolerance",
             matrices.sigma_min)
     return u
 

@@ -162,12 +162,20 @@ def _memory_table(centers, coupling, kappa: float, dt: float,
     return weights[None] * _kernel_table(centers, kappa, dt, q_steps)
 
 
+def _fft_length(n: int) -> int:
+    """The smallest 2^a 3^b at or above n, the least over b of 3^b times
+    the power of two at or above ceil(n / 3^b).  A length with a large
+    prime factor is slow, and a power of two alone can nearly double n."""
+    return min(3 ** b << (-(-n // 3 ** b) - 1).bit_length()
+               for b in range(n.bit_length()))
+
+
 def _causal_product(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     """First n lags ``c[q] = sum_{s<=q} a[q - s] @ b[s]`` of the causal
     convolution of two matrix sequences of at most n lags, by FFT over the
-    lags zero-padded to the power of two at or above 2n, so that no lag
-    below n wraps around (a length with a large prime factor is slow)."""
-    size = 1 << (2 * n - 1).bit_length()
+    lags zero-padded to ``_fft_length(2 n)``, so that no lag below n wraps
+    around."""
+    size = _fft_length(2 * n)
     spectrum = np.fft.rfft(a, size, axis=0) @ np.fft.rfft(b, size, axis=0)
     return np.fft.irfft(spectrum, size, axis=0)[:n]
 

@@ -103,7 +103,7 @@ def test_criterion_03_iterative_and_direct_corrections_agree():
     table = enumerate_modes(dom, 32)
     acts = ActuatorSet(dom, np.array([[0.2], [0.5], [0.9], [1.4]]))
     mats = sampling_matrix(acts, table, 4)
-    bias = assemble_bias_matrix(mats, 4.0)
+    bias = assemble_bias_matrix(assemble_closed_loop(mats, 4.0, a_target))
     fp_pic = fixed_point_reference(bias, a_target, picard=True)
     fp_dir = fixed_point_reference(bias, a_target, picard=False)
     agree = float(np.linalg.norm(fp_pic.a_star - fp_dir.a_star))
@@ -117,7 +117,7 @@ def test_criterion_03_iterative_and_direct_corrections_agree():
     table2 = enumerate_modes(dom2, 32)
     acts2 = ActuatorSet(dom2, np.array([[0.3], [0.8], [1.5], [2.4]]))
     mats2 = sampling_matrix(acts2, table2, 4)
-    bias2 = assemble_bias_matrix(mats2, 6.0)
+    bias2 = assemble_bias_matrix(assemble_closed_loop(mats2, 6.0, a_target))
     with pytest.warns(RuntimeWarning):
         fp_fall = fixed_point_reference(bias2, a_target, picard=True)
     fallback_gap = float(np.linalg.norm(

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from heattrack import control
@@ -27,6 +27,7 @@ from heattrack.placement import (ActuatorSet, dct_grid_box,
 from heattrack.spectral import (DomainSpec, enumerate_modes, eval_modes,
                                 march_forced)
 
+from blocks import bias_matrix_lu, contraction_bounds
 from stepping import expm_march, fitted_slowest_decay
 
 GAIN = 8.0
@@ -48,6 +49,13 @@ def _with_feedforward(mats, gain, reference, u_ff):
     forcing = -mats.table.eigenvalues * ref_full + mats.values.T @ u_ff
     return ClosedLoopSystem(mats, float(gain), ref_full, u_ff,
                             control._generator(mats, gain), forcing)
+
+
+def _bias(mats, gain):
+    """The bias matrix of the loop at ``gain``; it does not depend on the
+    loop's reference."""
+    return assemble_bias_matrix(
+        assemble_closed_loop(mats, gain, np.zeros(mats.n_modes)))
 
 
 def _box3_matrices():
@@ -184,6 +192,8 @@ def test_eigen_solution_matches_the_expm_step_march(matrices4, geometry,
        seed=st.integers(0, 2 ** 32 - 1))
 # a subnormal gain gives a subnormal mu whose mu * t underflows to zero
 @example(gain=5e-324, points=[0.5], seed=0)
+# a nearly singular loop, whose states z_inf + offset would cancel
+@example(gain=1e-9, points=[0.5], seed=0)
 def test_open_loop_replay_of_the_recorded_inputs_tracks_the_loop(gain, points,
                                                                   seed):
     """The replay of the linearly interpolated inputs deviates from the
@@ -233,7 +243,7 @@ def test_closed_loop_spectrum_is_real_with_dct_nodes(matrices4):
 def test_bias_columns_match_per_reference_equilibria(matrices4):
     # column k = stationary low-mode error when tracking eigenfunction k,
     # so the reached low modes equal (I + T) a for any reference a
-    bias = assemble_bias_matrix(matrices4, GAIN)
+    bias = _bias(matrices4, GAIN)
     for k in range(4):
         unit = np.zeros(4)
         unit[k] = 1.0
@@ -243,12 +253,47 @@ def test_bias_columns_match_per_reference_equilibria(matrices4):
     assert bias.norm == pytest.approx(np.linalg.norm(bias.matrix, 2))
 
 
+def _assert_inverse_blocks_match_the_oracles(mats, gain):
+    """T_N, bound_a and bound_c from the loop spectrum agree with the LU
+    solve and the explicit Schur blocks to 1e-10 relative."""
+    system = assemble_closed_loop(mats, gain, np.zeros(mats.n_modes))
+    t_mat = assemble_bias_matrix(system).matrix
+    want = bias_matrix_lu(mats, gain)
+    assert np.max(np.abs(t_mat - want)) <= 1e-10 * np.max(np.abs(want))
+    diag = contraction_diagnostics(system)
+    bound_a, bound_c = contraction_bounds(mats, gain)
+    assert diag.bound_a == pytest.approx(bound_a, rel=1e-10, abs=0.0)
+    assert diag.bound_c == pytest.approx(bound_c, rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize("geometry", ["interval", "box3"])
+def test_spectral_inverse_blocks_match_the_dense_oracles(matrices4,
+                                                         geometry):
+    """Rows of a_cl^-1, not columns: a_cl is self-adjoint in the W frame
+    only, and its first columns would move bound_c many times over."""
+    mats = matrices4 if geometry == "interval" else _box3_matrices()
+    _assert_inverse_blocks_match_the_oracles(mats, GAIN)
+
+
+@settings(max_examples=25, deadline=None)
+@given(gain=st.floats(0.5, 64.0),
+       points=st.lists(st.floats(0.02, 0.98), min_size=1, max_size=6,
+                       unique=True),
+       n_modes=st.integers(1, 4))
+def test_spectral_inverse_blocks_match_the_oracles_on_drawn_loops(
+        gain, points, n_modes):
+    assume(n_modes <= len(points))
+    mats = _skewed_matrices(1.0, points, n_modes, k=16)
+    assume(mats.sigma_min > 1e-3)
+    _assert_inverse_blocks_match_the_oracles(mats, gain)
+
+
 def test_dct_placement_keeps_the_bias_tiny(matrices4):
-    assert assemble_bias_matrix(matrices4, GAIN).norm < 1e-3
+    assert _bias(matrices4, GAIN).norm < 1e-3
 
 
 def test_fixed_point_direct_solve(matrices4):
-    bias = assemble_bias_matrix(matrices4, GAIN)
+    bias = _bias(matrices4, GAIN)
     res = fixed_point_reference(bias, REFERENCE)
     assert not res.used_picard
     expected = np.linalg.solve(np.eye(4) + bias.matrix, REFERENCE)
@@ -258,7 +303,7 @@ def test_fixed_point_direct_solve(matrices4):
 def test_picard_contracts_at_the_operator_norm_rate():
     """Skewed actuators on a long interval leave a measurable contraction."""
     mats = _skewed_matrices(4.0, [0.2, 0.5, 0.9, 1.4])
-    bias = assemble_bias_matrix(mats, 4.0)
+    bias = _bias(mats, 4.0)
     assert 0.4 < bias.norm < 0.7  # measured 0.5367
     a_target = np.array([0.3, -0.2, 0.15, 0.1])
     res = fixed_point_reference(bias, a_target, picard=True)
@@ -273,7 +318,7 @@ def test_picard_contracts_at_the_operator_norm_rate():
 
 def test_picard_downgrades_on_expansive_bias():
     mats = _skewed_matrices(6.0, [0.3, 0.8, 1.5, 2.4])
-    bias = assemble_bias_matrix(mats, 6.0)
+    bias = _bias(mats, 6.0)
     assert bias.norm > 1.0  # measured 1.62
     with pytest.warns(RuntimeWarning):
         res = fixed_point_reference(bias, np.array([0.3, -0.2, 0.15, 0.1]),
@@ -285,7 +330,7 @@ def test_picard_downgrades_on_expansive_bias():
 
 
 def test_fixed_point_validates_target_length(matrices4):
-    bias = assemble_bias_matrix(matrices4, GAIN)
+    bias = _bias(matrices4, GAIN)
     with pytest.raises(ValueError):
         fixed_point_reference(bias, np.ones(3))
 
@@ -295,7 +340,7 @@ def test_fixed_point_validates_target_length(matrices4):
 
 
 def test_tail_report_on_the_corrected_loop(matrices4):
-    bias = assemble_bias_matrix(matrices4, GAIN)
+    bias = _bias(matrices4, GAIN)
     a_star = fixed_point_reference(bias, REFERENCE).a_star
     system = assemble_closed_loop(matrices4, GAIN, a_star)
     report = tail_mismatch_report(system, bias, REFERENCE)
@@ -309,7 +354,7 @@ def test_tail_report_on_the_corrected_loop(matrices4):
 
 
 def test_uncorrected_reference_shows_the_bias(matrices4):
-    bias = assemble_bias_matrix(matrices4, GAIN)
+    bias = _bias(matrices4, GAIN)
     system = assemble_closed_loop(matrices4, GAIN, REFERENCE)
     report = tail_mismatch_report(system, bias, REFERENCE)
     # without the fixed-point correction the mismatch is the bias response

@@ -36,6 +36,7 @@ from heattrack.harness.config import (
     MAX_MESHES,
     MAX_MODES,
     MAX_MODES_PER_CELL,
+    MAX_PARTICLE_RESPONSE,
     MAX_PROBES,
     MAX_QUAD_ORDER,
     MAX_RESTRICTION_WORK,
@@ -216,6 +217,46 @@ def test_placements_up_to_the_actuator_cap_parse():
 def test_cli_runs_a_loop_at_the_actuator_cap(tmp_path):
     path = _write_yaml(tmp_path / "wide.yaml", _mapping(
         actuators={"kind": "dct", "count": MAX_ACTUATORS}))
+    assert cli.main(["simulate", "--config", path, "--check"]) == 0
+
+
+@pytest.mark.parametrize("run", [exp.run_calibrate, exp.run_track],
+                         ids=["calibrate", "track"])
+def test_particle_response_is_capped_at_the_build_stage(monkeypatch, run):
+    """MAX_ACTUATORS particles over 500 steps hold exactly
+    MAX_PARTICLE_RESPONSE values and pass the build stage; one step more
+    is a config error of that stage.  Neither run forms the particles: the
+    stage that would is cut off."""
+    assert 501 * MAX_ACTUATORS ** 2 == MAX_PARTICLE_RESPONSE
+    reached = []
+
+    def cut_off(*args):
+        reached.append(1)
+        raise InsufficientDataError("particles reached")
+
+    monkeypatch.setattr(exp, "_particles", cut_off)
+    wide = {"kind": "dct", "count": MAX_ACTUATORS}
+    at_cap = _config(actuators=wide,
+                     control=dict(BASE["control"], dt=0.4 / 500))
+    with pytest.raises(StageError) as info:
+        run(at_cap)
+    assert info.value.stage == "calibrate" and reached == [1]
+    with pytest.raises(StageError) as info:
+        run(_config(actuators=wide,
+                    control=dict(BASE["control"], dt=0.4 / 501)))
+    assert info.value.stage == "build"
+    assert isinstance(info.value.cause, ConfigError)
+    assert str(MAX_PARTICLE_RESPONSE) in str(info.value.cause)
+    assert reached == [1]
+
+
+def test_cli_rejects_a_particle_response_past_the_cap(tmp_path, capsys):
+    path = _write_yaml(tmp_path / "long.yaml", _mapping(
+        actuators={"kind": "dct", "count": MAX_ACTUATORS},
+        control=dict(BASE["control"], dt=0.4 / 501)))
+    for command in ("calibrate", "track"):
+        assert cli.main([command, "--config", path, "--check"]) == 2
+        assert "particle response" in capsys.readouterr().err
     assert cli.main(["simulate", "--config", path, "--check"]) == 0
 
 
@@ -739,12 +780,23 @@ def test_track_samples_the_modes_once_per_march(monkeypatch):
         actuators={"kind": "dct", "counts": [1, 1, 1]}), strict=False), 1),
 ], ids=["track", "simulate-box3"])
 def test_each_truncation_assembles_one_loop(monkeypatch, run, loops):
-    """The bias matrix and the gain search read the loop generator alone,
-    so a run assembles one closed loop per truncation: ``track`` at K and
-    at 2K modes, ``simulate`` at K."""
+    """A run assembles one closed loop per truncation, ``track`` at K and
+    at 2K modes, ``simulate`` at K, and factorizes each once: the bias
+    matrix, the fixed-point retarget, the march, the equilibrium and the
+    contraction certificates all read the one ``eigh`` of its generator.
+    No dense solve or inverse of the loop's order (or of its tail block)
+    is left; the largest is the N-order fixed-point solve."""
     calls = _count_calls(monkeypatch, control.assemble_closed_loop)
+    eighs = _count_calls(monkeypatch, control._w_eigh)
+    orders = []
+    for name in ("solve", "inv"):
+        def spy(a, *args, _original=getattr(np.linalg, name)):
+            orders.append(np.shape(a)[0])
+            return _original(a, *args)
+        monkeypatch.setattr(np.linalg, name, spy)
     run()
-    assert len(calls) == loops
+    assert len(calls) == len(eighs) == loops
+    assert orders and max(orders) == 4  # modes.controlled of both configs
 
 
 def test_track_marches_each_input_difference_once(monkeypatch):

@@ -260,6 +260,30 @@ def test_manufactured_forcing_oracle_matches_a_40_digit_reference():
             assert_allclose(forcing[32, i], want, rtol=1e-10)
 
 
+def test_lag_products_pad_to_the_smallest_2_3_smooth_length(monkeypatch):
+    """FFT lag products pad 2n lags to the smallest 2^a 3^b at or above.
+    Every length a 500-step march asks for is still the power of two of
+    the earlier padding, so those marches keep their arithmetic; at
+    32,768 steps (n = 32,769) the two longest products drop from 4Q =
+    131,072 to 2^5 3^7 = 69,984."""
+    smooth = sorted(2 ** a * 3 ** b for a in range(14) for b in range(9))
+    for n in range(1, 4097):
+        assert plasmonic._fft_length(n) == next(v for v in smooth if v >= n)
+    assert plasmonic._fft_length(2 * 32769) == 2 ** 5 * 3 ** 7
+
+    asked = []
+    length = plasmonic._fft_length
+    monkeypatch.setattr(plasmonic, "_fft_length",
+                        lambda n: asked.append(n) or length(n))
+    times = np.linspace(0.0, 1.0, 501)
+    centers = np.array([[0.125], [0.375], [0.625], [0.875]])
+    volterra_solve(centers, 0.05 * (np.ones((4, 4)) - np.eye(4)), KAPPA,
+                   times, np.ones((501, 4, 4)))
+    assert max(asked) == 2 * 501
+    for n in asked:
+        assert length(n) == 1 << (n - 1).bit_length()
+
+
 def test_volterra_march_is_second_order():
     coupling = mms.BETA * (np.ones((2, 2)) - np.eye(2))
     errs = []
